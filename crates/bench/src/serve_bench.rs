@@ -18,15 +18,24 @@
 //! [`CHECK_P99_TOLERANCE`], throughput must not drop past
 //! [`CHECK_THROUGHPUT_TOLERANCE`], and (at the baseline's scale) the
 //! digest must match bit-for-bit (see [`check`] for the exact rules).
+//!
+//! Two *host* numbers ride along, kept apart from the simulated ones:
+//! host requests per wall-clock second, and `batched_over_solo_sssp` —
+//! one 8-lane SSSP wave over its eight sources run alone with the plain
+//! `Sssp` program, both timed in this process so runner speed cancels.
+//! The ratio is gated at [`CHECK_BATCHED_OVER_SOLO_MAX`]: batching must
+//! not cost the host more than running the lanes one by one.
 
 use std::path::Path;
 use std::time::Instant;
 
+use hetgraph_apps::Sssp;
 use hetgraph_cluster::Cluster;
-use hetgraph_engine::DistributedGraph;
+use hetgraph_core::VertexId;
+use hetgraph_engine::{DistributedGraph, SimEngine};
 use hetgraph_gen::PowerLawConfig;
 use hetgraph_partition::{MachineWeights, PartitionerKind};
-use hetgraph_serve::{LoadGenConfig, ServeConfig, Server};
+use hetgraph_serve::{LoadGenConfig, QueryKind, Request, ServeConfig, Server, SsspLanes};
 use serde::Value;
 
 use crate::context::ExperimentContext;
@@ -98,6 +107,12 @@ pub struct ServeBench {
     pub composition_digest: String,
     /// The digest observed at each [`THREAD_SWEEP`] entry, in order.
     pub thread_digests: Vec<String>,
+    /// Served requests per *host* wall-clock second, from the sweep's
+    /// 1-thread run (compare with the simulated `throughput_rps`).
+    pub host_rps: f64,
+    /// Host time of one 8-lane SSSP wave over the host time of its eight
+    /// sources run alone with the plain `Sssp` program, same process.
+    pub batched_over_solo_sssp: f64,
     /// Total experiment wall-clock, seconds.
     pub total_wall_s: f64,
 }
@@ -146,13 +161,19 @@ pub fn serve(ctx: &ExperimentContext) -> ServeBench {
     let server = Server::new(&cluster);
     let mut thread_digests = Vec::new();
     let mut report = None;
+    let mut host_rps = 0.0;
     for &threads in &THREAD_SWEEP {
         cfg.threads = threads;
+        let t = Instant::now();
         let r = server.serve(&dist, &cfg, &stream);
+        if threads == 1 {
+            host_rps = r.served() as f64 / t.elapsed().as_secs_f64();
+        }
         thread_digests.push(format!("{:016x}", r.composition_digest));
         report = Some(r);
     }
     let report = report.expect("thread sweep is nonempty");
+    let batched_over_solo = batched_over_solo_sssp(&cluster, &dist, &stream, ctx.threads);
 
     let bench = ServeBench {
         scale,
@@ -181,6 +202,8 @@ pub fn serve(ctx: &ExperimentContext) -> ServeBench {
         throughput_rps: report.throughput_rps(),
         composition_digest: format!("{:016x}", report.composition_digest),
         thread_digests,
+        host_rps,
+        batched_over_solo_sssp: batched_over_solo,
         total_wall_s: t0.elapsed().as_secs_f64(),
     };
 
@@ -204,6 +227,10 @@ pub fn serve(ctx: &ExperimentContext) -> ServeBench {
         "per-tenant served: {:?}; digest {} at threads {:?}",
         bench.per_tenant_served, bench.composition_digest, THREAD_SWEEP
     );
+    println!(
+        "host: {:.1} req/s on 1 thread; 8-lane sssp wave / 8 solo runs = {:.2}",
+        bench.host_rps, bench.batched_over_solo_sssp
+    );
 
     output::write_json_with_manifest(
         ctx.out_dir.as_deref(),
@@ -213,6 +240,56 @@ pub fn serve(ctx: &ExperimentContext) -> ServeBench {
     );
     bench
 }
+
+/// Host time of one 8-lane `SsspLanes` wave divided by the host time of
+/// its eight sources run alone with the plain [`Sssp`] program — the
+/// tight loop a batched wave has to match. The sources are the first
+/// eight distinct SSSP sources of `stream`; each side is the fastest of
+/// five runs, all in this process.
+fn batched_over_solo_sssp(
+    cluster: &Cluster,
+    dist: &DistributedGraph<'_>,
+    stream: &[Request],
+    threads: usize,
+) -> f64 {
+    const LANES: usize = 8;
+    const REPEATS: usize = 5;
+    let mut sources: Vec<VertexId> = Vec::new();
+    for r in stream {
+        if let QueryKind::Sssp { source } = r.kind {
+            if sources.len() < LANES && !sources.contains(&source) {
+                sources.push(source);
+            }
+        }
+    }
+    assert_eq!(sources.len(), LANES, "stream has too few SSSP sources");
+    let engine = SimEngine::new(cluster);
+    let fastest = |run: &dyn Fn()| {
+        (0..REPEATS)
+            .map(|_| {
+                let t = Instant::now();
+                run();
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let wave = SsspLanes::<LANES>::new(sources.clone());
+    let batched = fastest(&|| {
+        std::hint::black_box(engine.run_on_with_threads(dist, &wave, threads));
+    });
+    let solo = fastest(&|| {
+        for &s in &sources {
+            std::hint::black_box(engine.run_on_with_threads(dist, &Sssp::new(s), threads));
+        }
+    });
+    batched / solo
+}
+
+/// Ceiling on `batched_over_solo_sssp` in a fresh run: an 8-lane wave may
+/// cost the host at most this multiple of its lanes run alone. At
+/// `--scale 1` on the 2-core reference box the `Vec`-valued lane programs
+/// measured 2.71 and lane blocks 0.43–0.72.
+pub const CHECK_BATCHED_OVER_SOLO_MAX: f64 = 1.5;
 
 /// Allowed p99 latency growth before the gate fails: a fresh run's
 /// simulated p99 may be at most this multiple of the baseline's.
@@ -233,10 +310,13 @@ pub const CHECK_THROUGHPUT_TOLERANCE: f64 = 1.15;
 /// - fresh simulated throughput falls below the baseline's divided by
 ///   [`CHECK_THROUGHPUT_TOLERANCE`], or
 /// - the fresh run sheds requests where the baseline shed none, or
+/// - the fresh run's `batched_over_solo_sssp` host ratio exceeds
+///   [`CHECK_BATCHED_OVER_SOLO_MAX`], or
 /// - (only when the fresh scale equals the baseline's) the digest does
 ///   not match the baseline bit-for-bit.
 ///
-/// All gated quantities are simulated-time, so the gate is host-speed
+/// Every gated quantity is either simulated-time or a ratio of two host
+/// times taken in the same process, so the gate is host-speed
 /// independent by construction. The fresh run never writes output,
 /// regardless of `ctx.out_dir`.
 pub fn check(ctx: &ExperimentContext, baseline_path: &Path) -> Result<(), String> {
@@ -250,7 +330,10 @@ pub fn check(ctx: &ExperimentContext, baseline_path: &Path) -> Result<(), String
     println!("\n== serve bench check vs {} ==", baseline_path.display());
     let failures = check_against(&fresh, &baseline)?;
     if failures.is_empty() {
-        println!("serve bench check: OK (latency, throughput, and composition hold)");
+        println!(
+            "serve bench check: OK (latency, throughput, composition, and the \
+             batched/solo host ratio hold)"
+        );
         Ok(())
     } else {
         Err(failures.join("\n"))
@@ -299,6 +382,13 @@ fn check_against(fresh: &ServeBench, baseline: &Value) -> Result<Vec<String>, St
             fresh.shed
         ));
     }
+    if fresh.batched_over_solo_sssp > CHECK_BATCHED_OVER_SOLO_MAX {
+        failures.push(format!(
+            "an 8-lane sssp wave costs the host {:.2} x its lanes run solo \
+             (limit {CHECK_BATCHED_OVER_SOLO_MAX})",
+            fresh.batched_over_solo_sssp
+        ));
+    }
     // The digest depends on the fixture, so it is only comparable when
     // the fresh run used the baseline's scale (CI does; `--check
     // --scale N` smoke runs at other scales skip this leg).
@@ -331,6 +421,11 @@ mod tests {
         assert!(bench.waves > 0 && bench.mean_batch > 1.0, "{bench:?}");
         assert!(bench.p99_latency_s >= bench.p50_latency_s);
         assert!(bench.throughput_rps > 0.0);
+        assert!(bench.host_rps > 0.0);
+        assert!(
+            bench.batched_over_solo_sssp > 0.0 && bench.batched_over_solo_sssp.is_finite(),
+            "{bench:?}"
+        );
         // The thread sweep agreed.
         assert!(bench
             .thread_digests
@@ -368,6 +463,8 @@ mod tests {
             throughput_rps: 208.0,
             composition_digest: "00deadbeef00cafe".to_string(),
             thread_digests: vec!["00deadbeef00cafe".to_string(); 3],
+            host_rps: 200.0,
+            batched_over_solo_sssp: 1.0,
             total_wall_s: 1.0,
         }
     }
@@ -392,8 +489,10 @@ mod tests {
         regressed.shed = 7; // it started shedding
         regressed.composition_digest = "ffff000011112222".to_string(); // drifted
         regressed.thread_digests[2] = "1234123412341234".to_string(); // and raced
+        regressed.batched_over_solo_sssp = 2.1; // batching lost on the host again
         let failures = check_against(&regressed, &baseline).unwrap();
-        assert_eq!(failures.len(), 5, "{failures:?}");
+        assert_eq!(failures.len(), 6, "{failures:?}");
+        assert!(failures.iter().any(|f| f.contains("lanes run solo")));
         assert!(failures.iter().any(|f| f.contains("p99")));
         assert!(failures.iter().any(|f| f.contains("throughput")));
         assert!(failures.iter().any(|f| f.contains("shed")));

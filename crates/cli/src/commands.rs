@@ -817,10 +817,16 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         ppr_iterations: flags.get_or("ppr-iters", 10usize)?,
         threads,
     };
-    if cfg.batch_window_s < 0.0 || cfg.max_batch == 0 || cfg.queue_budget == 0 {
+    if cfg.batch_window_s < 0.0 || cfg.queue_budget == 0 {
         return Err(CliError(
-            "--batch-window must be >= 0; --max-batch and --queue-budget must be positive".into(),
+            "--batch-window must be >= 0; --queue-budget must be positive".into(),
         ));
+    }
+    if !(1..=hetgraph_serve::MAX_LANES).contains(&cfg.max_batch) {
+        return Err(CliError(format!(
+            "--max-batch must be in 1..={} (the widest lane block)",
+            hetgraph_serve::MAX_LANES
+        )));
     }
 
     let report = hetgraph_serve::Server::new(&cluster)
@@ -1443,6 +1449,17 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.0.contains("--max-batch"), "{err:?}");
+        // One past the widest lane block.
+        let err = serve(&argv(&[
+            "--requests",
+            "10",
+            "--vertices",
+            "100",
+            "--max-batch",
+            "65",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("--max-batch must be in 1..=64"), "{err:?}");
     }
 
     #[test]

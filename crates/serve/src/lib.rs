@@ -12,9 +12,10 @@
 //!   [`ServeError`] admission control returns on shed;
 //! - [`queue`] — bounded per-tenant queues with stride-style weighted
 //!   fair batch formation, all integer arithmetic, fully deterministic;
-//! - [`multi`] — the multi-source lane programs ([`MultiSssp`],
-//!   [`MultiPpr`]) that let one superstep wave answer a whole batch,
-//!   with a bitwise per-lane identity contract (see the module docs);
+//! - [`multi`] — the multi-source lane programs ([`SsspLanes`],
+//!   [`PprLanes`]: inline fixed-width lane blocks, up to [`MAX_LANES`]
+//!   lanes) that let one superstep wave answer a whole batch, with a
+//!   bitwise per-lane identity contract (see the module docs);
 //! - [`loadgen`] — a seeded open-loop arrival generator in simulated
 //!   time;
 //! - [`server`] — the serving loop: queue → batcher → wave →
@@ -36,7 +37,7 @@ pub mod request;
 pub mod server;
 
 pub use loadgen::LoadGenConfig;
-pub use multi::{MultiPpr, MultiSssp, UNREACHABLE};
+pub use multi::{block_width, MultiPpr, MultiSssp, PprLanes, SsspLanes, MAX_LANES, UNREACHABLE};
 pub use queue::{Batch, ServeQueue};
 pub use request::{ClassKey, Completion, QueryKind, Request, ServeError, ShedRecord};
 pub use server::{ServeConfig, ServeReport, Server, WaveRecord};

@@ -41,6 +41,15 @@ impl QueryKind {
             QueryKind::KCoreMember { k, .. } => ClassKey::KCore(*k),
         }
     }
+
+    /// The vertex this query asks about (source, seed, or member).
+    pub fn vertex(&self) -> VertexId {
+        match self {
+            QueryKind::Sssp { source } => *source,
+            QueryKind::Ppr { seed } => *seed,
+            QueryKind::KCoreMember { vertex, .. } => *vertex,
+        }
+    }
 }
 
 /// Compatibility key for the batcher: two queued queries may share one

@@ -23,11 +23,11 @@ use hetgraph_cluster::Cluster;
 use hetgraph_core::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use hetgraph_core::obs::{Recorder, TimeDomain, TraceEvent};
 use hetgraph_core::{hash64, rng::hash_combine, VertexId};
-use hetgraph_engine::{DistributedGraph, SimEngine};
+use hetgraph_engine::{DistributedGraph, SimEngine, SimReport};
 
-use crate::multi::{MultiPpr, MultiSssp, UNREACHABLE};
+use crate::multi::{block_width, PprLanes, SsspLanes, MAX_LANES, UNREACHABLE};
 use crate::queue::{Batch, ServeQueue};
-use crate::request::{ClassKey, Completion, QueryKind, Request, ShedRecord};
+use crate::request::{ClassKey, Completion, Request, ShedRecord};
 
 /// Serving-loop configuration.
 #[derive(Debug, Clone, serde::Serialize)]
@@ -266,7 +266,8 @@ impl<'a> Server<'a> {
     ///
     /// # Panics
     /// Panics if the request stream is unsorted, the config has no
-    /// tenants, or a query references a vertex outside the graph.
+    /// tenants or a `max_batch` outside `1..=MAX_LANES`, or a query
+    /// references a vertex outside the graph.
     pub fn serve(
         &self,
         dist: &DistributedGraph<'_>,
@@ -275,11 +276,25 @@ impl<'a> Server<'a> {
     ) -> ServeReport {
         assert!(!cfg.tenant_weights.is_empty(), "config has no tenants");
         assert!(
+            (1..=MAX_LANES).contains(&cfg.max_batch),
+            "max_batch {} outside 1..={MAX_LANES}",
+            cfg.max_batch
+        );
+        assert!(
             requests
                 .windows(2)
                 .all(|w| w[0].arrival_s <= w[1].arrival_s),
             "request stream must be sorted by arrival time"
         );
+        let n = dist.graph().num_vertices();
+        for r in requests {
+            assert!(
+                r.kind.vertex() < n,
+                "request {} references vertex {} outside the graph ({n} vertices)",
+                r.id,
+                r.kind.vertex()
+            );
+        }
         let tenants = cfg.tenant_weights.len();
         let m = ServeMetrics::new(self.metrics, tenants);
         let shift = ShiftRecorder::new(self.recorder);
@@ -416,92 +431,85 @@ fn execute_wave(
     start_s: f64,
     index: usize,
 ) -> WaveOutcome {
-    let n = dist.graph().num_vertices() as usize;
-    match batch.class {
-        ClassKey::Sssp => {
-            let (lane_of, sources) = assign_lanes(&batch.requests, |k| match k {
-                QueryKind::Sssp { source } => *source,
-                _ => unreachable!("class-pure batch"),
-            });
-            let program = MultiSssp::new(sources);
-            let out = engine.run_on_with_threads(dist, &program, cfg.threads);
-            // One pass over the data: per-lane reachable counts.
-            let mut reach = vec![0u64; program.lanes()];
-            for lanes in &out.data {
-                for (l, &d) in lanes.iter().enumerate() {
-                    if d != UNREACHABLE {
-                        reach[l] += 1;
-                    }
-                }
-            }
-            WaveOutcome {
-                record: WaveRecord {
-                    index,
-                    class: batch.class.label(),
-                    start_s,
-                    makespan_s: out.report.makespan_s,
-                    requests: batch.requests.len(),
-                    lanes: program.lanes(),
-                    supersteps: out.report.supersteps,
-                },
-                results: lane_of.iter().map(|&l| reach[l]).collect(),
-            }
-        }
-        ClassKey::Ppr => {
-            let (lane_of, seeds) = assign_lanes(&batch.requests, |k| match k {
-                QueryKind::Ppr { seed } => *seed,
-                _ => unreachable!("class-pure batch"),
-            });
-            let program = MultiPpr::new(seeds, cfg.ppr_iterations);
-            let out = engine.run_on_with_threads(dist, &program, cfg.threads);
-            // Rank-mass digest per lane, folded in vertex order (fixed
-            // summation order = deterministic bits).
-            let mut mass = vec![0.0f64; program.lanes()];
-            for lanes in &out.data {
-                for (l, &p) in lanes.iter().enumerate() {
-                    mass[l] += p;
-                }
-            }
-            WaveOutcome {
-                record: WaveRecord {
-                    index,
-                    class: batch.class.label(),
-                    start_s,
-                    makespan_s: out.report.makespan_s,
-                    requests: batch.requests.len(),
-                    lanes: program.lanes(),
-                    supersteps: out.report.supersteps,
-                },
-                results: lane_of.iter().map(|&l| mass[l].to_bits()).collect(),
-            }
-        }
+    let (report, lanes, results) = match batch.class {
         ClassKey::KCore(k) => {
-            let program = KCore::new(k);
-            let out = engine.run_on_with_threads(dist, &program, cfg.threads);
+            let out = engine.run_on_with_threads(dist, &KCore::new(k), cfg.threads);
             let results = batch
                 .requests
                 .iter()
-                .map(|r| match &r.kind {
-                    QueryKind::KCoreMember { vertex, .. } => {
-                        assert!((*vertex as usize) < n, "query vertex out of range");
-                        u64::from(out.data[*vertex as usize])
-                    }
-                    _ => unreachable!("class-pure batch"),
-                })
+                .map(|r| u64::from(out.data[r.kind.vertex() as usize]))
                 .collect();
-            WaveOutcome {
-                record: WaveRecord {
-                    index,
-                    class: batch.class.label(),
-                    start_s,
-                    makespan_s: out.report.makespan_s,
-                    requests: batch.requests.len(),
-                    lanes: 1,
-                    supersteps: out.report.supersteps,
-                },
-                results,
-            }
+            (out.report, 1, results)
         }
+        class @ (ClassKey::Sssp | ClassKey::Ppr) => {
+            let (lane_of, ids) = assign_lanes(&batch.requests);
+            // The narrowest lane block that holds the deduplicated lanes.
+            let (report, per_lane) = match block_width(ids.len()) {
+                1 => lane_wave::<1>(engine, dist, cfg, class, &ids),
+                2 => lane_wave::<2>(engine, dist, cfg, class, &ids),
+                4 => lane_wave::<4>(engine, dist, cfg, class, &ids),
+                8 => lane_wave::<8>(engine, dist, cfg, class, &ids),
+                16 => lane_wave::<16>(engine, dist, cfg, class, &ids),
+                32 => lane_wave::<32>(engine, dist, cfg, class, &ids),
+                64 => lane_wave::<64>(engine, dist, cfg, class, &ids),
+                w => unreachable!("block_width returned {w}"),
+            };
+            let results = lane_of.iter().map(|&l| per_lane[l]).collect();
+            (report, ids.len(), results)
+        }
+    };
+    WaveOutcome {
+        record: WaveRecord {
+            index,
+            class: batch.class.label(),
+            start_s,
+            makespan_s: report.makespan_s,
+            requests: batch.requests.len(),
+            lanes,
+            supersteps: report.supersteps,
+        },
+        results,
+    }
+}
+
+/// Run `ids` as the lanes of one `W`-wide SSSP or PPR wave; returns the
+/// kernel report and the per-lane response values.
+fn lane_wave<const W: usize>(
+    engine: &SimEngine<'_>,
+    dist: &DistributedGraph<'_>,
+    cfg: &ServeConfig,
+    class: ClassKey,
+    ids: &[VertexId],
+) -> (SimReport, Vec<u64>) {
+    match class {
+        ClassKey::Sssp => {
+            let program = SsspLanes::<W>::new(ids.to_vec());
+            let out = engine.run_on_with_threads(dist, &program, cfg.threads);
+            // One pass over the data: per-lane reachable counts.
+            let mut reach = vec![0u64; ids.len()];
+            for block in &out.data {
+                for (count, &d) in reach.iter_mut().zip(block) {
+                    if d != UNREACHABLE {
+                        *count += 1;
+                    }
+                }
+            }
+            (out.report, reach)
+        }
+        ClassKey::Ppr => {
+            let program = PprLanes::<W>::new(ids.to_vec(), cfg.ppr_iterations);
+            let out = engine.run_on_with_threads(dist, &program, cfg.threads);
+            // Rank-mass digest per lane, folded in vertex order (fixed
+            // summation order = deterministic bits).
+            let mut mass = vec![0.0f64; ids.len()];
+            for block in &out.data {
+                for (sum, &p) in mass.iter_mut().zip(block) {
+                    *sum += p;
+                }
+            }
+            (out.report, mass.into_iter().map(f64::to_bits).collect())
+        }
+        ClassKey::KCore(_) => unreachable!("k-core waves have no lanes"),
     }
 }
 
@@ -509,14 +517,11 @@ fn execute_wave(
 /// sources/seeds (two queries for the same source share one lane).
 /// Returns (per-request lane index, lane vertex list in first-seen
 /// order).
-fn assign_lanes<F>(requests: &[Request], vertex_of: F) -> (Vec<usize>, Vec<VertexId>)
-where
-    F: Fn(&QueryKind) -> VertexId,
-{
+fn assign_lanes(requests: &[Request]) -> (Vec<usize>, Vec<VertexId>) {
     let mut lanes: Vec<VertexId> = Vec::new();
     let mut lane_of = Vec::with_capacity(requests.len());
     for r in requests {
-        let v = vertex_of(&r.kind);
+        let v = r.kind.vertex();
         let lane = match lanes.iter().position(|&x| x == v) {
             Some(l) => l,
             None => {
@@ -533,6 +538,7 @@ where
 mod tests {
     use super::*;
     use crate::loadgen::LoadGenConfig;
+    use crate::request::QueryKind;
     use hetgraph_core::{Edge, EdgeList, Graph};
     use hetgraph_gen::PowerLawConfig;
     use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
@@ -649,6 +655,78 @@ mod tests {
         assert_eq!(report.completions[1].result, 10);
         assert_eq!(report.waves.len(), 1, "same-class queries share a wave");
         assert_eq!(report.waves[0].lanes, 2);
+    }
+
+    /// Serve one `kind` query (request id 7) over the 600-vertex fixture.
+    fn serve_one(kind: QueryKind, cfg: &ServeConfig) -> ServeReport {
+        let (g, cluster) = fixture();
+        let a = partition(&g);
+        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let request = Request {
+            id: 7,
+            tenant: 0,
+            kind,
+            arrival_s: 0.0,
+        };
+        Server::new(&cluster).serve(&dist, cfg, &[request])
+    }
+
+    #[test]
+    #[should_panic(expected = "request 7 references vertex 600 outside the graph")]
+    fn out_of_range_sssp_source_rejected_up_front() {
+        serve_one(QueryKind::Sssp { source: 600 }, &ServeConfig::standard(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "request 7 references vertex 4000000000 outside the graph")]
+    fn out_of_range_ppr_seed_rejected_up_front() {
+        serve_one(
+            QueryKind::Ppr {
+                seed: 4_000_000_000,
+            },
+            &ServeConfig::standard(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "request 7 references vertex 600 outside the graph")]
+    fn out_of_range_kcore_vertex_rejected_up_front() {
+        serve_one(
+            QueryKind::KCoreMember { k: 2, vertex: 600 },
+            &ServeConfig::standard(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "max_batch 65 outside 1..=64")]
+    fn max_batch_past_the_widest_block_rejected() {
+        let mut cfg = ServeConfig::standard(1);
+        cfg.max_batch = MAX_LANES + 1;
+        serve_one(QueryKind::Sssp { source: 0 }, &cfg);
+    }
+
+    #[test]
+    fn widest_block_serves_a_full_batch() {
+        // 64 distinct sources arriving at once fill one 64-lane wave; the
+        // last vertex in range is a valid query.
+        let (g, cluster) = fixture();
+        let a = partition(&g);
+        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let n = g.num_vertices();
+        let stream: Vec<Request> = (0..MAX_LANES as u32)
+            .map(|i| Request {
+                id: u64::from(i),
+                tenant: 0,
+                kind: QueryKind::Sssp { source: n - 1 - i },
+                arrival_s: 0.0,
+            })
+            .collect();
+        let mut cfg = ServeConfig::standard(1);
+        cfg.max_batch = MAX_LANES;
+        let report = Server::new(&cluster).serve(&dist, &cfg, &stream);
+        assert_eq!(report.waves.len(), 1);
+        assert_eq!(report.waves[0].lanes, MAX_LANES);
+        assert!(report.completions.iter().all(|c| c.result >= 1));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 # placement vs CCR + mid-run migration under a scripted slowdown),
 # BENCH_scale.json (bounded-RSS pipeline: resident bytes/edge and peak
 # RSS for the plain vs compact representations), and BENCH_serve.json
-# (query serving: simulated p50/p99 latency, throughput, and the
-# 1/2/4-thread batch-composition digest).
+# (query serving: simulated p50/p99 latency, throughput, the
+# 1/2/4-thread batch-composition digest, host requests/s, and the host
+# cost of an 8-lane wave over its lanes run solo).
 #
 #   scripts/bench.sh            # release build + all experiments at --scale 1
 #   scripts/bench.sh --scale 8  # quicker smoke run (numbers not committed)
@@ -68,7 +69,8 @@ if [ "$check" -eq 1 ]; then
     ./target/release/exp_scale --scale "$scale_scale" --check BENCH_scale.json
     echo
     # The serving gate: simulated p99 latency, throughput, and the
-    # thread-sweep composition digest against the committed baseline.
+    # thread-sweep composition digest against the committed baseline,
+    # plus the fresh run's batched-over-solo host ratio.
     echo "==> exp_serve --scale $scale --check BENCH_serve.json"
     ./target/release/exp_serve --scale "$scale" --check BENCH_serve.json
     echo

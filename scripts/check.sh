@@ -52,6 +52,11 @@ if [ "$fast" -eq 0 ]; then
     step cargo build --release --workspace --all-targets
 fi
 step cargo test -q --workspace
+# The benchmark is a workspace of its own (see BENCHMARK.json): its tests
+# run all five workloads at smoke size with every output check on, so an
+# API drift against benchmark/src/layers.rs or a broken output fails here
+# instead of in the benchmark run.
+step cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 # cargo fmt --all would also reformat the third_party/ offline stand-ins,
 # which track upstream layout; gate only this repo's own sources. Collect
