@@ -151,13 +151,14 @@ mod tests {
     use super::*;
     use hetgraph_cluster::Cluster;
     use hetgraph_core::{Edge, EdgeList};
-    use hetgraph_engine::SimEngine;
+    use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{MachineWeights, Oblivious, Partitioner};
 
     fn run(g: &Graph) -> Vec<u32> {
         let cluster = Cluster::case2();
         let a = Oblivious::new().partition(g, &MachineWeights::uniform(2));
-        let out = SimEngine::new(&cluster).run(g, &a, &Coloring::new());
+        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
+        let out = SimEngine::new(&cluster).run(&dist, &Coloring::new(), 1);
         assert!(out.report.converged, "coloring must converge");
         out.data
     }

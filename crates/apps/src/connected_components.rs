@@ -118,13 +118,14 @@ mod tests {
     use crate::reference::connected_components_ref;
     use hetgraph_cluster::Cluster;
     use hetgraph_core::{Edge, EdgeList, Graph};
-    use hetgraph_engine::SimEngine;
+    use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{Hybrid, MachineWeights, Partitioner};
 
     fn run(g: &Graph) -> Vec<u32> {
         let cluster = Cluster::case2();
         let a = Hybrid::new().partition(g, &MachineWeights::uniform(2));
-        let out = SimEngine::new(&cluster).run(g, &a, &ConnectedComponents::new());
+        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
+        let out = SimEngine::new(&cluster).run(&dist, &ConnectedComponents::new(), 1);
         assert!(out.report.converged, "CC must converge");
         out.data
     }

@@ -126,13 +126,14 @@ mod tests {
     use crate::reference::kcore_ref;
     use hetgraph_cluster::Cluster;
     use hetgraph_core::{Edge, EdgeList, Graph};
-    use hetgraph_engine::SimEngine;
+    use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{Hybrid, MachineWeights, Partitioner};
 
     fn run(g: &Graph, k: u32) -> Vec<bool> {
         let cluster = Cluster::case2();
         let a = Hybrid::new().partition(g, &MachineWeights::uniform(2));
-        let out = SimEngine::new(&cluster).run(g, &a, &KCore::new(k));
+        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
+        let out = SimEngine::new(&cluster).run(&dist, &KCore::new(k), 1);
         assert!(out.report.converged);
         out.data
     }

@@ -244,14 +244,15 @@ mod tests {
     use crate::reference::pagerank_ref;
     use hetgraph_cluster::Cluster;
     use hetgraph_core::{Edge, EdgeList, Graph};
-    use hetgraph_engine::SimEngine;
+    use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 
     fn run(g: &Graph, iters: usize) -> Vec<f64> {
         let cluster = Cluster::case2();
         let a = RandomHash::new().partition(g, &MachineWeights::uniform(2));
+        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
         SimEngine::new(&cluster)
-            .run(g, &a, &PageRank::new(iters))
+            .run(&dist, &PageRank::new(iters), 1)
             .data
     }
 
@@ -300,7 +301,8 @@ mod tests {
         let g = Graph::from_edge_list(EdgeList::from_edges(n, edges));
         let cluster = Cluster::case2();
         let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let out = SimEngine::new(&cluster).run(&g, &a, &PageRank::with_tolerance(500, 1e-12));
+        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let out = SimEngine::new(&cluster).run(&dist, &PageRank::with_tolerance(500, 1e-12), 1);
         assert!(out.report.converged);
         assert!(out.report.supersteps < 500);
     }
@@ -322,9 +324,10 @@ mod tests {
         let g = Graph::from_edge_list(EdgeList::from_edges(n, edges));
         let cluster = Cluster::case2();
         let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
+        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
         let engine = SimEngine::new(&cluster);
-        let f64_out = engine.run(&g, &a, &PageRank::new(25));
-        let f32_out = engine.run(&g, &a, &PageRank32::new(25));
+        let f64_out = engine.run(&dist, &PageRank::new(25), 1);
+        let f32_out = engine.run(&dist, &PageRank32::new(25), 1);
         for (a64, a32) in f64_out.data.iter().zip(&f32_out.data) {
             assert!(
                 (a64 - *a32 as f64).abs() < 1e-5,

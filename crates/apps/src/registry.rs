@@ -10,21 +10,22 @@
 //! simulated report.
 //!
 //! **Registering a new app is a one-place change**: implement
-//! [`GasProgram`] for your vertex program, add an [`AppSpec`] (usually a
-//! few lines — see `SsspSpec` in this file) and a constructor on
-//! [`AnyApp`], and list it in [`AppRegistry::full`]. Every consumer —
-//! `CcrPool::profile*`, the sweep matrix's `--apps` selector, `hetgraph
-//! run`/`submit`, and `Framework` — picks it up from there; no enum to
-//! extend, no per-crate match arms.
+//! [`GasProgram`] for your vertex program and add a constructor on
+//! [`AnyApp`] that hands `AnyApp::from_program` the name, the profile and
+//! a closure building the program for a [`RunTarget`] (three lines — see
+//! [`AnyApp::sssp`]), then list it in [`AppRegistry::full`]. The one
+//! generic [`AppSpec`] adapter in this file does the type erasure and the
+//! engine call for every program, so there is no per-app run code to
+//! write or keep in sync. Every consumer — `CcrPool::profile*`, the sweep
+//! matrix's `--apps` selector, `hetgraph run`/`submit`, and `Framework` —
+//! picks the app up from the registry; no enum to extend, no per-crate
+//! match arms.
 
 use std::sync::Arc;
 
 use hetgraph_cluster::AppProfile;
-use hetgraph_core::{Graph, VertexId};
-use hetgraph_engine::{
-    CompactDistGraph, DistributedGraph, GasProgram, RebalancePolicy, SimEngine, SimReport,
-};
-use hetgraph_partition::PartitionAssignment;
+use hetgraph_core::VertexId;
+use hetgraph_engine::{GasProgram, RunTarget, SimEngine, SimReport};
 
 use crate::coloring::Coloring;
 use crate::connected_components::ConnectedComponents;
@@ -47,9 +48,7 @@ pub const KCORE_DEFAULT_K: u32 = 3;
 ///
 /// Object-safe on purpose — `AnyApp` stores `Arc<dyn AppSpec>`, so a spec
 /// must type-erase its program's associated types behind
-/// [`AppSpec::run_on_with_threads`]. Programs that depend on the input
-/// graph (Triangle Count pre-sorts adjacency) construct themselves inside
-/// that call.
+/// [`AppSpec::run`].
 pub trait AppSpec: Send + Sync {
     /// Application name. Keys the CCR pool and the `--apps`/CLI selectors,
     /// so it must be stable and unique within a registry.
@@ -58,73 +57,48 @@ pub trait AppSpec: Send + Sync {
     /// The application's ground-truth hardware profile.
     fn profile(&self) -> AppProfile;
 
-    /// Execute on a prebuilt [`DistributedGraph`] with the given host
-    /// thread budget and return the simulated report.
-    fn run_on_with_threads(
+    /// Execute over `target` with the given host thread budget and return
+    /// the simulated report (see [`SimEngine::run`]).
+    fn run(
         &self,
         engine: &SimEngine<'_>,
-        dist: &DistributedGraph<'_>,
-        host_threads: usize,
-    ) -> SimReport;
-
-    /// Execute with mid-run rebalancing: `policy` may migrate edges
-    /// between supersteps, mutating the view's copy-on-write placement
-    /// (the caller's `PartitionAssignment` is never touched).
-    fn run_rebalanced_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &mut DistributedGraph<'_>,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport;
-
-    /// Execute on a prebuilt compressed [`CompactDistGraph`]. Reports are
-    /// bitwise identical to [`AppSpec::run_on_with_threads`] over the
-    /// equivalent plain view.
-    fn run_compact_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &CompactDistGraph,
+        target: RunTarget<'_, '_>,
         host_threads: usize,
     ) -> SimReport;
 }
 
-/// Run a concrete program on the unified kernel — the one line every
-/// [`AppSpec`] implementation ends with.
-fn exec<P: GasProgram>(
-    engine: &SimEngine<'_>,
-    dist: &DistributedGraph<'_>,
-    program: &P,
-    host_threads: usize,
-) -> SimReport {
-    engine
-        .run_on_with_threads(dist, program, host_threads)
-        .report
+/// The one [`AppSpec`] implementation: a name, a profile, and a
+/// constructor from the run target to the vertex program. Most programs
+/// ignore the target; ones bound to the input graph (Triangle Count
+/// pre-sorts adjacency) read it.
+struct ProgramSpec<F> {
+    name: &'static str,
+    profile: fn() -> AppProfile,
+    program: F,
 }
 
-/// [`exec`] for the rebalanced entry point.
-fn exec_rebalanced<P: GasProgram>(
-    engine: &SimEngine<'_>,
-    dist: &mut DistributedGraph<'_>,
-    program: &P,
-    host_threads: usize,
-    policy: &mut dyn RebalancePolicy,
-) -> SimReport {
-    engine
-        .run_rebalanced_on_with_threads(dist, program, host_threads, policy)
-        .report
-}
+impl<P, F> AppSpec for ProgramSpec<F>
+where
+    P: GasProgram,
+    F: Fn(&RunTarget<'_, '_>) -> P + Send + Sync,
+{
+    fn name(&self) -> &'static str {
+        self.name
+    }
 
-/// [`exec`] for the compressed-representation entry point.
-fn exec_compact<P: GasProgram>(
-    engine: &SimEngine<'_>,
-    dist: &CompactDistGraph,
-    program: &P,
-    host_threads: usize,
-) -> SimReport {
-    engine
-        .run_compact_on_with_threads(dist, program, host_threads)
-        .report
+    fn profile(&self) -> AppProfile {
+        (self.profile)()
+    }
+
+    fn run(
+        &self,
+        engine: &SimEngine<'_>,
+        target: RunTarget<'_, '_>,
+        host_threads: usize,
+    ) -> SimReport {
+        let program = (self.program)(&target);
+        engine.run(target, &program, host_threads).report
+    }
 }
 
 /// A cheaply-cloneable, type-erased handle to a registered workload.
@@ -141,9 +115,25 @@ impl AnyApp {
         AnyApp(Arc::new(spec))
     }
 
+    /// Register a vertex program: `program` builds it for the view a run
+    /// is about to execute over.
+    fn from_program<P: GasProgram>(
+        name: &'static str,
+        profile: fn() -> AppProfile,
+        program: impl Fn(&RunTarget<'_, '_>) -> P + Send + Sync + 'static,
+    ) -> Self {
+        AnyApp::new(ProgramSpec {
+            name,
+            profile,
+            program,
+        })
+    }
+
     /// PageRank (Eq. 8) at the standard [`PAGERANK_ITERATIONS`].
     pub fn pagerank() -> Self {
-        AnyApp::new(PageRankSpec)
+        AnyApp::from_program("pagerank", PageRank::standard_profile, |_| {
+            PageRank::new(PAGERANK_ITERATIONS)
+        })
     }
 
     /// Reduced-precision PageRank ([`PageRank32`]) at the standard
@@ -152,27 +142,42 @@ impl AnyApp {
     /// are not comparable with the pinned f64 snapshots, so it must be
     /// registered explicitly (the CLI does, as `pagerank_f32`).
     pub fn pagerank_f32() -> Self {
-        AnyApp::new(PageRank32Spec)
+        AnyApp::from_program("pagerank_f32", PageRank32::standard_profile, |_| {
+            PageRank32::new(PAGERANK_ITERATIONS)
+        })
     }
 
     /// Greedy coloring.
     pub fn coloring() -> Self {
-        AnyApp::new(ColoringSpec)
+        AnyApp::from_program("coloring", Coloring::standard_profile, |_| Coloring::new())
     }
 
     /// Weakly-connected components.
     pub fn connected_components() -> Self {
-        AnyApp::new(ConnectedComponentsSpec)
+        AnyApp::from_program(
+            "connected_components",
+            ConnectedComponents::standard_profile,
+            |_| ConnectedComponents::new(),
+        )
     }
 
-    /// Triangle counting.
+    /// Triangle counting. The program is bound to the input's sorted
+    /// adjacency, so it is built from whichever view the run targets.
     pub fn triangle_count() -> Self {
-        AnyApp::new(TriangleCountSpec)
+        AnyApp::from_program(
+            "triangle_count",
+            TriangleCount::standard_profile,
+            |target| match target {
+                RunTarget::Plain(dist) => TriangleCount::for_graph(dist.graph()),
+                RunTarget::Rebalanced(dist, _) => TriangleCount::for_graph(dist.graph()),
+                RunTarget::Compact(dist) => TriangleCount::for_compact(dist),
+            },
+        )
     }
 
     /// Single-source shortest paths from `source`.
     pub fn sssp(source: VertexId) -> Self {
-        AnyApp::new(SsspSpec { source })
+        AnyApp::from_program("sssp", Sssp::standard_profile, move |_| Sssp::new(source))
     }
 
     /// k-core decomposition at threshold `k`.
@@ -181,7 +186,7 @@ impl AnyApp {
     /// Panics if `k == 0`.
     pub fn kcore(k: u32) -> Self {
         assert!(k > 0, "k-core requires k >= 1");
-        AnyApp::new(KCoreSpec { k })
+        AnyApp::from_program("kcore", KCore::standard_profile, move |_| KCore::new(k))
     }
 
     /// Application name (keys the CCR pool).
@@ -194,104 +199,23 @@ impl AnyApp {
         self.0.profile()
     }
 
-    /// Execute on a partitioned graph and return the simulated report.
-    pub fn run(
-        &self,
-        engine: &SimEngine<'_>,
-        graph: &Graph,
-        assignment: &PartitionAssignment,
-    ) -> SimReport {
-        self.run_with_threads(engine, graph, assignment, 1)
-    }
-
-    /// [`AnyApp::run`] with an engine-level host thread budget. The
-    /// kernel's results — vertex effects *and* the floating-point report —
-    /// are bitwise identical at any thread count.
+    /// Execute over `target` — `&DistributedGraph`, `&CompactDistGraph`
+    /// or [`RunTarget::rebalanced`] — and return the simulated report.
+    /// Exactly [`SimEngine::run`] for the registered program: the report
+    /// is bitwise identical at any `host_threads` and on either
+    /// representation, and a rebalanced run leaves the final placement
+    /// inspectable in the caller's view (the `PartitionAssignment` it was
+    /// built from is never touched).
     ///
     /// # Panics
     /// Panics if `host_threads == 0`.
-    pub fn run_with_threads(
+    pub fn run<'k, 'g: 'k>(
         &self,
         engine: &SimEngine<'_>,
-        graph: &Graph,
-        assignment: &PartitionAssignment,
+        target: impl Into<RunTarget<'k, 'g>>,
         host_threads: usize,
     ) -> SimReport {
-        let dist =
-            DistributedGraph::new(graph, assignment).expect("assignment must cover the graph");
-        self.run_on_with_threads(engine, &dist, host_threads)
-    }
-
-    /// [`AnyApp::run_with_threads`] over a prebuilt [`DistributedGraph`],
-    /// so sweeps that execute several apps against one cached partition
-    /// build the O(edges) distributed view once.
-    ///
-    /// # Panics
-    /// Panics if `host_threads == 0`.
-    pub fn run_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &DistributedGraph<'_>,
-        host_threads: usize,
-    ) -> SimReport {
-        assert!(host_threads > 0, "need at least one host thread");
-        self.0.run_on_with_threads(engine, dist, host_threads)
-    }
-
-    /// [`AnyApp::run_with_threads`] with mid-run rebalancing: `policy`
-    /// observes each superstep's straggler signals and may migrate edges
-    /// between supersteps. The caller's `assignment` is never mutated —
-    /// the distributed view copies it on the first real migration.
-    ///
-    /// # Panics
-    /// Panics if `host_threads == 0`.
-    pub fn run_rebalanced_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        graph: &Graph,
-        assignment: &PartitionAssignment,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport {
-        let mut dist =
-            DistributedGraph::new(graph, assignment).expect("assignment must cover the graph");
-        self.run_rebalanced_on_with_threads(engine, &mut dist, host_threads, policy)
-    }
-
-    /// [`AnyApp::run_rebalanced_with_threads`] over a prebuilt (mutable)
-    /// [`DistributedGraph`]; after the run `dist` holds the final
-    /// placement for inspection.
-    ///
-    /// # Panics
-    /// Panics if `host_threads == 0`.
-    pub fn run_rebalanced_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &mut DistributedGraph<'_>,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport {
-        assert!(host_threads > 0, "need at least one host thread");
-        self.0
-            .run_rebalanced_on_with_threads(engine, dist, host_threads, policy)
-    }
-
-    /// [`AnyApp::run_on_with_threads`] over a prebuilt compressed
-    /// [`CompactDistGraph`] — the bounded-RSS path, where no plain
-    /// `Graph` or `DistributedGraph` needs to exist. The report is
-    /// bitwise identical to the plain path's at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `host_threads == 0`.
-    pub fn run_compact_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &CompactDistGraph,
-        host_threads: usize,
-    ) -> SimReport {
-        assert!(host_threads > 0, "need at least one host thread");
-        self.0
-            .run_compact_on_with_threads(engine, dist, host_threads)
+        self.0.run(engine, target.into(), host_threads)
     }
 }
 
@@ -317,309 +241,6 @@ impl std::fmt::Debug for AnyApp {
 impl std::fmt::Display for AnyApp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-struct PageRankSpec;
-impl AppSpec for PageRankSpec {
-    fn name(&self) -> &'static str {
-        "pagerank"
-    }
-    fn profile(&self) -> AppProfile {
-        PageRank::standard_profile()
-    }
-    fn run_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &DistributedGraph<'_>,
-        host_threads: usize,
-    ) -> SimReport {
-        exec(
-            engine,
-            dist,
-            &PageRank::new(PAGERANK_ITERATIONS),
-            host_threads,
-        )
-    }
-    fn run_rebalanced_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &mut DistributedGraph<'_>,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport {
-        exec_rebalanced(
-            engine,
-            dist,
-            &PageRank::new(PAGERANK_ITERATIONS),
-            host_threads,
-            policy,
-        )
-    }
-    fn run_compact_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &CompactDistGraph,
-        host_threads: usize,
-    ) -> SimReport {
-        exec_compact(
-            engine,
-            dist,
-            &PageRank::new(PAGERANK_ITERATIONS),
-            host_threads,
-        )
-    }
-}
-
-struct PageRank32Spec;
-impl AppSpec for PageRank32Spec {
-    fn name(&self) -> &'static str {
-        "pagerank_f32"
-    }
-    fn profile(&self) -> AppProfile {
-        PageRank32::standard_profile()
-    }
-    fn run_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &DistributedGraph<'_>,
-        host_threads: usize,
-    ) -> SimReport {
-        exec(
-            engine,
-            dist,
-            &PageRank32::new(PAGERANK_ITERATIONS),
-            host_threads,
-        )
-    }
-    fn run_rebalanced_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &mut DistributedGraph<'_>,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport {
-        exec_rebalanced(
-            engine,
-            dist,
-            &PageRank32::new(PAGERANK_ITERATIONS),
-            host_threads,
-            policy,
-        )
-    }
-    fn run_compact_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &CompactDistGraph,
-        host_threads: usize,
-    ) -> SimReport {
-        exec_compact(
-            engine,
-            dist,
-            &PageRank32::new(PAGERANK_ITERATIONS),
-            host_threads,
-        )
-    }
-}
-
-struct ColoringSpec;
-impl AppSpec for ColoringSpec {
-    fn name(&self) -> &'static str {
-        "coloring"
-    }
-    fn profile(&self) -> AppProfile {
-        Coloring::standard_profile()
-    }
-    fn run_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &DistributedGraph<'_>,
-        host_threads: usize,
-    ) -> SimReport {
-        exec(engine, dist, &Coloring::new(), host_threads)
-    }
-    fn run_rebalanced_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &mut DistributedGraph<'_>,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport {
-        exec_rebalanced(engine, dist, &Coloring::new(), host_threads, policy)
-    }
-    fn run_compact_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &CompactDistGraph,
-        host_threads: usize,
-    ) -> SimReport {
-        exec_compact(engine, dist, &Coloring::new(), host_threads)
-    }
-}
-
-struct ConnectedComponentsSpec;
-impl AppSpec for ConnectedComponentsSpec {
-    fn name(&self) -> &'static str {
-        "connected_components"
-    }
-    fn profile(&self) -> AppProfile {
-        ConnectedComponents::standard_profile()
-    }
-    fn run_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &DistributedGraph<'_>,
-        host_threads: usize,
-    ) -> SimReport {
-        exec(engine, dist, &ConnectedComponents::new(), host_threads)
-    }
-    fn run_rebalanced_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &mut DistributedGraph<'_>,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport {
-        exec_rebalanced(
-            engine,
-            dist,
-            &ConnectedComponents::new(),
-            host_threads,
-            policy,
-        )
-    }
-    fn run_compact_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &CompactDistGraph,
-        host_threads: usize,
-    ) -> SimReport {
-        exec_compact(engine, dist, &ConnectedComponents::new(), host_threads)
-    }
-}
-
-struct TriangleCountSpec;
-impl AppSpec for TriangleCountSpec {
-    fn name(&self) -> &'static str {
-        "triangle_count"
-    }
-    fn profile(&self) -> AppProfile {
-        TriangleCount::standard_profile()
-    }
-    fn run_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &DistributedGraph<'_>,
-        host_threads: usize,
-    ) -> SimReport {
-        exec(
-            engine,
-            dist,
-            &TriangleCount::for_graph(dist.graph()),
-            host_threads,
-        )
-    }
-    fn run_rebalanced_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &mut DistributedGraph<'_>,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport {
-        exec_rebalanced(
-            engine,
-            dist,
-            &TriangleCount::for_graph(dist.graph()),
-            host_threads,
-            policy,
-        )
-    }
-    fn run_compact_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &CompactDistGraph,
-        host_threads: usize,
-    ) -> SimReport {
-        exec_compact(
-            engine,
-            dist,
-            &TriangleCount::for_compact(dist),
-            host_threads,
-        )
-    }
-}
-
-struct SsspSpec {
-    source: VertexId,
-}
-impl AppSpec for SsspSpec {
-    fn name(&self) -> &'static str {
-        "sssp"
-    }
-    fn profile(&self) -> AppProfile {
-        Sssp::standard_profile()
-    }
-    fn run_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &DistributedGraph<'_>,
-        host_threads: usize,
-    ) -> SimReport {
-        exec(engine, dist, &Sssp::new(self.source), host_threads)
-    }
-    fn run_rebalanced_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &mut DistributedGraph<'_>,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport {
-        exec_rebalanced(engine, dist, &Sssp::new(self.source), host_threads, policy)
-    }
-    fn run_compact_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &CompactDistGraph,
-        host_threads: usize,
-    ) -> SimReport {
-        exec_compact(engine, dist, &Sssp::new(self.source), host_threads)
-    }
-}
-
-struct KCoreSpec {
-    k: u32,
-}
-impl AppSpec for KCoreSpec {
-    fn name(&self) -> &'static str {
-        "kcore"
-    }
-    fn profile(&self) -> AppProfile {
-        KCore::standard_profile()
-    }
-    fn run_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &DistributedGraph<'_>,
-        host_threads: usize,
-    ) -> SimReport {
-        exec(engine, dist, &KCore::new(self.k), host_threads)
-    }
-    fn run_rebalanced_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &mut DistributedGraph<'_>,
-        host_threads: usize,
-        policy: &mut dyn RebalancePolicy,
-    ) -> SimReport {
-        exec_rebalanced(engine, dist, &KCore::new(self.k), host_threads, policy)
-    }
-    fn run_compact_on_with_threads(
-        &self,
-        engine: &SimEngine<'_>,
-        dist: &CompactDistGraph,
-        host_threads: usize,
-    ) -> SimReport {
-        exec_compact(engine, dist, &KCore::new(self.k), host_threads)
     }
 }
 
@@ -700,8 +321,9 @@ pub fn full_apps() -> Vec<AnyApp> {
 mod tests {
     use super::*;
     use hetgraph_cluster::Cluster;
+    use hetgraph_engine::{CompactDistGraph, DistributedGraph, GreedyRebalance};
     use hetgraph_gen::PowerLawConfig;
-    use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
+    use hetgraph_partition::{MachineWeights, PartitionAssignment, Partitioner, RandomHash};
 
     #[test]
     fn names_and_profiles_consistent() {
@@ -750,7 +372,8 @@ mod tests {
         let g = PowerLawConfig::new(800, 2.1).generate(3);
         let cluster = Cluster::case2();
         let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let rep = app.run(&SimEngine::new(&cluster), &g, &a);
+        let dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
+        let rep = app.run(&SimEngine::new(&cluster), &dist, 1);
         assert_eq!(rep.app, "pagerank_f32");
         assert!(rep.makespan_s > 0.0);
     }
@@ -770,9 +393,10 @@ mod tests {
         let g = PowerLawConfig::new(800, 2.1).generate(3);
         let cluster = Cluster::case2();
         let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
+        let dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
         let engine = SimEngine::new(&cluster);
         for app in full_apps() {
-            let rep = app.run(&engine, &g, &a);
+            let rep = app.run(&engine, &dist, 1);
             assert!(rep.makespan_s > 0.0, "{app}: no time simulated");
             assert!(rep.supersteps > 0, "{app}: no supersteps");
             assert_eq!(rep.app, app.name());
@@ -803,60 +427,62 @@ mod tests {
         assert_eq!(format!("{:?}", AnyApp::kcore(3)), "AnyApp(\"kcore\")");
     }
 
+    /// The capability table: every app × thread count × run target, from
+    /// one loop, so a new app or target inherits every cell.
     #[test]
-    fn rebalanced_dispatch_runs_all_apps_deterministically() {
-        use hetgraph_engine::GreedyRebalance;
+    fn every_app_runs_identically_on_every_target_at_every_thread_count() {
         let g = PowerLawConfig::new(800, 2.1).generate(3);
         let cluster = Cluster::case2();
-        // A maximally skewed start so the greedy policy has something to
-        // look at (whether it migrates here depends on amortization).
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()]);
         let engine = SimEngine::new(&cluster);
-        for app in full_apps() {
-            let mut p1 = GreedyRebalance::new();
-            let r1 = app.run_rebalanced_with_threads(&engine, &g, &a, 1, &mut p1);
-            assert_eq!(r1.app, app.name());
-            assert!(r1.makespan_s > 0.0, "{app}: no time simulated");
-            for threads in [2, 4] {
-                let mut p = GreedyRebalance::new();
-                let r = app.run_rebalanced_with_threads(&engine, &g, &a, threads, &mut p);
-                assert_eq!(
-                    r, r1,
-                    "{app}/{threads}: rebalanced run must be thread-invariant"
-                );
-                assert_eq!(p.events().len(), p1.events().len(), "{app}/{threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn compact_dispatch_matches_plain_run_exactly() {
-        let g = PowerLawConfig::new(800, 2.1).generate(3);
-        let cluster = Cluster::case2();
         let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let engine = SimEngine::new(&cluster);
         let dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
         let compact = CompactDistGraph::from_dist(&dist);
-        for app in full_apps() {
-            let plain = app.run(&engine, &g, &a);
+        // A maximally skewed start so the greedy policy has something to
+        // look at (whether it migrates here depends on amortization).
+        let skewed = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()]);
+        let mut apps = full_apps();
+        apps.push(AnyApp::pagerank_f32());
+        for app in apps {
+            let reference = app.run(&engine, &dist, 1);
+            assert_eq!(reference.app, app.name());
+            assert!(reference.makespan_s > 0.0, "{app}: no time simulated");
+            let mut greedy_reference = None;
             for threads in [1, 2, 4] {
-                let rep = app.run_compact_on_with_threads(&engine, &compact, threads);
-                assert_eq!(rep, plain, "{app}/{threads}");
-            }
-        }
-    }
+                let plain = app.run(&engine, &dist, threads);
+                assert_eq!(plain, reference, "{app}/plain/{threads}");
+                let compacted = app.run(&engine, &compact, threads);
+                assert_eq!(compacted, reference, "{app}/compact/{threads}");
 
-    #[test]
-    fn threaded_dispatch_matches_serial_run_exactly() {
-        let g = PowerLawConfig::new(800, 2.1).generate(3);
-        let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let engine = SimEngine::new(&cluster);
-        for app in full_apps() {
-            let serial = app.run(&engine, &g, &a);
-            for threads in [1, 2, 4] {
-                let par = app.run_with_threads(&engine, &g, &a, threads);
-                assert_eq!(par, serial, "{app}/{threads}");
+                // A policy that never fires: the rebalanced path must be
+                // the static run, and must not copy the assignment.
+                let mut inert = GreedyRebalance::new().with_min_imbalance(f64::INFINITY);
+                let mut view = dist.clone();
+                let target = RunTarget::rebalanced(&mut view, &mut inert);
+                assert_eq!(
+                    app.run(&engine, target, threads),
+                    reference,
+                    "{app}/inert/{threads}"
+                );
+                assert!(inert.events().is_empty(), "{app}/inert/{threads}");
+                assert_eq!(view.assignment(), &a, "{app}/inert/{threads}");
+
+                let mut greedy = GreedyRebalance::new();
+                let mut view = DistributedGraph::new(&g, &skewed).expect("assignment covers graph");
+                let report = app.run(
+                    &engine,
+                    RunTarget::rebalanced(&mut view, &mut greedy),
+                    threads,
+                );
+                assert_eq!(report.app, app.name());
+                assert!(report.makespan_s > 0.0, "{app}: no time simulated");
+                // The caller's assignment is never touched.
+                assert!(skewed.edge_machines().iter().all(|&m| m == 0));
+                let cell = (report, greedy.events().len());
+                let first = greedy_reference.get_or_insert_with(|| cell.clone());
+                assert_eq!(
+                    &cell, first,
+                    "{app}/greedy/{threads}: rebalanced run must be thread-invariant"
+                );
             }
         }
     }

@@ -126,13 +126,14 @@ mod tests {
     use crate::reference::sssp_ref;
     use hetgraph_cluster::Cluster;
     use hetgraph_core::{Edge, EdgeList, Graph};
-    use hetgraph_engine::SimEngine;
+    use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 
     fn run(g: &Graph, source: VertexId) -> Vec<u32> {
         let cluster = Cluster::case2();
         let a = RandomHash::new().partition(g, &MachineWeights::uniform(2));
-        let out = SimEngine::new(&cluster).run(g, &a, &Sssp::new(source));
+        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
+        let out = SimEngine::new(&cluster).run(&dist, &Sssp::new(source), 1);
         assert!(out.report.converged);
         out.data
     }

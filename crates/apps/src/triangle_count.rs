@@ -187,7 +187,7 @@ mod tests {
     use crate::reference::triangle_count_ref;
     use hetgraph_cluster::Cluster;
     use hetgraph_core::{Edge, EdgeList};
-    use hetgraph_engine::SimEngine;
+    use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{Ginger, MachineWeights, Partitioner};
 
     fn count(g: &Graph) -> u64 {
@@ -195,7 +195,8 @@ mod tests {
         let cluster = Cluster::case2();
         let a = Ginger::new().partition(&oriented, &MachineWeights::uniform(2));
         let tc = TriangleCount::for_graph(&oriented);
-        let out = SimEngine::new(&cluster).run(&oriented, &a, &tc);
+        let dist = DistributedGraph::new(&oriented, &a).expect("assignment must cover the graph");
+        let out = SimEngine::new(&cluster).run(&dist, &tc, 1);
         TriangleCount::total(&out.data)
     }
 
@@ -290,7 +291,8 @@ mod tests {
             let cluster = Cluster::case2();
             let a = Ginger::new().partition(&o, &MachineWeights::uniform(2));
             let tc = TriangleCount::for_graph(&o);
-            let rep = SimEngine::new(&cluster).run(&o, &a, &tc).report;
+            let dist = DistributedGraph::new(&o, &a).expect("assignment must cover the graph");
+            let rep = SimEngine::new(&cluster).run(&dist, &tc, 1).report;
             let total: f64 = rep.per_machine_work.iter().map(|w| w.edge_units).sum();
             total / o.num_edges().max(1) as f64
         };
@@ -315,6 +317,7 @@ mod tests {
         let tc = TriangleCount::for_graph(&g1);
         let cluster = Cluster::case2();
         let a = Ginger::new().partition(&g2, &MachineWeights::uniform(2));
-        SimEngine::new(&cluster).run(&g2, &a, &tc);
+        let dist = DistributedGraph::new(&g2, &a).expect("assignment must cover the graph");
+        SimEngine::new(&cluster).run(&dist, &tc, 1);
     }
 }

@@ -18,6 +18,9 @@ fn bench_engine(c: &mut Criterion) {
     let graph = RmatConfig::natural(10_000, 80_000).generate(11);
     let cluster = Cluster::case2();
     let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
+    // This group has always timed the O(edges) view build with the run.
+    let view =
+        || DistributedGraph::new(&graph, &assignment).expect("assignment must cover the graph");
 
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
@@ -25,21 +28,14 @@ fn bench_engine(c: &mut Criterion) {
 
     group.bench_function("pagerank_5_iters", |b| {
         let engine = SimEngine::new(&cluster);
-        b.iter(|| {
-            black_box(
-                engine
-                    .run(&graph, &assignment, &PageRank::new(5))
-                    .report
-                    .makespan_s,
-            )
-        });
+        b.iter(|| black_box(engine.run(&view(), &PageRank::new(5), 1).report.makespan_s));
     });
     group.bench_function("connected_components", |b| {
         let engine = SimEngine::new(&cluster);
         b.iter(|| {
             black_box(
                 engine
-                    .run(&graph, &assignment, &ConnectedComponents::new())
+                    .run(&view(), &ConnectedComponents::new(), 1)
                     .report
                     .supersteps,
             )
@@ -48,12 +44,12 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("triangle_count", |b| {
         let engine = SimEngine::new(&cluster);
         let tc = TriangleCount::for_graph(&graph);
-        b.iter(|| black_box(engine.run(&graph, &assignment, &tc).data[0]));
+        b.iter(|| black_box(engine.run(&view(), &tc, 1).data[0]));
     });
     group.bench_function("registry_dispatch", |b| {
         let engine = SimEngine::new(&cluster);
         let coloring = AnyApp::coloring();
-        b.iter(|| black_box(coloring.run(&engine, &graph, &assignment).makespan_s));
+        b.iter(|| black_box(coloring.run(&engine, &view(), 1).makespan_s));
     });
     group.finish();
 }
@@ -77,14 +73,14 @@ fn bench_engine_obs(c: &mut Criterion) {
     group.bench_function("pagerank_noop_recorder", |b| {
         let engine = SimEngine::new(&cluster).with_recorder(&NOOP);
         let pagerank = AnyApp::pagerank();
-        b.iter(|| black_box(pagerank.run_on_with_threads(&engine, &dist, 1).makespan_s));
+        b.iter(|| black_box(pagerank.run(&engine, &dist, 1).makespan_s));
     });
     group.bench_function("pagerank_trace_recorder", |b| {
         let pagerank = AnyApp::pagerank();
         b.iter(|| {
             let recorder = TraceRecorder::new();
             let engine = SimEngine::new(&cluster).with_recorder(&recorder);
-            let makespan = pagerank.run_on_with_threads(&engine, &dist, 1).makespan_s;
+            let makespan = pagerank.run(&engine, &dist, 1).makespan_s;
             black_box((makespan, recorder.len()))
         });
     });
@@ -108,14 +104,14 @@ fn bench_engine_metrics(c: &mut Criterion) {
     group.bench_function("pagerank_noop_registry", |b| {
         let engine = SimEngine::new(&cluster).with_metrics(&hetgraph_core::metrics::NOOP);
         let pagerank = AnyApp::pagerank();
-        b.iter(|| black_box(pagerank.run_on_with_threads(&engine, &dist, 1).makespan_s));
+        b.iter(|| black_box(pagerank.run(&engine, &dist, 1).makespan_s));
     });
     group.bench_function("pagerank_live_registry", |b| {
         let pagerank = AnyApp::pagerank();
         b.iter(|| {
             let metrics = MetricsRegistry::new();
             let engine = SimEngine::new(&cluster).with_metrics(&metrics);
-            let makespan = pagerank.run_on_with_threads(&engine, &dist, 1).makespan_s;
+            let makespan = pagerank.run(&engine, &dist, 1).makespan_s;
             black_box((makespan, metrics.snapshot_sim().counters.len()))
         });
     });
@@ -144,7 +140,7 @@ fn bench_engine_threads(c: &mut Criterion) {
             &threads,
             |b, &t| {
                 let pagerank = AnyApp::pagerank();
-                b.iter(|| black_box(pagerank.run_on_with_threads(&engine, &dist, t).makespan_s))
+                b.iter(|| black_box(pagerank.run(&engine, &dist, t).makespan_s))
             },
         );
     }

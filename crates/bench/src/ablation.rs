@@ -284,7 +284,9 @@ pub fn frequency_sweep(ctx: &ExperimentContext) -> Vec<(f64, f64, f64)> {
         let pagerank = AnyApp::pagerank();
         let mk = |w: &MachineWeights| {
             let a = RandomHash::new().partition(&graph, w);
-            pagerank.run(&engine, &graph, &a).makespan_s
+            let dist = hetgraph_engine::DistributedGraph::new(&graph, &a)
+                .expect("assignment must cover the graph");
+            pagerank.run(&engine, &dist, 1).makespan_s
         };
         let t_default = mk(&MachineWeights::uniform(2));
         let t_prior = mk(&MachineWeights::from_thread_counts(&cluster));

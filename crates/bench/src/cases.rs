@@ -156,7 +156,7 @@ pub fn run_matrix_counted(
     // reports in cell order, so assembly below is order-stable.
     let reports = hetgraph_core::par::scheduled(cells.len(), sweep_threads, |k| {
         let (_, _, ref app, _, job) = cells[k];
-        app.run_on_with_threads(&engine, &dists[job], engine_threads)
+        app.run(&engine, &dists[job], engine_threads)
     });
 
     let rows = cells
@@ -473,7 +473,7 @@ pub fn write_traces(ctx: &ExperimentContext) -> Vec<PathBuf> {
             let engine = SimEngine::new(&cluster)
                 .with_recorder(recorder)
                 .with_metrics(metrics);
-            app.run_on_with_threads(&engine, &dist, ctx.threads);
+            app.run(&engine, &dist, ctx.threads);
             if let Some(dir) = &ctx.trace_dir {
                 let events = app_tracer.take_events();
                 write(

@@ -342,7 +342,7 @@ fn bench_app<P>(
         let (seed_data, seed_report) = seed_kernel(cluster, dist, program);
         seed_wall_s = seed_wall_s.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        let fast = engine.run_on_with_threads(dist, program, 1);
+        let fast = engine.run(dist, program, 1);
         fast_wall_s = fast_wall_s.min(t.elapsed().as_secs_f64());
         identical &= seed_report == fast.report && seed_data == fast.data;
         units = edge_units(&fast.report);
@@ -365,12 +365,12 @@ fn bench_app<P>(
         wall_s: fast_wall_s,
         edges_per_sec: units / fast_wall_s,
     });
-    let reference = engine.run_on_with_threads(dist, program, 1);
+    let reference = engine.run(dist, program, 1);
     for &threads in extra_threads {
         let mut wall_s = f64::INFINITY;
         for _ in 0..reps {
             let t = Instant::now();
-            let out = engine.run_on_with_threads(dist, program, threads);
+            let out = engine.run(dist, program, threads);
             wall_s = wall_s.min(t.elapsed().as_secs_f64());
             assert_eq!(
                 out.report, reference.report,
@@ -603,15 +603,15 @@ mod tests {
         let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
         let engine = SimEngine::new(&cluster);
         let (sd, sr) = seed_kernel(&cluster, &dist, &PageRank::new(6));
-        let fast = engine.run_on(&dist, &PageRank::new(6));
+        let fast = engine.run(&dist, &PageRank::new(6), 1);
         assert_eq!(sr, fast.report);
         assert_eq!(sd, fast.data);
         let (sd, sr) = seed_kernel(&cluster, &dist, &Sssp::new(0));
-        let fast = engine.run_on(&dist, &Sssp::new(0));
+        let fast = engine.run(&dist, &Sssp::new(0), 1);
         assert_eq!(sr, fast.report);
         assert_eq!(sd, fast.data);
         let (sd, sr) = seed_kernel(&cluster, &dist, &KCore::new(3));
-        let fast = engine.run_on(&dist, &KCore::new(3));
+        let fast = engine.run(&dist, &KCore::new(3), 1);
         assert_eq!(sr, fast.report);
         assert_eq!(sd, fast.data);
     }

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use hetgraph_apps::{AnyApp, PageRank};
 use hetgraph_cluster::{Cluster, PerturbationSchedule};
-use hetgraph_engine::{DistributedGraph, GreedyRebalance, SimEngine};
+use hetgraph_engine::{DistributedGraph, GreedyRebalance, RunTarget, SimEngine};
 use hetgraph_gen::{PowerLawConfig, ProxySet};
 use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 use hetgraph_profile::CcrPool;
@@ -94,13 +94,17 @@ fn scenario(
     program: &PageRank,
     threads: usize,
 ) -> ScenarioRow {
-    let static_report = engine.run_on_with_threads(dist, program, threads).report;
+    let static_report = engine.run(dist, program, threads).report;
     // Rebalancing mutates placement, so it runs on its own copy-on-write
     // clone of the shared view (the original stays pinned).
     let mut rebal_dist = dist.clone();
     let mut policy = GreedyRebalance::new();
     let rebal_report = engine
-        .run_rebalanced_on_with_threads(&mut rebal_dist, program, threads, &mut policy)
+        .run(
+            RunTarget::rebalanced(&mut rebal_dist, &mut policy),
+            program,
+            threads,
+        )
         .report;
     ScenarioRow {
         scenario: name.to_string(),

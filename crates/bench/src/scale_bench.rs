@@ -192,7 +192,7 @@ pub fn scale(ctx: &ExperimentContext) -> ScaleBench {
     std::fs::remove_dir_all(&shard_dir).ok();
 
     let t = Instant::now();
-    let compact_report = app.run_compact_on_with_threads(&engine, &compact, ctx.threads);
+    let compact_report = app.run(&engine, &compact, ctx.threads);
     let c_sim = t.elapsed().as_secs_f64();
     let c_resident = compact.resident_bytes();
     let c_peak = output::peak_rss_bytes();
@@ -216,7 +216,7 @@ pub fn scale(ctx: &ExperimentContext) -> ScaleBench {
     let p_build = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let plain_report = app.run_on_with_threads(&engine, &dist, ctx.threads);
+    let plain_report = app.run(&engine, &dist, ctx.threads);
     let p_sim = t.elapsed().as_secs_f64();
     let p_resident = dist.resident_bytes();
     let p_peak = output::peak_rss_bytes();
@@ -346,10 +346,10 @@ fn fixture_comparison(
     let mut compact_report: Option<SimReport> = None;
     for _ in 0..2 {
         let t = Instant::now();
-        plain_report = Some(app.run_on_with_threads(engine, &dist, ctx.threads));
+        plain_report = Some(app.run(engine, &dist, ctx.threads));
         plain_s = plain_s.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        compact_report = Some(app.run_compact_on_with_threads(engine, &compact, ctx.threads));
+        compact_report = Some(app.run(engine, &compact, ctx.threads));
         compact_s = compact_s.min(t.elapsed().as_secs_f64());
     }
     FixtureComparison {

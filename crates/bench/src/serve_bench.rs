@@ -275,11 +275,11 @@ fn batched_over_solo_sssp(
     };
     let wave = SsspLanes::<LANES>::new(sources.clone());
     let batched = fastest(&|| {
-        std::hint::black_box(engine.run_on_with_threads(dist, &wave, threads));
+        std::hint::black_box(engine.run(dist, &wave, threads));
     });
     let solo = fastest(&|| {
         for &s in &sources {
-            std::hint::black_box(engine.run_on_with_threads(dist, &Sssp::new(s), threads));
+            std::hint::black_box(engine.run(dist, &Sssp::new(s), threads));
         }
     });
     batched / solo

@@ -461,8 +461,15 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
     let engine = hetgraph_engine::SimEngine::new(&cluster)
         .with_recorder(recorder)
         .with_metrics(metrics);
-    let (report, migrations) = if compact {
-        if matches!(flags.get("rebalance"), Some(r) if r != "off") {
+    // Build the view the flags describe, then run it: one entry point.
+    // The owners outlive the target that borrows them; only the chosen
+    // branch initializes its own.
+    let rebalance = flags.get("rebalance").filter(|&r| r != "off");
+    let (g, assignment);
+    let (compact_dist, mut plain_dist);
+    let mut greedy = hetgraph_engine::GreedyRebalance::new();
+    let target = if compact {
+        if rebalance.is_some() {
             return Err(CliError(
                 "--compact does not support --rebalance (the compressed structure \
                  is immutable once built)"
@@ -470,7 +477,7 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
             ));
         }
         let input_path = Path::new(input);
-        let report = if input_path.is_dir() {
+        compact_dist = if input_path.is_dir() {
             // Shard-fed bounded-RSS pipeline: partition the stream, then
             // build the compact structure by replaying shards — the full
             // edge set is never resident.
@@ -485,27 +492,24 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
             })?;
             let assignment =
                 streamer.partition_stream(set.num_vertices(), &weights, &mut set.stream());
-            let dist = hetgraph_engine::CompactDistGraph::from_edge_stream(
+            hetgraph_engine::CompactDistGraph::from_edge_stream(
                 set.num_vertices(),
                 &assignment,
                 || set.stream(),
             )
-            .map_err(|e| CliError(format!("cannot build compact graph: {e}")))?;
-            app.run_compact_on_with_threads(&engine, &dist, threads)
         } else {
             let g = load_graph(input)?;
             let assignment = kind
                 .build()
                 .partition_instrumented(&g, &weights, threads, recorder, metrics);
-            let dist = hetgraph_engine::CompactDistGraph::from_edge_stream(
+            hetgraph_engine::CompactDistGraph::from_edge_stream(
                 g.num_vertices(),
                 &assignment,
                 || g.edges().iter().copied(),
             )
-            .map_err(|e| CliError(format!("cannot build compact graph: {e}")))?;
-            app.run_compact_on_with_threads(&engine, &dist, threads)
-        };
-        (report, None)
+        }
+        .map_err(|e| CliError(format!("cannot build compact graph: {e}")))?;
+        hetgraph_engine::RunTarget::Compact(&compact_dist)
     } else {
         if Path::new(input).is_dir() {
             return Err(CliError(
@@ -514,31 +518,15 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
                     .into(),
             ));
         }
-        let g = load_graph(input)?;
-        let assignment = kind
+        g = load_graph(input)?;
+        assignment = kind
             .build()
             .partition_instrumented(&g, &weights, threads, recorder, metrics);
-        match flags.get("rebalance") {
-            None | Some("off") => (
-                app.run_with_threads(&engine, &g, &assignment, threads),
-                None,
-            ),
-            Some("greedy") => {
-                let mut policy = hetgraph_engine::GreedyRebalance::new();
-                let report =
-                    app.run_rebalanced_with_threads(&engine, &g, &assignment, threads, &mut policy);
-                let moved: usize = policy.events().iter().map(|e| e.edges_moved).sum();
-                let cost: f64 = policy.events().iter().map(|e| e.cost_s).sum();
-                (
-                    report,
-                    Some(format!(
-                        "rebalance: greedy, {} batch(es), {} edge(s) migrated, {:.6}s charged",
-                        policy.events().len(),
-                        moved,
-                        cost
-                    )),
-                )
-            }
+        plain_dist = hetgraph_engine::DistributedGraph::new_with_threads(&g, &assignment, threads)
+            .expect("assignment must cover the graph");
+        match rebalance {
+            None => hetgraph_engine::RunTarget::Plain(&plain_dist),
+            Some("greedy") => hetgraph_engine::RunTarget::rebalanced(&mut plain_dist, &mut greedy),
             Some(other) => {
                 return Err(CliError(format!(
                     "unknown rebalance policy {other:?}; expected greedy or off"
@@ -546,6 +534,17 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
             }
         }
     };
+    let report = app.run(&engine, target, threads);
+    let migrations = rebalance.map(|_| {
+        let moved: usize = greedy.events().iter().map(|e| e.edges_moved).sum();
+        let cost: f64 = greedy.events().iter().map(|e| e.cost_s).sum();
+        format!(
+            "rebalance: greedy, {} batch(es), {} edge(s) migrated, {:.6}s charged",
+            greedy.events().len(),
+            moved,
+            cost
+        )
+    });
     println!("{report}");
     if let Some(line) = migrations {
         println!("{line}");

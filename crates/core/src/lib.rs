@@ -25,9 +25,6 @@
 //!   dirty-word clearing, the hot-path replacement for a bare bitset.
 //! - [`par`] — deterministic self-scheduling fan-out, shared by the engine's
 //!   superstep parallelism and the benchmark sweep's cell parallelism.
-//! - [`prefetch`] — portable software-prefetch hints for indirect CSR scans
-//!   (currently uncalled by the kernel: measured net-negative on the
-//!   benchmark host — see the module docs).
 //! - [`obs`] — structured observability: the [`obs::Recorder`] trait,
 //!   span/counter/gauge events in simulated and wall time, and exporters
 //!   to JSON-lines and Chrome `trace_event` format.
@@ -66,7 +63,6 @@ pub mod meta;
 pub mod metrics;
 pub mod obs;
 pub mod par;
-pub mod prefetch;
 pub mod rng;
 pub mod shard;
 pub mod stats;

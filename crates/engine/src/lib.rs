@@ -18,12 +18,13 @@
 //!   knows which machine owns each CSR adjacency slot.
 //! - [`compact_dist`] — [`CompactDistGraph`]: the same view over
 //!   delta-varint compressed adjacency, buildable straight from an edge
-//!   stream; the kernel runs it through
-//!   [`SimEngine::run_compact_on_with_threads`](sim::SimEngine::run_compact_on_with_threads)
-//!   with byte-identical reports.
+//!   stream; the kernel runs it with byte-identical reports.
 //! - [`sim`] — [`SimEngine`]: **the** BSP superstep loop (there is exactly
 //!   one; serial execution is its 1-thread case) with timing, energy, and
-//!   communication accounting.
+//!   communication accounting, entered only through
+//!   [`SimEngine::run`]`(target, program, host_threads)`. The
+//!   [`RunTarget`] argument picks the view: `&DistributedGraph`,
+//!   `&CompactDistGraph`, or [`RunTarget::rebalanced`].
 //! - [`rebalance`] — [`RebalancePolicy`]: between-superstep migration
 //!   driven by the per-step straggler signals; [`GreedyRebalance`] is the
 //!   built-in amortizing policy.
@@ -51,4 +52,4 @@ pub use error::EngineError;
 pub use program::{ActiveInit, Direction, GasProgram};
 pub use rebalance::{GreedyRebalance, MigrationEvent, RebalancePolicy, StepSignals};
 pub use report::{SimReport, StepRecord};
-pub use sim::{SimEngine, SimOutcome};
+pub use sim::{RunTarget, SimEngine, SimOutcome};

@@ -51,63 +51,15 @@ pub trait Partitioner {
         None
     }
 
-    /// [`Partitioner::partition_with_threads`] wrapped in observability:
-    /// records a wall-clock span plus edge-throughput (and, where the
-    /// algorithm has one, greedy-scan) counters to `recorder`. With a
-    /// disabled recorder this is exactly `partition_with_threads` — the
-    /// assignment is identical either way.
-    ///
-    /// # Panics
-    /// Panics if `host_threads == 0`.
-    fn partition_recorded(
-        &self,
-        graph: &Graph,
-        weights: &MachineWeights,
-        host_threads: usize,
-        recorder: &dyn Recorder,
-    ) -> PartitionAssignment {
-        if !recorder.enabled() {
-            return self.partition_with_threads(graph, weights, host_threads);
-        }
-        let t0 = recorder.now_us();
-        let assignment = self.partition_with_threads(graph, weights, host_threads);
-        let t1 = recorder.now_us();
-        let name = self.name();
-        recorder.record(TraceEvent::wall_span(
-            format!("partition/{name}"),
-            "partition",
-            0,
-            t0,
-            t1 - t0,
-        ));
-        let edges = graph.num_edges() as f64;
-        recorder.record(TraceEvent::wall_counter("partition_edges", 0, t1, edges));
-        let dur_s = (t1 - t0) / 1e6;
-        if dur_s > 0.0 {
-            recorder.record(TraceEvent::wall_counter(
-                "partition_edges_per_sec",
-                0,
-                t1,
-                edges / dur_s,
-            ));
-        }
-        if let Some(scans) = self.greedy_scans(graph) {
-            recorder.record(TraceEvent::wall_counter(
-                "partition_greedy_scans",
-                0,
-                t1,
-                scans as f64,
-            ));
-        }
-        assignment
-    }
-
-    /// [`Partitioner::partition_recorded`] with aggregated metrics on top:
+    /// [`Partitioner::partition_with_threads`] wrapped in observability.
+    /// To `recorder`: a wall-clock span plus edge-throughput (and, where
+    /// the algorithm has one, greedy-scan) counters. To `metrics`:
     /// per-algorithm edge and greedy-scan counters (sim domain — both are
     /// deterministic properties of the input, so they belong in the
     /// byte-stable snapshot), plus a wall-clock duration histogram and an
     /// edge-throughput gauge (wall domain — host-dependent). With both
-    /// sinks disabled this is exactly `partition_with_threads`.
+    /// sinks disabled this is exactly `partition_with_threads`; the
+    /// assignment is identical with any sink combination.
     ///
     /// # Panics
     /// Panics if `host_threads == 0`.
@@ -119,31 +71,64 @@ pub trait Partitioner {
         recorder: &dyn Recorder,
         metrics: &MetricsRegistry,
     ) -> PartitionAssignment {
-        if !metrics.enabled() {
-            return self.partition_recorded(graph, weights, host_threads, recorder);
+        if !recorder.enabled() && !metrics.enabled() {
+            return self.partition_with_threads(graph, weights, host_threads);
         }
-        let t0 = std::time::Instant::now();
-        let assignment = self.partition_recorded(graph, weights, host_threads, recorder);
-        let wall_s = t0.elapsed().as_secs_f64();
+        let wall_t0 = std::time::Instant::now();
+        let t0 = recorder.now_us();
+        let assignment = self.partition_with_threads(graph, weights, host_threads);
+        let t1 = recorder.now_us();
+        let wall_s = wall_t0.elapsed().as_secs_f64();
         let name = self.name();
-        metrics
-            .counter(&format!("partition/{name}/edges_total"), TimeDomain::Sim)
-            .add(graph.num_edges() as u64);
-        if let Some(scans) = self.greedy_scans(graph) {
-            metrics
-                .counter(
-                    &format!("partition/{name}/greedy_scans_total"),
-                    TimeDomain::Sim,
-                )
-                .add(scans);
+        let scans = self.greedy_scans(graph);
+        if recorder.enabled() {
+            recorder.record(TraceEvent::wall_span(
+                format!("partition/{name}"),
+                "partition",
+                0,
+                t0,
+                t1 - t0,
+            ));
+            let edges = graph.num_edges() as f64;
+            recorder.record(TraceEvent::wall_counter("partition_edges", 0, t1, edges));
+            let dur_s = (t1 - t0) / 1e6;
+            if dur_s > 0.0 {
+                recorder.record(TraceEvent::wall_counter(
+                    "partition_edges_per_sec",
+                    0,
+                    t1,
+                    edges / dur_s,
+                ));
+            }
+            if let Some(scans) = scans {
+                recorder.record(TraceEvent::wall_counter(
+                    "partition_greedy_scans",
+                    0,
+                    t1,
+                    scans as f64,
+                ));
+            }
         }
-        metrics
-            .histogram(&format!("partition/{name}/wall_s"), TimeDomain::Wall)
-            .observe(wall_s);
-        if wall_s > 0.0 {
+        if metrics.enabled() {
             metrics
-                .gauge(&format!("partition/{name}/edges_per_sec"), TimeDomain::Wall)
-                .set(graph.num_edges() as f64 / wall_s);
+                .counter(&format!("partition/{name}/edges_total"), TimeDomain::Sim)
+                .add(graph.num_edges() as u64);
+            if let Some(scans) = scans {
+                metrics
+                    .counter(
+                        &format!("partition/{name}/greedy_scans_total"),
+                        TimeDomain::Sim,
+                    )
+                    .add(scans);
+            }
+            metrics
+                .histogram(&format!("partition/{name}/wall_s"), TimeDomain::Wall)
+                .observe(wall_s);
+            if wall_s > 0.0 {
+                metrics
+                    .gauge(&format!("partition/{name}/edges_per_sec"), TimeDomain::Wall)
+                    .set(graph.num_edges() as f64 / wall_s);
+            }
         }
         assignment
     }
@@ -266,7 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn partition_recorded_matches_plain_and_emits_counters() {
+    fn partition_traced_matches_plain_and_emits_counters() {
+        use hetgraph_core::metrics::NOOP as METRICS_NOOP;
         use hetgraph_core::obs::{TraceRecorder, NOOP};
         use hetgraph_core::{Edge, EdgeList};
         let n = 200u32;
@@ -276,10 +262,10 @@ mod tests {
         for kind in PartitionerKind::ALL {
             let p = kind.build();
             let plain = p.partition_with_threads(&g, &w, 1);
-            let noop = p.partition_recorded(&g, &w, 1, &NOOP);
+            let noop = p.partition_instrumented(&g, &w, 1, &NOOP, &METRICS_NOOP);
             assert_eq!(plain.edge_machines(), noop.edge_machines(), "{kind}");
             let rec = TraceRecorder::new();
-            let traced = p.partition_recorded(&g, &w, 1, &rec);
+            let traced = p.partition_instrumented(&g, &w, 1, &rec, &METRICS_NOOP);
             assert_eq!(plain.edge_machines(), traced.edge_machines(), "{kind}");
             let events = rec.take_events();
             assert!(

@@ -132,42 +132,22 @@ impl CcrPool {
         apps: &[AnyApp],
         host_threads: usize,
     ) -> Self {
-        Self::profile_recorded(
-            cluster,
-            proxies,
-            apps,
-            host_threads,
-            &hetgraph_core::obs::NOOP,
-        )
-    }
-
-    /// [`CcrPool::profile_with_threads`] with observability: wall-clock
-    /// spans for proxy-graph generation and for every CCR estimation cell
-    /// (application × machine group), recorded through per-worker
-    /// [`hetgraph_core::obs::TraceBuffer`]s. Worker-side events are
-    /// wall-domain only (their arrival order depends on scheduling); the
-    /// returned pool is identical to the unrecorded one.
-    ///
-    /// # Panics
-    /// Panics if `host_threads == 0`.
-    pub fn profile_recorded(
-        cluster: &Cluster,
-        proxies: &ProxySet,
-        apps: &[AnyApp],
-        host_threads: usize,
-        recorder: &dyn hetgraph_core::obs::Recorder,
-    ) -> Self {
         Self::profile_instrumented(
             cluster,
             proxies,
             apps,
             host_threads,
-            recorder,
+            &hetgraph_core::obs::NOOP,
             &hetgraph_core::metrics::NOOP,
         )
     }
 
-    /// [`CcrPool::profile_recorded`] with aggregated metrics on top:
+    /// [`CcrPool::profile_with_threads`] with observability. Through the
+    /// recorder: wall-clock spans for proxy-graph generation and for
+    /// every CCR estimation cell (application × machine group), recorded
+    /// through per-worker [`hetgraph_core::obs::TraceBuffer`]s
+    /// (worker-side events are wall-domain only — their arrival order
+    /// depends on scheduling). Through the registry:
     /// deterministic cell/proxy counters in the sim domain (they depend
     /// only on the cluster composition and app list, so they belong in
     /// the byte-stable snapshot) plus wall-clock histograms for proxy
@@ -371,16 +351,19 @@ mod tests {
     }
 
     #[test]
-    fn profile_recorded_matches_and_emits_cell_spans() {
+    fn profile_traced_matches_and_emits_cell_spans() {
+        use hetgraph_core::metrics::NOOP as METRICS_NOOP;
         use hetgraph_core::obs::{TraceRecorder, NOOP};
         let cluster = Cluster::case2();
         let proxies = ProxySet::standard(6400);
         let apps = standard_apps();
         let plain = CcrPool::profile_with_threads(&cluster, &proxies, &apps, 2);
-        let noop = CcrPool::profile_recorded(&cluster, &proxies, &apps, 2, &NOOP);
+        let noop =
+            CcrPool::profile_instrumented(&cluster, &proxies, &apps, 2, &NOOP, &METRICS_NOOP);
         assert_eq!(plain, noop);
         let rec = TraceRecorder::new();
-        let traced = CcrPool::profile_recorded(&cluster, &proxies, &apps, 2, &rec);
+        let traced =
+            CcrPool::profile_instrumented(&cluster, &proxies, &apps, 2, &rec, &METRICS_NOOP);
         assert_eq!(plain, traced, "recording must not perturb the pool");
         let events = rec.take_events();
         assert!(events.iter().any(|e| e.name == "proxy_generation"));

@@ -17,7 +17,7 @@
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::Cluster;
 use hetgraph_core::Graph;
-use hetgraph_engine::SimEngine;
+use hetgraph_engine::{DistributedGraph, SimEngine};
 use hetgraph_partition::{MachineWeights, Partitioner};
 
 /// One epoch's observation.
@@ -84,7 +84,9 @@ impl FeedbackBalancer {
         let mut history = Vec::with_capacity(self.epochs);
         for epoch in 0..self.epochs {
             let assignment = partitioner.partition(graph, &weights);
-            let report = app.run(&engine, graph, &assignment);
+            let dist =
+                DistributedGraph::new(graph, &assignment).expect("assignment must cover the graph");
+            let report = app.run(&engine, &dist, 1);
             let busy = &report.per_machine_busy_s;
             let mean = busy.iter().sum::<f64>() / busy.len() as f64;
             history.push(Epoch {

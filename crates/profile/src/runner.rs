@@ -9,7 +9,7 @@
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::{Cluster, MachineSpec};
 use hetgraph_core::Graph;
-use hetgraph_engine::SimEngine;
+use hetgraph_engine::{DistributedGraph, SimEngine};
 use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 
 /// Simulated wall-clock seconds for `app` on `graph` executed entirely on
@@ -17,8 +17,9 @@ use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 pub fn single_machine_time(machine: &MachineSpec, app: &AnyApp, graph: &Graph) -> f64 {
     let cluster = Cluster::new(vec![machine.clone()]);
     let assignment = RandomHash::new().partition(graph, &MachineWeights::uniform(1));
+    let dist = DistributedGraph::new(graph, &assignment).expect("assignment must cover the graph");
     let engine = SimEngine::new(&cluster);
-    app.run(&engine, graph, &assignment).makespan_s
+    app.run(&engine, &dist, 1).makespan_s
 }
 
 /// Profiling-set time: the sum over several graphs (the paper combines

@@ -347,7 +347,7 @@ mod tests {
     use super::*;
     use hetgraph_cluster::Cluster;
     use hetgraph_core::{Edge, EdgeList, Graph};
-    use hetgraph_engine::SimEngine;
+    use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 
     fn test_graph() -> Graph {
@@ -368,7 +368,8 @@ mod tests {
     fn run<P: GasProgram>(g: &Graph, p: &P) -> Vec<P::VertexData> {
         let cluster = Cluster::case2();
         let a = RandomHash::new().partition(g, &MachineWeights::uniform(2));
-        SimEngine::new(&cluster).run(g, &a, p).data
+        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
+        SimEngine::new(&cluster).run(&dist, p, 1).data
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`DistributedGraph`]: arrivals are admitted against the bounded
 //! tenant queues, the batcher merges compatible queued queries into one
 //! multi-source superstep wave (executed by the unmodified kernel via
-//! [`SimEngine::run_on_with_threads`]), and per-request responses are
+//! [`SimEngine::run`]), and per-request responses are
 //! extracted from the wave's lanes. The *control plane* — admission,
 //! window arithmetic, batch formation, latency accounting — runs
 //! serially in simulated time; only the wave's gather/apply/scatter
@@ -433,7 +433,7 @@ fn execute_wave(
 ) -> WaveOutcome {
     let (report, lanes, results) = match batch.class {
         ClassKey::KCore(k) => {
-            let out = engine.run_on_with_threads(dist, &KCore::new(k), cfg.threads);
+            let out = engine.run(dist, &KCore::new(k), cfg.threads);
             let results = batch
                 .requests
                 .iter()
@@ -484,7 +484,7 @@ fn lane_wave<const W: usize>(
     match class {
         ClassKey::Sssp => {
             let program = SsspLanes::<W>::new(ids.to_vec());
-            let out = engine.run_on_with_threads(dist, &program, cfg.threads);
+            let out = engine.run(dist, &program, cfg.threads);
             // One pass over the data: per-lane reachable counts.
             let mut reach = vec![0u64; ids.len()];
             for block in &out.data {
@@ -498,7 +498,7 @@ fn lane_wave<const W: usize>(
         }
         ClassKey::Ppr => {
             let program = PprLanes::<W>::new(ids.to_vec(), cfg.ppr_iterations);
-            let out = engine.run_on_with_threads(dist, &program, cfg.threads);
+            let out = engine.run(dist, &program, cfg.threads);
             // Rank-mass digest per lane, folded in vertex order (fixed
             // summation order = deterministic bits).
             let mut mass = vec![0.0f64; ids.len()];

@@ -53,8 +53,12 @@ fn main() {
             let partitioner = kind.build();
             let uniform = partitioner.partition(&graph, &MachineWeights::uniform(cluster.len()));
             let weighted = partitioner.partition(&graph, &MachineWeights::from_ccr(ccr.ratios()));
-            let t_default = app.run(&engine, &graph, &uniform).makespan_s;
-            let t_ccr = app.run(&engine, &graph, &weighted).makespan_s;
+            let time = |assignment| {
+                let dist = DistributedGraph::new(&graph, assignment).expect("covers the graph");
+                app.run(&engine, &dist, 1).makespan_s
+            };
+            let t_default = time(&uniform);
+            let t_ccr = time(&weighted);
             println!(
                 "{:22} {:10} {:>12.4} {:>12.4} {:>8.2}x",
                 app.name(),
@@ -69,7 +73,8 @@ fn main() {
     // Bonus: the actual algorithm outputs are real, not mocked — count the
     // connected components the engine just computed.
     let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(cluster.len()));
-    let outcome = engine.run(&graph, &assignment, &ConnectedComponents::new());
+    let dist = DistributedGraph::new(&graph, &assignment).expect("covers the graph");
+    let outcome = engine.run(&dist, &ConnectedComponents::new(), 1);
     let sizes = ConnectedComponents::component_sizes(&outcome.data);
     println!(
         "\nconnected components: {} total, largest has {} vertices",

@@ -70,7 +70,8 @@ fn main() {
         // three policies. Try `Hybrid::new()` or `Ginger::new()` for the
         // lower-replication mixed cuts.
         let assignment = RandomHash::new().partition(&graph, &weights);
-        let outcome = engine.run(&graph, &assignment, &ConnectedComponents::new());
+        let dist = DistributedGraph::new(&graph, &assignment).expect("covers the graph");
+        let outcome = engine.run(&dist, &ConnectedComponents::new(), 1);
         let t = outcome.report.makespan_s;
         let base = *baseline.get_or_insert(t);
         println!(

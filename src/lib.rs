@@ -34,18 +34,26 @@
 //! // Profile it once with synthetic power-law proxies...
 //! let pool = CcrPool::profile(&cluster, &ProxySet::standard(3200), &standard_apps());
 //!
-//! // ...then partition a graph by the profiled CCR and run PageRank.
+//! // ...then partition a graph by the profiled CCR, build the
+//! // partition-aware view, and run PageRank on it (1 host thread).
 //! let graph = PowerLawConfig::new(2_000, 2.1).generate(7);
 //! let ccr = pool.ccr("pagerank").unwrap();
 //! let weights = MachineWeights::from_ccr(ccr.ratios());
 //! let assignment = Hybrid::new().partition(&graph, &weights);
-//! let outcome = SimEngine::new(&cluster).run(&graph, &assignment, &PageRank::new(10));
+//! let dist = DistributedGraph::new(&graph, &assignment).unwrap();
+//! let outcome = SimEngine::new(&cluster).run(&dist, &PageRank::new(10), 1);
 //! assert!(outcome.report.makespan_s > 0.0);
 //! ```
 
 pub mod framework;
 
 pub use framework::{BalancePolicy, Framework, JobResult};
+
+/// Compiles and runs the README's `rust` blocks under `cargo test`, so
+/// the quickstart cannot drift from the API it advertises.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 pub use hetgraph_apps as apps;
 pub use hetgraph_cluster as cluster;
@@ -71,7 +79,9 @@ pub mod prelude {
         TraceRecorder, NOOP,
     };
     pub use hetgraph_core::{Edge, EdgeList, Graph, GraphBuilder, MachineId, VertexId};
-    pub use hetgraph_engine::{GasProgram, SimEngine, SimOutcome, SimReport};
+    pub use hetgraph_engine::{
+        DistributedGraph, GasProgram, RunTarget, SimEngine, SimOutcome, SimReport,
+    };
     pub use hetgraph_gen::{
         fit_alpha, BarabasiAlbertConfig, NaturalGraph, PowerLawConfig, ProxySet, RmatConfig,
         SmallWorldConfig,

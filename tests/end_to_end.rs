@@ -8,6 +8,19 @@ use hetgraph::apps::triangle_count::orient_by_degree;
 use hetgraph::apps::{KCore, Sssp, TriangleCount};
 use hetgraph::prelude::*;
 
+/// Build the view of `a` over `g` and run `program` on it.
+fn run<P: GasProgram>(
+    engine: &SimEngine<'_>,
+    g: &Graph,
+    a: &hetgraph::partition::PartitionAssignment,
+    program: &P,
+    threads: usize,
+) -> SimOutcome<P::VertexData> {
+    let dist =
+        DistributedGraph::new_with_threads(g, a, threads).expect("assignment must cover the graph");
+    engine.run(&dist, program, threads)
+}
+
 fn workload() -> Graph {
     RmatConfig::natural(3_000, 24_000).generate(42)
 }
@@ -52,7 +65,7 @@ fn pagerank_identical_across_all_placements() {
     for cluster in clusters() {
         let engine = SimEngine::new(&cluster);
         for (label, a) in all_assignments(&g, &cluster) {
-            let got = engine.run(&g, &a, &PageRank::new(8)).data;
+            let got = run(&engine, &g, &a, &PageRank::new(8), 1).data;
             for (v, (x, y)) in got.iter().zip(&want).enumerate() {
                 assert!(
                     (x - y).abs() < 1e-12,
@@ -71,7 +84,7 @@ fn connected_components_identical_across_all_placements() {
     for cluster in clusters() {
         let engine = SimEngine::new(&cluster);
         for (label, a) in all_assignments(&g, &cluster) {
-            let out = engine.run(&g, &a, &ConnectedComponents::new());
+            let out = run(&engine, &g, &a, &ConnectedComponents::new(), 1);
             assert!(out.report.converged, "{label}: CC did not converge");
             assert_eq!(out.data, want, "CC labels diverged under {label}");
         }
@@ -84,7 +97,7 @@ fn coloring_proper_across_all_placements() {
     for cluster in clusters() {
         let engine = SimEngine::new(&cluster);
         for (label, a) in all_assignments(&g, &cluster) {
-            let out = engine.run(&g, &a, &Coloring::new());
+            let out = run(&engine, &g, &a, &Coloring::new(), 1);
             assert!(out.report.converged, "{label}: coloring did not converge");
             assert!(
                 Coloring::is_proper(&g, &out.data),
@@ -102,7 +115,7 @@ fn triangle_count_identical_across_all_placements() {
         let engine = SimEngine::new(&cluster);
         let tc = TriangleCount::for_graph(&g);
         for (label, a) in all_assignments(&g, &cluster) {
-            let got = TriangleCount::total(&engine.run(&g, &a, &tc).data);
+            let got = TriangleCount::total(&run(&engine, &g, &a, &tc, 1).data);
             assert_eq!(got, want, "triangle count diverged under {label}");
         }
     }
@@ -122,14 +135,12 @@ fn sssp_and_kcore_identical_across_placements_and_thread_counts() {
     for (label, a) in all_assignments(&g, &cluster) {
         for threads in [1, 2, 4] {
             assert_eq!(
-                engine.run_with_threads(&g, &a, &Sssp::new(5), threads).data,
+                run(&engine, &g, &a, &Sssp::new(5), threads).data,
                 want_d,
                 "sssp under {label} with {threads} thread(s)"
             );
             assert_eq!(
-                engine
-                    .run_with_threads(&g, &a, &KCore::new(3), threads)
-                    .data,
+                run(&engine, &g, &a, &KCore::new(3), threads).data,
                 want_k,
                 "kcore under {label} with {threads} thread(s)"
             );
@@ -143,8 +154,8 @@ fn simulation_reports_are_deterministic() {
     let cluster = Cluster::case2();
     let engine = SimEngine::new(&cluster);
     let a = Hybrid::new().partition(&g, &MachineWeights::from_ccr(&[1.0, 3.5]));
-    let r1 = engine.run(&g, &a, &PageRank::new(5)).report;
-    let r2 = engine.run(&g, &a, &PageRank::new(5)).report;
+    let r1 = run(&engine, &g, &a, &PageRank::new(5), 1).report;
+    let r2 = run(&engine, &g, &a, &PageRank::new(5), 1).report;
     assert_eq!(r1, r2);
     assert!(r1.makespan_s > 0.0);
 }

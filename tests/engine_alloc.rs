@@ -74,13 +74,13 @@ fn extra_allocations_of_ten_supersteps<P: GasProgram>(
 
     // Warm up any lazily initialized process state (thread-local RNGs,
     // stdout buffers, ...) outside the measured windows.
-    engine.run_on_with_threads(&dist, &program(2), threads);
+    engine.run(&dist, &program(2), threads);
 
     let short = allocations_during(|| {
-        engine.run_on_with_threads(&dist, &program(2), threads);
+        engine.run(&dist, &program(2), threads);
     });
     let long = allocations_during(|| {
-        engine.run_on_with_threads(&dist, &program(12), threads);
+        engine.run(&dist, &program(12), threads);
     });
     println!("{vertices} vertices, {threads} threads: short run {short}, long run {long}");
     long.saturating_sub(short)

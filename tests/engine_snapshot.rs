@@ -54,16 +54,12 @@ fn grid_json(threads: usize) -> String {
                 let assignment = kind
                     .build()
                     .partition(graph, &MachineWeights::uniform(cluster.len()));
+                let dist = DistributedGraph::new_with_threads(graph, &assignment, threads)
+                    .expect("assignment must cover the graph");
                 macro_rules! cell {
                     ($name:literal, $prog:expr) => {{
                         let prog = $prog;
-                        let report = if threads == 1 {
-                            engine.run(graph, &assignment, &prog).report
-                        } else {
-                            engine
-                                .run_parallel(graph, &assignment, &prog, threads)
-                                .report
-                        };
+                        let report = engine.run(&dist, &prog, threads).report;
                         cells.push((format!("{gname}/{cname}/{}/{}", kind.name(), $name), report));
                     }};
                 }

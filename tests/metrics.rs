@@ -55,7 +55,7 @@ fn sim_metrics_snapshot_bytes_identical_across_thread_counts() {
             let dist = DistributedGraph::new_with_threads(&graph, &assignment, threads)
                 .expect("assignment must cover the graph");
             let engine = SimEngine::new(&cluster).with_metrics(&metrics);
-            app.run_on_with_threads(&engine, &dist, threads);
+            app.run(&engine, &dist, threads);
             metrics.snapshot_sim()
         })
         .collect();
@@ -94,7 +94,7 @@ fn trace_analysis_reproduces_sim_report_stragglers() {
     let engine = SimEngine::new(&cluster)
         .with_recorder(&recorder)
         .with_metrics(&metrics);
-    let report = app.run_on_with_threads(&engine, &dist, 1);
+    let report = app.run(&engine, &dist, 1);
 
     let analysis = TraceAnalysis::from_jsonl(&to_jsonl(&recorder.take_events()))
         .expect("exported trace analyzes");

@@ -7,6 +7,19 @@ use hetgraph::engine::Direction;
 use hetgraph::prelude::*;
 use proptest::prelude::*;
 
+/// Build the view of `a` over `g` and run `program` on it.
+fn run<P: GasProgram>(
+    engine: &SimEngine<'_>,
+    g: &Graph,
+    a: &hetgraph::partition::PartitionAssignment,
+    program: &P,
+    threads: usize,
+) -> SimOutcome<P::VertexData> {
+    let dist =
+        DistributedGraph::new_with_threads(g, a, threads).expect("assignment must cover the graph");
+    engine.run(&dist, program, threads)
+}
+
 /// Strategy: a random directed graph as (vertex count, edge pairs).
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (
@@ -313,8 +326,8 @@ proptest! {
         let engine = SimEngine::new(&cluster);
         let uniform = RandomHash::new().partition(&g, &MachineWeights::uniform(w.len()));
         let skewed = RandomHash::new().partition(&g, &w);
-        let a = engine.run(&g, &uniform, &ConnectedComponents::new()).data;
-        let b = engine.run(&g, &skewed, &ConnectedComponents::new()).data;
+        let a = run(&engine, &g, &uniform, &ConnectedComponents::new(), 1).data;
+        let b = run(&engine, &g, &skewed, &ConnectedComponents::new(), 1).data;
         prop_assert_eq!(a, b);
     }
 
@@ -336,10 +349,10 @@ proptest! {
         macro_rules! pin {
             ($prog:expr) => {{
                 let prog = $prog;
-                let reference = engine.run_parallel(&g, &a, &prog, 1);
+                let reference = run(&engine, &g, &a, &prog, 1);
                 let ref_json = serde_json::to_string(&reference.report).unwrap();
                 for threads in [2usize, 4] {
-                    let par = engine.run_parallel(&g, &a, &prog, threads);
+                    let par = run(&engine, &g, &a, &prog, threads);
                     prop_assert_eq!(&par.data, &reference.data);
                     let par_json = serde_json::to_string(&par.report).unwrap();
                     prop_assert_eq!(&par_json, &ref_json);
@@ -363,8 +376,8 @@ proptest! {
         let cluster = Cluster::case2();
         let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
         let engine = SimEngine::new(&cluster);
-        let on = engine.run(&g, &a, &HalfRank { iters, by_source: true });
-        let off = engine.run(&g, &a, &HalfRank { iters, by_source: false });
+        let on = run(&engine, &g, &a, &HalfRank { iters, by_source: true }, 1);
+        let off = run(&engine, &g, &a, &HalfRank { iters, by_source: false }, 1);
         prop_assert_eq!(on.data, off.data);
         prop_assert_eq!(
             serde_json::to_string(&on.report).unwrap(),
@@ -467,14 +480,16 @@ proptest! {
         let prog = PageRank::new(4);
         let mut reference: Option<(String, Vec<f64>)> = None;
         for threads in [1usize, 2, 4] {
-            let mut dist =
-                hetgraph::engine::DistributedGraph::new(&g, &a).expect("assignment covers graph");
+            let mut dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
             let mut policy = hetgraph::engine::GreedyRebalance::new()
                 .with_min_imbalance(1.0)
                 .with_cooldown(1)
                 .with_horizon(100);
-            let out =
-                engine.run_rebalanced_on_with_threads(&mut dist, &prog, threads, &mut policy);
+            let out = engine.run(
+                RunTarget::rebalanced(&mut dist, &mut policy),
+                &prog,
+                threads,
+            );
             let json = serde_json::to_string(&out.report).unwrap();
             match &reference {
                 None => reference = Some((json, out.data)),
@@ -534,8 +549,9 @@ proptest! {
         let cluster = Cluster::case2();
         let engine = SimEngine::new(&cluster);
         let weights = MachineWeights::uniform(2);
-        let old = engine.run(&g, &RandomHash::new().partition(&g, &weights), &KCore::new(2));
-        let new = engine.run(&r, &RandomHash::new().partition(&r, &weights), &KCore::new(2));
+        let kcore = KCore::new(2);
+        let old = run(&engine, &g, &RandomHash::new().partition(&g, &weights), &kcore, 1);
+        let new = run(&engine, &r, &RandomHash::new().partition(&r, &weights), &kcore, 1);
         prop_assert_eq!(old.report.supersteps, new.report.supersteps);
         for v in g.vertices() {
             prop_assert!(

@@ -60,7 +60,7 @@ fn run_block<T: Copy, const W: usize, P: GasProgram<VertexData = [T; W]>>(
     lanes: usize,
     threads: usize,
 ) -> (Vec<Vec<T>>, SimReport) {
-    let out = engine.run_on_with_threads(dist, program, threads);
+    let out = engine.run(dist, program, threads);
     let data = out.data.iter().map(|b| b[..lanes].to_vec()).collect();
     (data, out.report)
 }
@@ -154,7 +154,7 @@ proptest! {
                     sssp_wave(&engine, &dist, &sources, block_width(sources.len()), threads);
                 for (lane, &s) in sources.iter().enumerate() {
                     let solo = engine
-                        .run_on_with_threads(&dist, &Sssp::new(s), threads)
+                        .run(&dist, &Sssp::new(s), threads)
                         .data;
                     for v in 0..graph.num_vertices() as usize {
                         prop_assert!(
@@ -203,7 +203,7 @@ fn lane_data_and_report_are_independent_of_block_width() {
         let ppr = ppr_wave(&engine, &dist, &ids, width, 2);
         // Lanes against independent scalar runs, at the dispatched width.
         for (lane, &s) in ids.iter().enumerate() {
-            let solo = engine.run_on_with_threads(&dist, &Sssp::new(s), 1).data;
+            let solo = engine.run(&dist, &Sssp::new(s), 1).data;
             assert!(
                 sssp.0.iter().zip(&solo).all(|(block, &d)| block[lane] == d),
                 "sssp lane {lane} of {lanes} diverged from its solo run"

@@ -37,7 +37,9 @@ fn serial_baseline(cluster: &Cluster, pool: &CcrPool, graphs: &[(String, Graph)]
                     let weights = policy.weights(cluster, pool, app.name());
                     let assignment = partitioner.partition(graph, &weights);
                     let metrics = PartitionMetrics::compute(&assignment, &weights);
-                    let report = app.run(&engine, graph, &assignment);
+                    let dist = hetgraph_engine::DistributedGraph::new(graph, &assignment)
+                        .expect("assignment must cover the graph");
+                    let report = app.run(&engine, &dist, 1);
                     rows.push(CaseRow {
                         app: app.name().to_string(),
                         graph: gname.clone(),
@@ -116,13 +118,17 @@ fn sim_trace_bytes_are_identical_across_thread_counts() {
         .iter()
         .map(|&threads| {
             let recorder = TraceRecorder::new();
-            let assignment = PartitionerKind::Hybrid
-                .build()
-                .partition_recorded(graph, &weights, threads, &recorder);
+            let assignment = PartitionerKind::Hybrid.build().partition_instrumented(
+                graph,
+                &weights,
+                threads,
+                &recorder,
+                &hetgraph_core::metrics::NOOP,
+            );
             let dist = DistributedGraph::new_with_threads(graph, &assignment, threads)
                 .expect("assignment must cover the graph");
             let engine = SimEngine::new(&cluster).with_recorder(&recorder);
-            app.run_on_with_threads(&engine, &dist, threads);
+            app.run(&engine, &dist, threads);
             chrome_trace_sim(&recorder.take_events())
         })
         .collect();
