@@ -22,10 +22,13 @@
 //! | [`headline::headline`] | the abstract's aggregate claims |
 //! | [`ablation`] | beyond-paper sensitivity studies |
 //! | [`partition_bench::partition`] | partition perf baseline (`BENCH_partition.json`) |
-//! | [`engine_bench::engine`] | superstep-kernel perf baseline (`BENCH_engine.json`) |
 //! | [`rebalance_bench::rebalance`] | static-vs-migration baseline (`BENCH_rebalance.json`) |
 //! | [`scale_bench::scale`] | bounded-RSS scale run (`BENCH_scale.json`) |
 //! | [`serve_bench::serve`] | query-serving baseline (`BENCH_serve.json`) |
+//!
+//! The four `BENCH_*.json` baselines share one `--check` gate, [`gate`].
+//! (The engine's throughput is guarded by `BENCHMARK.json`'s `engine.*`
+//! metrics instead.)
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -35,7 +38,7 @@ pub mod accuracy;
 pub mod cases;
 pub mod context;
 pub mod cost_fig;
-pub mod engine_bench;
+pub mod gate;
 pub mod headline;
 pub mod output;
 pub mod partition_bench;

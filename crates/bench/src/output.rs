@@ -2,11 +2,11 @@
 
 use std::path::Path;
 
-/// Print a fixed-width table: a header row and data rows.
+/// Lay out a fixed-width table: a header row, a rule, then data rows.
 ///
 /// # Panics
 /// Panics if any row's length differs from the header's.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
+pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         assert_eq!(row.len(), header.len(), "row width mismatch");
@@ -19,16 +19,20 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
         for (i, c) in cells.iter().enumerate() {
             s.push_str(&format!("{:<w$}  ", c, w = widths[i]));
         }
-        println!("{}", s.trim_end());
+        format!("{}\n", s.trim_end())
     };
-    line(header.to_vec());
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
+    let mut out = line(header.to_vec());
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+    out.push('\n');
     for row in rows {
-        line(row.iter().map(|s| s.as_str()).collect());
+        out.push_str(&line(row.iter().map(|s| s.as_str()).collect()));
     }
+    out
+}
+
+/// Print [`format_table`]'s layout to stdout.
+pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
+    print!("{}", format_table(header, rows));
 }
 
 /// Serialize `value` as pretty JSON into `dir/name.json` (creating the
@@ -65,6 +69,10 @@ pub struct RunManifest {
     pub seed: u64,
     /// Host thread budget the run used.
     pub threads: usize,
+    /// Cores the host offered (`std::thread::available_parallelism`):
+    /// with fewer cores than `threads`, multi-thread rows measure
+    /// oversubscription, not scaling. `None` when the host cannot say.
+    pub nproc: Option<usize>,
     /// Graph downscale factor of the run's context.
     pub scale: u32,
     /// End-to-end host wall-clock of the phase, seconds.
@@ -82,6 +90,7 @@ impl RunManifest {
             git_sha: git_sha(),
             seed,
             threads,
+            nproc: std::thread::available_parallelism().ok().map(usize::from),
             scale,
             wall_s,
             peak_rss_bytes: peak_rss_bytes(),
@@ -204,6 +213,7 @@ mod tests {
         assert!(sha.chars().all(|c| c.is_ascii_hexdigit()), "{sha:?}");
         let rss = m.peak_rss_bytes.expect("procfs has VmHWM");
         assert!(rss > 1024 * 1024, "peak RSS {rss} implausibly small");
+        assert!(m.nproc.expect("Linux reports its cores") >= 1);
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //!   to shed load off it.
 //!
 //! Every number is simulated time, so rows are bit-reproducible for a
-//! given `--scale` — no wall-clock normalization is needed. `check` gates
-//! CI on the committed baseline: the slowdown scenario must keep beating
-//! static placement ([`check`] for the exact rules).
+//! given `--scale` — no wall-clock normalization is needed. `--check`
+//! gates CI on the committed baseline: the slowdown scenario must keep
+//! beating static placement ([`gated_rows`] for the exact rules).
 
-use std::path::Path;
 use std::time::Instant;
 
 use hetgraph_apps::{AnyApp, PageRank};
@@ -34,6 +33,7 @@ use hetgraph_profile::CcrPool;
 use serde::Value;
 
 use crate::context::ExperimentContext;
+use crate::gate::{self, Bound, Row};
 use crate::output;
 
 /// Clock multiplier of the perturbed machine in the slowdown scenario.
@@ -232,99 +232,31 @@ pub const CHECK_TOLERANCE: f64 = 0.95;
 /// rebalancing must never cost more than 2% when nothing goes wrong.
 pub const STEADY_FLOOR: f64 = 0.98;
 
-/// Re-run the rebalance baseline and compare it against the committed
-/// `BENCH_rebalance.json` at `baseline_path`, failing when:
-///
-/// - the fresh slowdown scenario does not beat static placement outright
-///   (`improvement <= 1`), or committed no migration at all, or
-/// - its improvement drops below [`CHECK_TOLERANCE`] of the baseline's, or
-/// - the fresh steady scenario falls below [`STEADY_FLOOR`] (the
-///   rebalancer hurt a healthy run).
-///
-/// All gated quantities are simulated-time ratios, so the gate is
-/// host-speed independent by construction. The fresh run never writes
-/// output, regardless of `ctx.out_dir`.
-pub fn check(ctx: &ExperimentContext, baseline_path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-    let baseline = serde_json::from_str(&text)
-        .map_err(|e| format!("parsing {}: {e}", baseline_path.display()))?;
-    let mut fresh_ctx = ctx.clone();
-    fresh_ctx.out_dir = None;
-    let fresh = rebalance(&fresh_ctx);
-    println!(
-        "\n== rebalance bench check vs {} ==",
-        baseline_path.display()
-    );
-    let failures = check_against(&fresh, &baseline)?;
-    if failures.is_empty() {
-        println!("rebalance bench check: OK (migration still beats static under slowdown)");
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
-/// The pure comparison core of [`check`]: fresh measurement vs parsed
-/// baseline. `Err` means the baseline document is malformed; `Ok` carries
-/// the (possibly empty) list of regression messages.
-fn check_against(fresh: &RebalanceBench, baseline: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-    let base_slowdown = baseline_improvement(baseline, "slowdown")?;
-    for row in &fresh.rows {
-        match row.scenario.as_str() {
-            "slowdown" => {
-                if row.improvement <= 1.0 {
-                    failures.push(format!(
-                        "slowdown: rebalanced makespan {:.4}s does not beat static {:.4}s",
-                        row.rebalanced_makespan_s, row.static_makespan_s
-                    ));
-                }
-                if row.migrations == 0 {
-                    failures.push("slowdown: the rebalancer committed no migration".to_string());
-                }
-                if row.improvement < CHECK_TOLERANCE * base_slowdown {
-                    failures.push(format!(
-                        "slowdown: improvement {:.3}x is below {CHECK_TOLERANCE} x \
-                         baseline {base_slowdown:.3}x",
-                        row.improvement
-                    ));
-                }
-            }
-            "steady" => {
-                if row.improvement < STEADY_FLOOR {
-                    failures.push(format!(
-                        "steady: rebalancing cost a healthy run {:.1}% \
-                         (improvement {:.3}x is below the {STEADY_FLOOR} floor)",
-                        100.0 * (1.0 - row.improvement),
-                        row.improvement
-                    ));
-                }
-            }
-            other => failures.push(format!("unknown fresh scenario {other:?}")),
-        }
-    }
-    if !fresh.rows.iter().any(|r| r.scenario == "slowdown") {
-        failures.push("fresh run has no slowdown scenario".to_string());
-    }
-    Ok(failures)
-}
-
-/// Extract one scenario's improvement ratio from a parsed baseline.
-fn baseline_improvement(baseline: &Value, scenario: &str) -> Result<f64, String> {
-    let rows = baseline
-        .get("rows")
-        .and_then(Value::as_seq)
-        .ok_or("baseline is missing the rows array")?;
-    for row in rows {
-        if row.get("scenario").and_then(Value::as_str) == Some(scenario) {
-            return row
-                .get("improvement")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("baseline {scenario} row is missing improvement"));
-        }
-    }
-    Err(format!("baseline has no {scenario} scenario"))
+/// The gated rows of a `BENCH_rebalance.json` document. All are
+/// simulated-time ratios, so the gate is host-speed independent by
+/// construction.
+pub fn gated_rows(doc: &Value) -> Result<Vec<Row>, String> {
+    let slowdown = gate::find(doc, "rows", "scenario", "slowdown")?;
+    let steady = gate::find(doc, "rows", "scenario", "steady")?;
+    let improvement = gate::get(slowdown, "improvement", Value::as_f64)?;
+    let migrations = gate::get(slowdown, "migrations", Value::as_f64)?;
+    let steady_improvement = gate::get(steady, "improvement", Value::as_f64)?;
+    Ok(vec![
+        // Migration beats static placement outright, and did migrate.
+        Row::num("slowdown beats static", improvement, Bound::MoreThan(1.0)),
+        Row::num("slowdown migrations", migrations, Bound::AtLeast(1.0)),
+        Row::num(
+            "slowdown improvement",
+            improvement,
+            Bound::AtLeastTimes(CHECK_TOLERANCE),
+        ),
+        // The rebalancer did not hurt a healthy run.
+        Row::num(
+            "steady improvement",
+            steady_improvement,
+            Bound::AtLeast(STEADY_FLOOR),
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -402,39 +334,26 @@ mod tests {
         }
     }
 
-    fn to_baseline(bench: &RebalanceBench) -> Value {
-        serde_json::from_str(&serde_json::to_string_pretty(bench).unwrap()).unwrap()
-    }
-
     #[test]
     fn check_accepts_a_run_against_its_own_baseline() {
-        let bench = fake_bench();
-        let failures = check_against(&bench, &to_baseline(&bench)).unwrap();
-        assert!(failures.is_empty(), "{failures:?}");
+        let failed = gate::failed_rows(gated_rows, &fake_bench(), &fake_bench());
+        assert!(failed.is_empty(), "{failed:?}");
     }
 
     #[test]
     fn check_flags_every_regression_class() {
-        let baseline = to_baseline(&fake_bench());
         let mut regressed = fake_bench();
         regressed.rows[0].improvement = 0.90; // rebalancer hurt steady run
         regressed.rows[1].improvement = 0.99; // slowdown loss
         regressed.rows[1].migrations = 0; // and it never migrated
-        let failures = check_against(&regressed, &baseline).unwrap();
-        assert_eq!(failures.len(), 4, "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("does not beat static")));
-        assert!(failures.iter().any(|f| f.contains("no migration")));
-        assert!(failures.iter().any(|f| f.contains("below the")));
+        let failed = gate::failed_rows(gated_rows, &regressed, &fake_bench());
+        assert_eq!(failed.len(), 4, "{failed:?}");
+        assert!(failed.iter().any(|f| f == "slowdown beats static"));
+        assert!(failed.iter().any(|f| f == "slowdown migrations"));
+        assert!(failed.iter().any(|f| f == "steady improvement"));
         // A small within-tolerance dip on slowdown passes.
         let mut dipped = fake_bench();
         dipped.rows[1].improvement = 1.20;
-        assert!(check_against(&dipped, &baseline).unwrap().is_empty());
-    }
-
-    #[test]
-    fn check_rejects_malformed_baselines() {
-        let bench = fake_bench();
-        let err = check_against(&bench, &Value::Null).unwrap_err();
-        assert!(err.contains("rows"), "{err}");
+        assert!(gate::failed_rows(gated_rows, &dipped, &fake_bench()).is_empty());
     }
 }

@@ -15,9 +15,10 @@
 //!
 //! ## What the `--check` gate compares
 //!
-//! Wall-clock rates are host-dependent and are *not* gated. The gate is
-//! on memory, which is stable across hosts for a fixed (spec, seed,
-//! scale):
+//! Wall-clock rates are host-dependent and are *not* gated. The gate
+//! ([`gated_rows`]) is on memory, which is stable across hosts for a
+//! fixed (spec, seed, scale) — so `exp_scale --check` re-measures at the
+//! *baseline's* scale, whatever `--scale` says:
 //!
 //! - the compact representation's resident bytes/edge must stay within
 //!   the absolute [`RSS_BUDGET_BYTES_PER_EDGE`] budget,
@@ -38,7 +39,7 @@
 //!
 //! [`StreamPartitioner`]: hetgraph_partition::StreamPartitioner
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use hetgraph_apps::AnyApp;
@@ -49,6 +50,7 @@ use hetgraph_partition::{MachineWeights, PartitionerKind};
 use serde::Value;
 
 use crate::context::ExperimentContext;
+use crate::gate::{self, Bound, Row};
 use crate::output::{self, f3, print_table};
 
 /// Absolute resident-structure budget for the compact representation,
@@ -374,110 +376,47 @@ fn scratch_shard_dir(scale: u32) -> PathBuf {
     dir
 }
 
-/// Re-run the benchmark and compare it against the committed
-/// `BENCH_scale.json` at `baseline_path`, failing on memory regressions.
-///
-/// The fresh run adopts the *baseline's* scale (RSS comparisons are only
-/// meaningful at matching fixture size) and never writes output. See the
-/// module docs for the gate rules; throughput is informational only.
-pub fn check(ctx: &ExperimentContext, baseline_path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-    let baseline = serde_json::from_str(&text)
-        .map_err(|e| format!("parsing {}: {e}", baseline_path.display()))?;
-    let base_scale = baseline
-        .get("scale")
-        .and_then(Value::as_u64)
-        .ok_or("baseline is missing scale")? as u32;
-    let mut fresh_ctx = ctx.clone();
-    fresh_ctx.out_dir = None;
-    fresh_ctx.scale = base_scale;
-    let fresh = scale(&fresh_ctx);
-    println!("\n== scale bench check vs {} ==", baseline_path.display());
-    let failures = check_against(&fresh, &baseline)?;
-    if failures.is_empty() {
-        println!(
-            "scale bench check: OK (compact {:.2} B/edge within the {RSS_BUDGET_BYTES_PER_EDGE} \
-             budget and {:.0}% of baseline)",
-            compact_row(&fresh).resident_bytes_per_edge,
-            100.0 * (CHECK_RSS_TOLERANCE - 1.0),
-        );
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
-fn compact_row(bench: &ScaleBench) -> &ScaleRow {
-    bench
-        .rows
-        .iter()
-        .find(|r| r.repr == "compact")
-        .expect("scale() always emits a compact row")
-}
-
-/// The pure comparison core of [`check`]: fresh measurement vs parsed
-/// baseline. `Err` means the baseline document is malformed; `Ok`
-/// carries the (possibly empty) list of regression messages.
-fn check_against(fresh: &ScaleBench, baseline: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-    if !fresh.reports_identical {
-        failures.push("compact and plain pipelines produced different SimReports".to_string());
-    }
-    if !fresh.fixture.identical {
-        failures.push("fixture comparison reports diverged".to_string());
-    }
-    let compact = compact_row(fresh);
-    if compact.resident_bytes_per_edge > RSS_BUDGET_BYTES_PER_EDGE {
-        failures.push(format!(
-            "compact resident structures at {:.2} bytes/edge exceed the \
-             {RSS_BUDGET_BYTES_PER_EDGE} budget",
-            compact.resident_bytes_per_edge
-        ));
-    }
-    let base = baseline_compact_row(baseline)?;
-    if compact.resident_bytes_per_edge > CHECK_RSS_TOLERANCE * base.bytes_per_edge {
-        failures.push(format!(
-            "compact bytes/edge {:.2} regressed more than {:.0}% over baseline {:.2}",
-            compact.resident_bytes_per_edge,
-            100.0 * (CHECK_RSS_TOLERANCE - 1.0),
-            base.bytes_per_edge
-        ));
-    }
-    if let (Some(fresh_peak), Some(base_peak)) = (compact.peak_rss_bytes, base.peak_rss_bytes) {
-        if fresh_peak as f64 > CHECK_RSS_TOLERANCE * base_peak as f64 {
-            failures.push(format!(
-                "compact-phase peak RSS {fresh_peak} regressed more than {:.0}% over \
-                 baseline {base_peak}",
-                100.0 * (CHECK_RSS_TOLERANCE - 1.0)
-            ));
-        }
-    }
-    Ok(failures)
-}
-
-struct BaselineCompact {
-    bytes_per_edge: f64,
-    peak_rss_bytes: Option<u64>,
-}
-
-/// Extract the compact row's gated quantities from a parsed baseline.
-fn baseline_compact_row(baseline: &Value) -> Result<BaselineCompact, String> {
-    let rows = baseline
-        .get("rows")
-        .and_then(Value::as_seq)
-        .ok_or("baseline is missing the rows array")?;
-    let compact = rows
-        .iter()
-        .find(|r| r.get("repr").and_then(Value::as_str) == Some("compact"))
-        .ok_or("baseline has no compact row")?;
-    Ok(BaselineCompact {
-        bytes_per_edge: compact
-            .get("resident_bytes_per_edge")
-            .and_then(Value::as_f64)
-            .ok_or("baseline compact row is missing resident_bytes_per_edge")?,
-        peak_rss_bytes: compact.get("peak_rss_bytes").and_then(Value::as_u64),
-    })
+/// The gated rows of a `BENCH_scale.json` document (see the module docs
+/// for the rules); throughput is informational only.
+pub fn gated_rows(doc: &Value) -> Result<Vec<Row>, String> {
+    let flag = |doc, name| Ok::<_, String>(f64::from(gate::get(doc, name, Value::as_bool)?));
+    let compact = gate::find(doc, "rows", "repr", "compact")?;
+    let bytes_per_edge = gate::get(compact, "resident_bytes_per_edge", Value::as_f64)?;
+    // `null` where the host has no procfs: NaN, which no bound fails.
+    let peak_rss = gate::get(compact, "peak_rss_bytes", Some)?.as_f64();
+    let fixture = gate::get(doc, "fixture", Some)?;
+    Ok(vec![
+        Row::num(
+            "compact and plain SimReports identical",
+            flag(doc, "reports_identical")?,
+            Bound::AtLeast(1.0),
+        ),
+        Row::num(
+            "fixture reports identical",
+            flag(fixture, "identical")?,
+            Bound::AtLeast(1.0),
+        ),
+        Row::num(
+            "compact bytes/edge budget",
+            bytes_per_edge,
+            Bound::AtMost(RSS_BUDGET_BYTES_PER_EDGE),
+        ),
+        Row::num(
+            "compact bytes/edge",
+            bytes_per_edge,
+            Bound::AtMostTimes(CHECK_RSS_TOLERANCE),
+        ),
+        Row::num(
+            "compact peak RSS bytes",
+            peak_rss.unwrap_or(f64::NAN),
+            Bound::AtMostTimes(CHECK_RSS_TOLERANCE),
+        ),
+        Row::num(
+            "fixture compact/plain sim wall",
+            gate::get(fixture, "compact_over_plain", Value::as_f64)?,
+            Bound::Info,
+        ),
+    ])
 }
 
 #[cfg(test)]
@@ -544,49 +483,31 @@ mod tests {
         }
     }
 
-    fn to_baseline(bench: &ScaleBench) -> Value {
-        serde_json::from_str(&serde_json::to_string_pretty(bench).unwrap()).unwrap()
-    }
-
     #[test]
     fn check_accepts_a_run_against_its_own_baseline() {
-        let bench = fake_bench();
-        let failures = check_against(&bench, &to_baseline(&bench)).unwrap();
-        assert!(failures.is_empty(), "{failures:?}");
+        let failed = gate::failed_rows(gated_rows, &fake_bench(), &fake_bench());
+        assert!(failed.is_empty(), "{failed:?}");
     }
 
     #[test]
     fn check_flags_budget_and_regressions() {
-        let baseline = to_baseline(&fake_bench());
         let mut bad = fake_bench();
         bad.rows[0].resident_bytes_per_edge = 13.0; // over the absolute budget AND +30%
         bad.rows[0].peak_rss_bytes = Some(200 * 1024 * 1024); // +100%
         bad.reports_identical = false;
         bad.fixture.identical = false;
-        let failures = check_against(&bad, &baseline).unwrap();
-        assert_eq!(failures.len(), 5, "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("budget")));
-        assert!(failures.iter().any(|f| f.contains("bytes/edge")));
-        assert!(failures.iter().any(|f| f.contains("peak RSS")));
-        assert!(failures.iter().any(|f| f.contains("SimReports")));
-        assert!(failures.iter().any(|f| f.contains("fixture")));
+        let failed = gate::failed_rows(gated_rows, &bad, &fake_bench());
+        assert_eq!(failed.len(), 5, "{failed:?}");
+        assert!(failed.iter().any(|f| f == "compact bytes/edge budget"));
+        assert!(failed.iter().any(|f| f == "compact bytes/edge"));
+        assert!(failed.iter().any(|f| f == "compact peak RSS bytes"));
+        assert!(failed.iter().any(|f| f.contains("SimReports")));
+        assert!(failed.iter().any(|f| f.contains("fixture")));
         // Within tolerance: 10% growth passes both relative gates.
         let mut noisy = fake_bench();
         noisy.rows[0].resident_bytes_per_edge *= 1.10;
         noisy.rows[0].peak_rss_bytes = Some(110 * 1024 * 1024);
-        assert!(check_against(&noisy, &baseline).unwrap().is_empty());
-    }
-
-    #[test]
-    fn check_rejects_malformed_baselines() {
-        let bench = fake_bench();
-        assert!(check_against(&bench, &Value::Null)
-            .unwrap_err()
-            .contains("rows"));
-        let no_compact = serde_json::from_str("{\"rows\": []}").unwrap();
-        assert!(check_against(&bench, &no_compact)
-            .unwrap_err()
-            .contains("compact"));
+        assert!(gate::failed_rows(gated_rows, &noisy, &fake_bench()).is_empty());
     }
 
     #[test]

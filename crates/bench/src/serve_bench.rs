@@ -13,11 +13,11 @@
 //! The experiment runs the identical stream at 1, 2, and 4 host threads
 //! and records each run's composition digest (batch membership + every
 //! response value): the three must agree, which is the "deterministic
-//! batch composition" leg of the serve perf gate. `check` gates CI on
+//! batch composition" leg of the serve perf gate. `--check` gates CI on
 //! the committed baseline: p99 latency must not regress past
 //! [`CHECK_P99_TOLERANCE`], throughput must not drop past
 //! [`CHECK_THROUGHPUT_TOLERANCE`], and (at the baseline's scale) the
-//! digest must match bit-for-bit (see [`check`] for the exact rules).
+//! digest must match bit-for-bit (see [`gated_rows`] for the exact rules).
 //!
 //! Two *host* numbers ride along, kept apart from the simulated ones:
 //! host requests per wall-clock second, and `batched_over_solo_sssp` —
@@ -26,7 +26,6 @@
 //! The ratio is gated at [`CHECK_BATCHED_OVER_SOLO_MAX`]: batching must
 //! not cost the host more than running the lanes one by one.
 
-use std::path::Path;
 use std::time::Instant;
 
 use hetgraph_apps::Sssp;
@@ -39,6 +38,7 @@ use hetgraph_serve::{LoadGenConfig, QueryKind, Request, ServeConfig, Server, Sss
 use serde::Value;
 
 use crate::context::ExperimentContext;
+use crate::gate::{self, Bound, Row};
 use crate::output;
 
 /// Requests in the served stream at `--scale 1` (the committed gate
@@ -300,113 +300,45 @@ pub const CHECK_P99_TOLERANCE: f64 = 1.15;
 /// simulated second.
 pub const CHECK_THROUGHPUT_TOLERANCE: f64 = 1.15;
 
-/// Re-run the serving baseline and compare it against the committed
-/// `BENCH_serve.json` at `baseline_path`, failing when:
-///
-/// - the composition digest differs across the 1/2/4-thread sweep
-///   (nondeterministic batch composition), or
-/// - fresh simulated p99 latency exceeds [`CHECK_P99_TOLERANCE`] times
-///   the baseline's, or
-/// - fresh simulated throughput falls below the baseline's divided by
-///   [`CHECK_THROUGHPUT_TOLERANCE`], or
-/// - the fresh run sheds requests where the baseline shed none, or
-/// - the fresh run's `batched_over_solo_sssp` host ratio exceeds
-///   [`CHECK_BATCHED_OVER_SOLO_MAX`], or
-/// - (only when the fresh scale equals the baseline's) the digest does
-///   not match the baseline bit-for-bit.
-///
-/// Every gated quantity is either simulated-time or a ratio of two host
-/// times taken in the same process, so the gate is host-speed
-/// independent by construction. The fresh run never writes output,
-/// regardless of `ctx.out_dir`.
-pub fn check(ctx: &ExperimentContext, baseline_path: &Path) -> Result<(), String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-    let baseline = serde_json::from_str(&text)
-        .map_err(|e| format!("parsing {}: {e}", baseline_path.display()))?;
-    let mut fresh_ctx = ctx.clone();
-    fresh_ctx.out_dir = None;
-    let fresh = serve(&fresh_ctx);
-    println!("\n== serve bench check vs {} ==", baseline_path.display());
-    let failures = check_against(&fresh, &baseline)?;
-    if failures.is_empty() {
-        println!(
-            "serve bench check: OK (latency, throughput, composition, and the \
-             batched/solo host ratio hold)"
-        );
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
-}
-
-/// The pure comparison core of [`check`]: fresh measurement vs parsed
-/// baseline. `Err` means the baseline document is malformed; `Ok`
-/// carries the (possibly empty) list of regression messages.
-fn check_against(fresh: &ServeBench, baseline: &Value) -> Result<Vec<String>, String> {
-    let mut failures = Vec::new();
-    let base_p99 = baseline_f64(baseline, "p99_latency_s")?;
-    let base_rps = baseline_f64(baseline, "throughput_rps")?;
-    let base_shed = baseline_f64(baseline, "shed")?;
-    let base_scale = baseline_f64(baseline, "scale")?;
-    let base_digest = baseline
-        .get("composition_digest")
-        .and_then(Value::as_str)
-        .ok_or("baseline is missing composition_digest")?;
-
-    if fresh
-        .thread_digests
-        .iter()
-        .any(|d| d != &fresh.composition_digest)
-    {
-        failures.push(format!(
-            "nondeterministic batch composition: digests {:?} across threads {THREAD_SWEEP:?}",
-            fresh.thread_digests
-        ));
-    }
-    if fresh.p99_latency_s > CHECK_P99_TOLERANCE * base_p99 {
-        failures.push(format!(
-            "p99 latency {:.4}s exceeds {CHECK_P99_TOLERANCE} x baseline {base_p99:.4}s",
-            fresh.p99_latency_s
-        ));
-    }
-    if fresh.throughput_rps < base_rps / CHECK_THROUGHPUT_TOLERANCE {
-        failures.push(format!(
-            "throughput {:.1} rps is below baseline {base_rps:.1} / {CHECK_THROUGHPUT_TOLERANCE}",
-            fresh.throughput_rps
-        ));
-    }
-    if base_shed == 0.0 && fresh.shed > 0 {
-        failures.push(format!(
-            "fresh run shed {} requests where the baseline shed none",
-            fresh.shed
-        ));
-    }
-    if fresh.batched_over_solo_sssp > CHECK_BATCHED_OVER_SOLO_MAX {
-        failures.push(format!(
-            "an 8-lane sssp wave costs the host {:.2} x its lanes run solo \
-             (limit {CHECK_BATCHED_OVER_SOLO_MAX})",
-            fresh.batched_over_solo_sssp
-        ));
-    }
-    // The digest depends on the fixture, so it is only comparable when
-    // the fresh run used the baseline's scale (CI does; `--check
-    // --scale N` smoke runs at other scales skip this leg).
-    if fresh.scale as f64 == base_scale && fresh.composition_digest != base_digest {
-        failures.push(format!(
-            "composition digest {} does not match baseline {base_digest} at scale {}",
-            fresh.composition_digest, fresh.scale
-        ));
-    }
-    Ok(failures)
-}
-
-/// Extract one numeric field from a parsed baseline.
-fn baseline_f64(baseline: &Value, field: &str) -> Result<f64, String> {
-    baseline
-        .get(field)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("baseline is missing {field}"))
+/// The gated rows of a `BENCH_serve.json` document. Every gated quantity
+/// is either simulated-time or a ratio of two host times taken in the
+/// same process, so the gate is host-speed independent by construction;
+/// `host_rps` rides along as context.
+pub fn gated_rows(doc: &Value) -> Result<Vec<Row>, String> {
+    let scale = gate::get(doc, "scale", Value::as_u64)?;
+    let digest = gate::get(doc, "composition_digest", Value::as_str)?;
+    let mut sweep = gate::get(doc, "thread_digests", Value::as_seq)?.iter();
+    let sweep_agrees = sweep.all(|d| d.as_str() == Some(digest));
+    let num = |name: &str, bound| {
+        let value = gate::get(doc, name, Value::as_f64)?;
+        Ok::<_, String>(Row::num(name, value, bound))
+    };
+    Ok(vec![
+        Row::num(
+            "digest agrees across threads",
+            f64::from(sweep_agrees),
+            Bound::AtLeast(1.0),
+        ),
+        num("p99_latency_s", Bound::AtMostTimes(CHECK_P99_TOLERANCE))?,
+        num(
+            "throughput_rps",
+            Bound::AtLeastTimes(1.0 / CHECK_THROUGHPUT_TOLERANCE),
+        )?,
+        num("shed", Bound::ZeroIfBaselineZero)?,
+        num(
+            "batched_over_solo_sssp",
+            Bound::AtMost(CHECK_BATCHED_OVER_SOLO_MAX),
+        )?,
+        // The digest depends on the fixture, so it is only comparable when
+        // both documents share a scale (CI does; `--check --scale N`
+        // smoke runs at other scales skip this leg).
+        Row {
+            name: "composition_digest".into(),
+            value: gate::Cell::Text(digest.into()),
+            bound: Bound::SameAtScale(scale),
+        },
+        num("host_rps", Bound::Info)?,
+    ])
 }
 
 #[cfg(test)]
@@ -469,20 +401,14 @@ mod tests {
         }
     }
 
-    fn to_baseline(bench: &ServeBench) -> Value {
-        serde_json::from_str(&serde_json::to_string_pretty(bench).unwrap()).unwrap()
-    }
-
     #[test]
     fn check_accepts_a_run_against_its_own_baseline() {
-        let bench = fake_bench();
-        let failures = check_against(&bench, &to_baseline(&bench)).unwrap();
-        assert!(failures.is_empty(), "{failures:?}");
+        let failed = gate::failed_rows(gated_rows, &fake_bench(), &fake_bench());
+        assert!(failed.is_empty(), "{failed:?}");
     }
 
     #[test]
     fn check_flags_every_regression_class() {
-        let baseline = to_baseline(&fake_bench());
         let mut regressed = fake_bench();
         regressed.p99_latency_s = 0.200; // p99 blew past tolerance
         regressed.throughput_rps = 100.0; // throughput collapsed
@@ -490,37 +416,27 @@ mod tests {
         regressed.composition_digest = "ffff000011112222".to_string(); // drifted
         regressed.thread_digests[2] = "1234123412341234".to_string(); // and raced
         regressed.batched_over_solo_sssp = 2.1; // batching lost on the host again
-        let failures = check_against(&regressed, &baseline).unwrap();
-        assert_eq!(failures.len(), 6, "{failures:?}");
-        assert!(failures.iter().any(|f| f.contains("lanes run solo")));
-        assert!(failures.iter().any(|f| f.contains("p99")));
-        assert!(failures.iter().any(|f| f.contains("throughput")));
-        assert!(failures.iter().any(|f| f.contains("shed")));
-        assert!(failures
-            .iter()
-            .any(|f| f.contains("does not match baseline")));
-        assert!(failures.iter().any(|f| f.contains("nondeterministic")));
+        let failed = gate::failed_rows(gated_rows, &regressed, &fake_bench());
+        assert_eq!(failed.len(), 6, "{failed:?}");
+        assert!(failed.iter().any(|f| f == "batched_over_solo_sssp"));
+        assert!(failed.iter().any(|f| f == "p99_latency_s"));
+        assert!(failed.iter().any(|f| f == "throughput_rps"));
+        assert!(failed.iter().any(|f| f == "shed"));
+        assert!(failed.iter().any(|f| f == "composition_digest"));
+        assert!(failed.iter().any(|f| f == "digest agrees across threads"));
     }
 
     #[test]
     fn check_tolerates_small_dips_and_other_scales() {
-        let baseline = to_baseline(&fake_bench());
         let mut dipped = fake_bench();
         dipped.p99_latency_s = 0.110; // within 1.15x
         dipped.throughput_rps = 190.0; // within /1.15
-        assert!(check_against(&dipped, &baseline).unwrap().is_empty());
+        assert!(gate::failed_rows(gated_rows, &dipped, &fake_bench()).is_empty());
         // A different scale skips the digest leg entirely.
         let mut other_scale = fake_bench();
         other_scale.scale = 10;
         other_scale.composition_digest = "ffff000011112222".to_string();
         other_scale.thread_digests = vec!["ffff000011112222".to_string(); 3];
-        assert!(check_against(&other_scale, &baseline).unwrap().is_empty());
-    }
-
-    #[test]
-    fn check_rejects_malformed_baselines() {
-        let bench = fake_bench();
-        let err = check_against(&bench, &Value::Null).unwrap_err();
-        assert!(err.contains("p99"), "{err}");
+        assert!(gate::failed_rows(gated_rows, &other_scale, &fake_bench()).is_empty());
     }
 }

@@ -19,10 +19,8 @@
 //!   used to check that synthetic graphs follow the intended power law.
 //! - [`stats`] — small numeric helpers (means, geomeans, percentiles,
 //!   relative errors) used by the profiling and evaluation crates.
-//! - [`bitset`] — a compact fixed-size bitset used by the engine for active
-//!   vertex sets.
 //! - [`frontier`] — the engine's hybrid sparse/dense frontier set with
-//!   dirty-word clearing, the hot-path replacement for a bare bitset.
+//!   dirty-word clearing (active-vertex tracking on the hot path).
 //! - [`par`] — deterministic self-scheduling fan-out, shared by the engine's
 //!   superstep parallelism and the benchmark sweep's cell parallelism.
 //! - [`obs`] — structured observability: the [`obs::Recorder`] trait,
@@ -49,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bitset;
 pub mod builder;
 pub mod compact;
 pub mod csr;
@@ -68,7 +65,6 @@ pub mod shard;
 pub mod stats;
 pub mod transform;
 
-pub use bitset::BitSet;
 pub use builder::GraphBuilder;
 pub use compact::CompactCsr;
 pub use csr::Csr;

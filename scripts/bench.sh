@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerate or verify the committed perf baselines:
-# BENCH_partition.json (partitioner throughput), BENCH_engine.json
-# (superstep-kernel throughput), BENCH_rebalance.json (static CCR
+# BENCH_partition.json (partitioner throughput normalized by the random
+# partitioner in the same run), BENCH_rebalance.json (static CCR
 # placement vs CCR + mid-run migration under a scripted slowdown),
 # BENCH_scale.json (bounded-RSS pipeline: resident bytes/edge and peak
 # RSS for the plain vs compact representations), and BENCH_serve.json
@@ -13,13 +13,17 @@
 #   scripts/bench.sh --scale 8  # quicker smoke run (numbers not committed)
 #   scripts/bench.sh --check    # re-measure and gate against the committed
 #                               # baselines (wall-clock-tolerant; this is
-#                               # what CI's bench-regression job runs)
+#                               # what CI's bench job runs). Each gate
+#                               # prints one table, row by row; the rules
+#                               # are each bench's `gated_rows` next to
+#                               # crates/bench/src/gate.rs
 #
 # Fully offline, like scripts/check.sh: external crates resolve to path
 # stand-ins under third_party/, so nothing here touches the network.
-# The JSON lands at the repository root; commit it when the partitioner
-# or engine hot paths change intentionally, with the speedup noted in
-# the message.
+# The JSON (and each *.manifest.json sidecar) lands at the repository
+# root; commit it when a gated hot path changes intentionally. Engine
+# throughput is not measured here: BENCHMARK.json's engine.* metrics
+# compare it parent-vs-change on every PR.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -50,15 +54,12 @@ done
 # committed ~50M-edge scale-10 run, and smoke runs shrink proportionally.
 scale_scale=$((scale * 10))
 
-echo "==> cargo build --release -p hetgraph-bench --bin exp_partition --bin exp_engine --bin exp_rebalance --bin exp_scale --bin exp_serve"
-cargo build --release -p hetgraph-bench --bin exp_partition --bin exp_engine --bin exp_rebalance --bin exp_scale --bin exp_serve
+echo "==> cargo build --release -p hetgraph-bench --bin exp_partition --bin exp_rebalance --bin exp_scale --bin exp_serve"
+cargo build --release -p hetgraph-bench --bin exp_partition --bin exp_rebalance --bin exp_scale --bin exp_serve
 
 if [ "$check" -eq 1 ]; then
     echo "==> exp_partition --scale $scale --check BENCH_partition.json"
     ./target/release/exp_partition --scale "$scale" --check BENCH_partition.json
-    echo
-    echo "==> exp_engine --scale $scale --check BENCH_engine.json"
-    ./target/release/exp_engine --scale "$scale" --check BENCH_engine.json
     echo
     echo "==> exp_rebalance --scale $scale --check BENCH_rebalance.json"
     ./target/release/exp_rebalance --scale "$scale" --check BENCH_rebalance.json
@@ -74,13 +75,10 @@ if [ "$check" -eq 1 ]; then
     echo "==> exp_serve --scale $scale --check BENCH_serve.json"
     ./target/release/exp_serve --scale "$scale" --check BENCH_serve.json
     echo
-    echo "bench.sh: checks passed against BENCH_partition.json, BENCH_engine.json, BENCH_rebalance.json, BENCH_scale.json, and BENCH_serve.json"
+    echo "bench.sh: checks passed against BENCH_partition.json, BENCH_rebalance.json, BENCH_scale.json, and BENCH_serve.json"
 else
     echo "==> exp_partition --scale $scale --out ."
     ./target/release/exp_partition --scale "$scale" --out .
-    echo
-    echo "==> exp_engine --scale $scale --out ."
-    ./target/release/exp_engine --scale "$scale" --out .
     echo
     echo "==> exp_rebalance --scale $scale --out ."
     ./target/release/exp_rebalance --scale "$scale" --out .
@@ -91,5 +89,5 @@ else
     echo "==> exp_serve --scale $scale --out ."
     ./target/release/exp_serve --scale "$scale" --out .
     echo
-    echo "bench.sh: wrote BENCH_partition.json, BENCH_engine.json, BENCH_rebalance.json, BENCH_scale.json, and BENCH_serve.json (scale $scale)"
+    echo "bench.sh: wrote BENCH_partition.json, BENCH_rebalance.json, BENCH_scale.json, and BENCH_serve.json (scale $scale)"
 fi

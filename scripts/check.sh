@@ -79,8 +79,8 @@ step cargo clippy --workspace --all-targets -- -D warnings
 echo
 echo "check.sh: all gates passed"
 echo "(optional: scripts/bench.sh regenerates BENCH_partition.json,"
-echo " BENCH_engine.json, BENCH_rebalance.json, BENCH_scale.json, and"
-echo " BENCH_serve.json when partitioner, engine, rebalancing,"
-echo " graph-representation, or serving hot paths change;"
+echo " BENCH_rebalance.json, BENCH_scale.json, and BENCH_serve.json when"
+echo " partitioner, rebalancing, graph-representation, or serving hot"
+echo " paths change;"
 echo " scripts/bench.sh --check gates a fresh run against the"
 echo " committed baselines)"

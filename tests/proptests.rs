@@ -415,24 +415,6 @@ proptest! {
     }
 
     #[test]
-    fn bitset_behaves_like_hashset(ops in proptest::collection::vec((0usize..500, any::<bool>()), 1..200)) {
-        let mut bs = hetgraph::core::BitSet::new(500);
-        let mut hs = std::collections::HashSet::new();
-        for (i, insert) in ops {
-            if insert {
-                prop_assert_eq!(bs.insert(i), hs.insert(i));
-            } else {
-                prop_assert_eq!(bs.remove(i), hs.remove(&i));
-            }
-        }
-        prop_assert_eq!(bs.len(), hs.len());
-        let from_bs: Vec<usize> = bs.iter().collect();
-        let mut from_hs: Vec<usize> = hs.into_iter().collect();
-        from_hs.sort_unstable();
-        prop_assert_eq!(from_bs, from_hs);
-    }
-
-    #[test]
     fn migration_delta_metrics_match_recompute(
         g in arb_graph(),
         w in arb_weights(),
