@@ -879,6 +879,34 @@ mod tests {
         dir.join(name).to_string_lossy().into_owned()
     }
 
+    /// Pin sim-domain telemetry bytes across commits: `text` must equal
+    /// the committed `tests/fixtures/telemetry/{name}`.
+    /// `HETGRAPH_BLESS=1 cargo test -p hetgraph-cli` rewrites the file.
+    fn assert_pinned(name: &str, text: &str) {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/telemetry")
+            .join(name);
+        if std::env::var("HETGRAPH_BLESS").is_ok() {
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, text).unwrap();
+            return;
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "{}: {e}; regenerate with HETGRAPH_BLESS=1 cargo test -p hetgraph-cli",
+                path.display()
+            )
+        });
+        assert!(
+            text == want,
+            "{name} drifted from its pinned fixture: first differing byte at offset {:?}",
+            text.bytes()
+                .zip(want.bytes())
+                .position(|(a, b)| a != b)
+                .unwrap_or_else(|| text.len().min(want.len()))
+        );
+    }
+
     #[test]
     fn generate_then_stats_then_alpha_roundtrip() {
         let path = tmp("pl.hgb");
@@ -1075,6 +1103,7 @@ mod tests {
             !reference.contains("\"pid\":1"),
             "chrome trace output carries sim-domain events only"
         );
+        assert_pinned("simulate_trace.json", &reference);
         for threads in ["2", "4"] {
             assert_eq!(
                 trace_at(threads),
@@ -1126,6 +1155,7 @@ mod tests {
             !reference.contains("\"Wall\""),
             "default snapshot carries sim-domain metrics only"
         );
+        assert_pinned("simulate_metrics.json", &reference);
         for threads in ["2", "4"] {
             assert_eq!(
                 metrics_at(threads, &tmp(&format!("metrics_{threads}.json"))),
@@ -1489,6 +1519,8 @@ mod tests {
             )
         };
         let (trace1, metrics1) = out("1", "t1");
+        assert_pinned("serve_trace.json", &trace1);
+        assert_pinned("serve_metrics.json", &metrics1);
         let (trace4, metrics4) = out("4", "t4");
         assert_eq!(trace1, trace4, "serve trace must not depend on threads");
         assert_eq!(
