@@ -8,8 +8,7 @@ use std::hint::black_box;
 
 use hetgraph_apps::{AnyApp, ConnectedComponents, PageRank, TriangleCount};
 use hetgraph_cluster::Cluster;
-use hetgraph_core::metrics::MetricsRegistry;
-use hetgraph_core::obs::{TraceRecorder, NOOP};
+use hetgraph_core::obs::{Telemetry, OFF};
 use hetgraph_engine::{DistributedGraph, SimEngine};
 use hetgraph_gen::{ProxySet, RmatConfig};
 use hetgraph_partition::{Hybrid, MachineWeights, Partitioner};
@@ -54,65 +53,36 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engine_obs(c: &mut Criterion) {
-    // The observability overhead gate. `pagerank_5_iters` above runs on
-    // the default (noop) recorder and is the cross-PR criterion baseline:
-    // its regression report against the committed PR-4 numbers IS the
-    // "<2% when disabled" check. This group isolates the same workload
-    // with (a) an explicit NoopRecorder — must be indistinguishable from
-    // the default path — and (b) a live TraceRecorder, which is allowed
-    // to cost more (it allocates one event vector per superstep batch).
-    let graph = RmatConfig::natural(10_000, 80_000).generate(11);
-    let cluster = Cluster::case2();
-    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
-    let dist = DistributedGraph::new(&graph, &assignment).expect("assignment must cover the graph");
-
-    let mut group = c.benchmark_group("engine_obs");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(graph.num_edges() as u64));
-    group.bench_function("pagerank_noop_recorder", |b| {
-        let engine = SimEngine::new(&cluster).with_recorder(&NOOP);
-        let pagerank = AnyApp::pagerank();
-        b.iter(|| black_box(pagerank.run(&engine, &dist, 1).makespan_s));
-    });
-    group.bench_function("pagerank_trace_recorder", |b| {
-        let pagerank = AnyApp::pagerank();
-        b.iter(|| {
-            let recorder = TraceRecorder::new();
-            let engine = SimEngine::new(&cluster).with_recorder(&recorder);
-            let makespan = pagerank.run(&engine, &dist, 1).makespan_s;
-            black_box((makespan, recorder.len()))
-        });
-    });
-    group.finish();
-}
-
-fn bench_engine_metrics(c: &mut Criterion) {
-    // The metrics overhead gate, mirroring `engine_obs`: the same
-    // workload with (a) the noop registry — one branch per superstep,
-    // must be indistinguishable from the default path — and (b) a live
-    // registry, which is allowed to cost more (atomic counter and
+fn bench_engine_telemetry(c: &mut Criterion) {
+    // The telemetry overhead gate. `pagerank_5_iters` above runs on the
+    // default (OFF) handle and is the cross-PR criterion baseline: its
+    // regression report against the committed numbers IS the "<2% when
+    // disabled" check. This group isolates the same workload with (a) an
+    // explicit OFF handle — must be indistinguishable from the default
+    // path — and (b) a live handle, event log and metrics both on, which
+    // is allowed to cost more (events per superstep, atomic counter and
     // histogram updates per superstep and per machine).
     let graph = RmatConfig::natural(10_000, 80_000).generate(11);
     let cluster = Cluster::case2();
     let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
     let dist = DistributedGraph::new(&graph, &assignment).expect("assignment must cover the graph");
 
-    let mut group = c.benchmark_group("engine_metrics");
+    let mut group = c.benchmark_group("engine_telemetry");
     group.sample_size(10);
     group.throughput(Throughput::Elements(graph.num_edges() as u64));
-    group.bench_function("pagerank_noop_registry", |b| {
-        let engine = SimEngine::new(&cluster).with_metrics(&hetgraph_core::metrics::NOOP);
+    group.bench_function("pagerank_off", |b| {
+        let engine = SimEngine::new(&cluster).with_telemetry(&OFF);
         let pagerank = AnyApp::pagerank();
         b.iter(|| black_box(pagerank.run(&engine, &dist, 1).makespan_s));
     });
-    group.bench_function("pagerank_live_registry", |b| {
+    group.bench_function("pagerank_live", |b| {
         let pagerank = AnyApp::pagerank();
         b.iter(|| {
-            let metrics = MetricsRegistry::new();
-            let engine = SimEngine::new(&cluster).with_metrics(&metrics);
+            let telemetry = Telemetry::live();
+            let engine = SimEngine::new(&cluster).with_telemetry(&telemetry);
             let makespan = pagerank.run(&engine, &dist, 1).makespan_s;
-            black_box((makespan, metrics.snapshot_sim().counters.len()))
+            let events = telemetry.take_events().len();
+            black_box((makespan, events, telemetry.snapshot_sim().counters.len()))
         });
     });
     group.finish();
@@ -150,8 +120,7 @@ fn bench_engine_threads(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine,
-    bench_engine_obs,
-    bench_engine_metrics,
+    bench_engine_telemetry,
     bench_engine_threads
 );
 criterion_main!(benches);

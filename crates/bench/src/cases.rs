@@ -2,8 +2,7 @@
 
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::Cluster;
-use hetgraph_core::metrics::MetricsRegistry;
-use hetgraph_core::obs::{self, chrome_trace, Recorder, TraceRecorder};
+use hetgraph_core::obs::{chrome_trace, Telemetry};
 use hetgraph_core::stats;
 use hetgraph_core::Graph;
 use hetgraph_engine::{DistributedGraph, SimEngine};
@@ -432,59 +431,42 @@ pub fn write_traces(ctx: &ExperimentContext) -> Vec<PathBuf> {
         ("case3", Cluster::case3()),
     ];
     for (case, cluster) in cases {
-        let tracing = ctx.trace_dir.is_some();
-        let profiling = TraceRecorder::new();
-        let recorder: &dyn Recorder = if tracing { &profiling } else { &obs::NOOP };
-        let live_metrics = MetricsRegistry::new();
-        let metrics: &MetricsRegistry = if ctx.metrics_dir.is_some() {
-            &live_metrics
-        } else {
-            &hetgraph_core::metrics::NOOP
-        };
+        // One handle per case: each trace file drains the event log,
+        // while the metrics aggregate over the whole case.
+        let telemetry = Telemetry::new(ctx.trace_dir.is_some(), ctx.metrics_dir.is_some());
         let pool = CcrPool::profile_instrumented(
             &cluster,
             &ctx.proxies(),
             ctx.apps(),
             ctx.threads,
-            recorder,
-            metrics,
+            &telemetry,
         );
         if let Some(dir) = &ctx.trace_dir {
-            let events = profiling.take_events();
             write(
                 dir.join(format!("{case}_profile.trace.json")),
-                &chrome_trace(&events),
+                &chrome_trace(&telemetry.take_events()),
                 "trace",
             );
         }
         for app in ctx.apps() {
-            let app_tracer = TraceRecorder::new();
-            let recorder: &dyn Recorder = if tracing { &app_tracer } else { &obs::NOOP };
             let weights = Policy::CcrGuided.weights(&cluster, &pool, app.name());
-            let assignment = kind.build().partition_instrumented(
-                graph,
-                &weights,
-                ctx.threads,
-                recorder,
-                metrics,
-            );
+            let assignment =
+                kind.build()
+                    .partition_instrumented(graph, &weights, ctx.threads, &telemetry);
             let dist = DistributedGraph::new_with_threads(graph, &assignment, ctx.threads)
                 .expect("assignment must cover the graph");
-            let engine = SimEngine::new(&cluster)
-                .with_recorder(recorder)
-                .with_metrics(metrics);
+            let engine = SimEngine::new(&cluster).with_telemetry(&telemetry);
             app.run(&engine, &dist, ctx.threads);
             if let Some(dir) = &ctx.trace_dir {
-                let events = app_tracer.take_events();
                 write(
                     dir.join(format!("{case}_{gname}_{}.trace.json", app.name())),
-                    &chrome_trace(&events),
+                    &chrome_trace(&telemetry.take_events()),
                     "trace",
                 );
             }
         }
         if let Some(dir) = &ctx.metrics_dir {
-            let snapshot = metrics.snapshot_sim();
+            let snapshot = telemetry.snapshot_sim();
             write(
                 dir.join(format!("{case}.metrics.json")),
                 &snapshot.to_json(),

@@ -6,6 +6,7 @@ use hetgraph::{BalancePolicy, Framework};
 use hetgraph_apps::{AnyApp, AppRegistry};
 use hetgraph_cluster::Cluster;
 use hetgraph_core::degree::DegreeHistogram;
+use hetgraph_core::obs::Telemetry;
 use hetgraph_core::{io, Graph};
 use hetgraph_gen::{
     fit_alpha, BarabasiAlbertConfig, GnmConfig, NaturalGraph, PowerLawConfig, ProxySet, RmatConfig,
@@ -378,17 +379,16 @@ pub fn profile(args: &[String]) -> Result<(), CliError> {
 /// `hetgraph simulate` — run one app on one graph on one cluster.
 ///
 /// With `--trace-out FILE` the whole pipeline (CCR profiling,
-/// partitioning, the superstep kernel) runs under a
-/// [`hetgraph_core::obs::TraceRecorder`] and the trace is written to
-/// `FILE`: a `.jsonl` extension gets every event as JSON-lines, anything
-/// else gets the Chrome `trace_event` JSON of the *simulated-time* events
-/// only — which is byte-identical at any `--threads` value, and opens in
+/// partitioning, the superstep kernel) runs under a tracing
+/// [`Telemetry`] handle and the trace is written to `FILE`: a `.jsonl`
+/// extension gets every event as JSON-lines, anything else gets the
+/// Chrome `trace_event` JSON of the *simulated-time* events only — which
+/// is byte-identical at any `--threads` value, and opens in
 /// `chrome://tracing` or Perfetto.
 ///
-/// With `--metrics-out FILE` the same pipeline additionally runs under a
-/// live [`hetgraph_core::metrics::MetricsRegistry`] and the aggregated
-/// snapshot is written to `FILE`: a `.prom` extension gets Prometheus
-/// text exposition, anything else pretty JSON. The snapshot holds the
+/// With `--metrics-out FILE` the same handle also meters the pipeline
+/// and the aggregated snapshot is written to `FILE`: a `.prom` extension
+/// gets Prometheus text exposition, anything else pretty JSON. The snapshot holds the
 /// *sim-domain* metrics only (byte-identical at any `--threads` value)
 /// unless the filename contains `.full.`, which opts into the wall-clock
 /// series too.
@@ -424,18 +424,7 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
     let app = parse_app(flags.get("app").unwrap_or("pagerank"))?;
     let kind = parse_partitioner(flags.get("algorithm").unwrap_or("hybrid"))?;
     let threads = parse_threads(&flags)?;
-    let tracer = hetgraph_core::obs::TraceRecorder::new();
-    let recorder: &dyn hetgraph_core::obs::Recorder = if flags.get("trace-out").is_some() {
-        &tracer
-    } else {
-        &hetgraph_core::obs::NOOP
-    };
-    let live_metrics = hetgraph_core::metrics::MetricsRegistry::new();
-    let metrics: &hetgraph_core::metrics::MetricsRegistry = if flags.get("metrics-out").is_some() {
-        &live_metrics
-    } else {
-        &hetgraph_core::metrics::NOOP
-    };
+    let telemetry = telemetry_for(&flags);
     let policy = flags.get("policy").unwrap_or("ccr");
     let weights = match policy {
         "default" => MachineWeights::uniform(cluster.len()),
@@ -447,8 +436,7 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
                 &ProxySet::standard(scale.max(1)),
                 std::slice::from_ref(&app),
                 threads,
-                recorder,
-                metrics,
+                &telemetry,
             );
             MachineWeights::from_ccr(pool.ccr(app.name()).expect("just profiled").ratios())
         }
@@ -458,9 +446,7 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
             )))
         }
     };
-    let engine = hetgraph_engine::SimEngine::new(&cluster)
-        .with_recorder(recorder)
-        .with_metrics(metrics);
+    let engine = hetgraph_engine::SimEngine::new(&cluster).with_telemetry(&telemetry);
     // Build the view the flags describe, then run it: one entry point.
     // The owners outlive the target that borrows them; only the chosen
     // branch initializes its own.
@@ -501,7 +487,7 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
             let g = load_graph(input)?;
             let assignment = kind
                 .build()
-                .partition_instrumented(&g, &weights, threads, recorder, metrics);
+                .partition_instrumented(&g, &weights, threads, &telemetry);
             hetgraph_engine::CompactDistGraph::from_edge_stream(
                 g.num_vertices(),
                 &assignment,
@@ -521,7 +507,7 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
         g = load_graph(input)?;
         assignment = kind
             .build()
-            .partition_instrumented(&g, &weights, threads, recorder, metrics);
+            .partition_instrumented(&g, &weights, threads, &telemetry);
         plain_dist = hetgraph_engine::DistributedGraph::new_with_threads(&g, &assignment, threads)
             .expect("assignment must cover the graph");
         match rebalance {
@@ -561,22 +547,29 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
             .join(", ")
     );
     println!("compute imbalance: {:.3}", report.compute_imbalance());
-    write_trace_out(&flags, &tracer)?;
-    write_metrics_out(&flags, metrics)?;
+    write_trace_out(&flags, &telemetry)?;
+    write_metrics_out(&flags, &telemetry)?;
     Ok(())
 }
 
-/// Honor `--trace-out FILE`: drain `tracer` and write JSON-lines
+/// One handle for `--trace-out` / `--metrics-out`: its event log is on
+/// exactly when the first flag is given, its metrics registry when the
+/// second is.
+fn telemetry_for(flags: &Flags) -> Telemetry {
+    Telemetry::new(
+        flags.get("trace-out").is_some(),
+        flags.get("metrics-out").is_some(),
+    )
+}
+
+/// Honor `--trace-out FILE`: drain the event log and write JSON-lines
 /// (`.jsonl`) or Chrome trace_event JSON (anything else). No-op when the
 /// flag is absent.
-fn write_trace_out(
-    flags: &Flags,
-    tracer: &hetgraph_core::obs::TraceRecorder,
-) -> Result<(), CliError> {
+fn write_trace_out(flags: &Flags, telemetry: &Telemetry) -> Result<(), CliError> {
     let Some(path) = flags.get("trace-out") else {
         return Ok(());
     };
-    let events = tracer.take_events();
+    let events = telemetry.take_events();
     let text = if path.ends_with(".jsonl") {
         hetgraph_core::obs::to_jsonl(&events)
     } else {
@@ -590,20 +583,17 @@ fn write_trace_out(
     Ok(())
 }
 
-/// Honor `--metrics-out FILE`: snapshot `metrics` (sim-domain only
+/// Honor `--metrics-out FILE`: snapshot the metrics (sim-domain only
 /// unless the name has `.full.`) as Prometheus text (`.prom`) or JSON.
 /// No-op when the flag is absent.
-fn write_metrics_out(
-    flags: &Flags,
-    metrics: &hetgraph_core::metrics::MetricsRegistry,
-) -> Result<(), CliError> {
+fn write_metrics_out(flags: &Flags, telemetry: &Telemetry) -> Result<(), CliError> {
     let Some(path) = flags.get("metrics-out") else {
         return Ok(());
     };
     let snapshot = if path.contains(".full.") {
-        metrics.snapshot()
+        telemetry.snapshot()
     } else {
-        metrics.snapshot_sim()
+        telemetry.snapshot_sim()
     };
     let text = if path.ends_with(".prom") {
         snapshot.to_prometheus()
@@ -777,18 +767,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         }
     };
 
-    let tracer = hetgraph_core::obs::TraceRecorder::new();
-    let recorder: &dyn hetgraph_core::obs::Recorder = if flags.get("trace-out").is_some() {
-        &tracer
-    } else {
-        &hetgraph_core::obs::NOOP
-    };
-    let live_metrics = hetgraph_core::metrics::MetricsRegistry::new();
-    let metrics: &hetgraph_core::metrics::MetricsRegistry = if flags.get("metrics-out").is_some() {
-        &live_metrics
-    } else {
-        &hetgraph_core::metrics::NOOP
-    };
+    let telemetry = telemetry_for(&flags);
 
     // Thread-count machine weights: heterogeneity-aware without a
     // profiling pass (the service would amortize profiling, but the CLI
@@ -796,7 +775,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
     let weights = MachineWeights::from_thread_counts(&cluster);
     let assignment = kind
         .build()
-        .partition_instrumented(&graph, &weights, threads, recorder, metrics);
+        .partition_instrumented(&graph, &weights, threads, &telemetry);
     let dist = hetgraph_engine::DistributedGraph::new_with_threads(&graph, &assignment, threads)
         .map_err(|e| CliError(format!("cannot build distributed graph: {e}")))?;
 
@@ -829,8 +808,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
     }
 
     let report = hetgraph_serve::Server::new(&cluster)
-        .with_recorder(recorder)
-        .with_metrics(metrics)
+        .with_telemetry(&telemetry)
         .serve(&dist, &cfg, &stream);
 
     println!(
@@ -860,8 +838,8 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         "batch composition digest: {:016x}",
         report.composition_digest
     );
-    write_trace_out(&flags, &tracer)?;
-    write_metrics_out(&flags, metrics)?;
+    write_trace_out(&flags, &telemetry)?;
+    write_metrics_out(&flags, &telemetry)?;
     Ok(())
 }
 

@@ -23,14 +23,15 @@
 //!   dirty-word clearing (active-vertex tracking on the hot path).
 //! - [`par`] — deterministic self-scheduling fan-out, shared by the engine's
 //!   superstep parallelism and the benchmark sweep's cell parallelism.
-//! - [`obs`] — structured observability: the [`obs::Recorder`] trait,
-//!   span/counter/gauge events in simulated and wall time, and exporters
-//!   to JSON-lines and Chrome `trace_event` format.
-//! - [`metrics`] — aggregated telemetry: a zero-cost-when-disabled
-//!   [`metrics::MetricsRegistry`] of counters, gauges, and log-bucketed
-//!   mergeable histograms, snapshotted to JSON or Prometheus text. The
-//!   aggregation companion to the `obs` event stream, under the same
-//!   two-time-domain determinism contract.
+//! - [`obs`] — structured observability: [`obs::Telemetry`], the one
+//!   handle instrumented code takes (an event log plus a metrics
+//!   registry, each on or off), span/counter/gauge events in simulated
+//!   and wall time, and exporters to JSON-lines and Chrome `trace_event`
+//!   format.
+//! - [`metrics`] — the handle's aggregated half: zero-cost-when-disabled
+//!   counters, gauges, and log-bucketed histograms, snapshotted to JSON
+//!   or Prometheus text under the same two-time-domain determinism
+//!   contract as the event stream.
 //! - [`io`] — text and binary edge-list serialization.
 //! - [`compact`] — delta-varint compressed CSR ([`compact::CompactCsr`])
 //!   with width-adaptive offsets: the bounded-RSS adjacency representation

@@ -1,31 +1,31 @@
-//! Zero-cost-when-disabled metrics: counters, gauges, and mergeable
-//! log-bucketed histograms.
+//! Zero-cost-when-disabled metrics: counters, gauges, and log-bucketed
+//! histograms — the metrics half of [`Telemetry`].
 //!
-//! This module is the aggregation companion to [`crate::obs`]: where a
-//! [`crate::obs::Recorder`] captures an *event stream* (every span, in
-//! order), a [`MetricsRegistry`] keeps *running aggregates* (how many, how
-//! long, what distribution) that survive a run as a compact
-//! [`MetricsSnapshot`] in JSON or Prometheus text exposition format.
+//! Where the handle's event log ([`crate::obs`]) captures an *event
+//! stream* (every span, in order), its metrics registry keeps *running
+//! aggregates* (how many, how long, what distribution) that survive a run
+//! as a compact [`MetricsSnapshot`] in JSON or Prometheus text exposition
+//! format.
 //!
-//! # Contract (mirrors `obs::Recorder`)
+//! # Contract
 //!
-//! - **Zero-cost when disabled.** [`MetricsRegistry::disabled`] (and the
-//!   [`NOOP`] static) hand out handles whose inner `Arc` is `None`; every
-//!   `inc`/`observe` on them is a single branch on an immediate. Call
-//!   sites guard any setup work behind [`MetricsRegistry::enabled`],
-//!   exactly like `recorder.enabled()`.
+//! - **Zero-cost when disabled.** With metering off ([`Telemetry::off`],
+//!   the [`crate::obs::OFF`] static) the registry hands out handles whose
+//!   inner `Arc` is `None`; every `inc`/`observe` on them is a single
+//!   branch on an immediate. Call sites guard any setup work behind
+//!   [`Telemetry::metering`], exactly like `telemetry.tracing()`.
 //! - **Two time domains.** Every metric is tagged [`TimeDomain::Sim`]
 //!   (derived from the simulation's cost model — deterministic) or
 //!   [`TimeDomain::Wall`] (host clock — not). Sim-domain metrics may only
 //!   be recorded from serial kernel sections, so a sim-only snapshot
-//!   ([`MetricsRegistry::snapshot_sim`]) serializes byte-identically at
-//!   any host thread count.
+//!   ([`Telemetry::snapshot_sim`]) serializes byte-identically at any
+//!   host thread count.
 //! - **Deterministic aggregation.** Histograms store *only* integer
 //!   bucket counts (`u64`, relaxed atomics) — no floating-point running
-//!   sum, whose non-associativity would make merge order observable.
-//!   Means and quantiles are derived from the bucket bounds at snapshot
-//!   time, so shard-merge order and thread count can never change a
-//!   snapshot.
+//!   sum, whose non-associativity would make observation order
+//!   observable. Means and quantiles are derived from the bucket bounds at
+//!   snapshot time, so the order in which worker threads observe can
+//!   never change a snapshot.
 //!
 //! # Bucketing
 //!
@@ -40,11 +40,10 @@
 //! `[bucket_lower_bound(i), bucket_upper_bound(i))`; both bounds are
 //! exactly representable, and relative bucket width is ≤ 25%.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::obs::TimeDomain;
+use crate::obs::{Telemetry, TimeDomain};
 
 /// Number of histogram sub-buckets per power of two (octave).
 pub const SUB_BUCKETS_PER_OCTAVE: usize = 4;
@@ -144,17 +143,17 @@ pub fn bucket_upper_bound(idx: usize) -> f64 {
 // ---------------------------------------------------------------------------
 
 #[derive(Debug)]
-struct CounterCore {
+pub(crate) struct CounterCore {
     value: AtomicU64,
 }
 
 #[derive(Debug)]
-struct GaugeCore {
+pub(crate) struct GaugeCore {
     bits: AtomicU64,
 }
 
 #[derive(Debug)]
-struct HistogramCore {
+pub(crate) struct HistogramCore {
     zero: AtomicU64,
     underflow: AtomicU64,
     overflow: AtomicU64,
@@ -261,100 +260,14 @@ impl Histogram {
             };
         }
     }
-
-    /// Fold a per-thread [`HistogramShard`] into this histogram: one
-    /// relaxed `fetch_add` per *touched* bucket instead of one per
-    /// observation. Because both sides hold only integer counts the
-    /// result is independent of merge order.
-    pub fn merge_shard(&self, shard: &HistogramShard) {
-        if let Some(core) = &self.0 {
-            if shard.zero > 0 {
-                core.zero.fetch_add(shard.zero, Ordering::Relaxed);
-            }
-            if shard.underflow > 0 {
-                core.underflow.fetch_add(shard.underflow, Ordering::Relaxed);
-            }
-            if shard.overflow > 0 {
-                core.overflow.fetch_add(shard.overflow, Ordering::Relaxed);
-            }
-            for (i, &n) in shard.buckets.iter().enumerate() {
-                if n > 0 {
-                    core.buckets[i].fetch_add(n, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
-
-/// Per-thread, non-atomic staging buffer for histogram observations —
-/// the metrics analogue of `obs::TraceBuffer`. Workers observe into a
-/// local shard and fold it into the shared [`Histogram`] once
-/// ([`Histogram::merge_shard`]), paying one atomic add per touched
-/// bucket rather than per sample.
-#[derive(Debug, Clone)]
-pub struct HistogramShard {
-    zero: u64,
-    underflow: u64,
-    overflow: u64,
-    buckets: [u64; NUM_BUCKETS],
-}
-
-impl Default for HistogramShard {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HistogramShard {
-    /// Empty shard.
-    pub fn new() -> Self {
-        HistogramShard {
-            zero: 0,
-            underflow: 0,
-            overflow: 0,
-            buckets: [0; NUM_BUCKETS],
-        }
-    }
-
-    /// Record one observation into the shard.
-    #[inline]
-    pub fn observe(&mut self, v: f64) {
-        match bucket_pos(v) {
-            BucketPos::Zero => self.zero += 1,
-            BucketPos::Underflow => self.underflow += 1,
-            BucketPos::Overflow => self.overflow += 1,
-            BucketPos::Bucket(i) => self.buckets[i] += 1,
-        }
-    }
-
-    /// Total observations staged in this shard.
-    pub fn count(&self) -> u64 {
-        self.zero + self.underflow + self.overflow + self.buckets.iter().sum::<u64>()
-    }
-
-    /// Whether the shard holds no observations.
-    pub fn is_empty(&self) -> bool {
-        self.count() == 0
-    }
-
-    /// Fold another shard into this one (integer adds — commutative and
-    /// associative, so any merge tree yields identical counts).
-    pub fn merge(&mut self, other: &HistogramShard) {
-        self.zero += other.zero;
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += *src;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Registry
+// Registry: the metrics half of `Telemetry`
 // ---------------------------------------------------------------------------
 
 #[derive(Debug)]
-enum Slot {
+pub(crate) enum Slot {
     Counter(TimeDomain, Arc<CounterCore>),
     Gauge(TimeDomain, Arc<GaugeCore>),
     Histogram(TimeDomain, Arc<HistogramCore>),
@@ -376,7 +289,8 @@ impl Slot {
     }
 }
 
-/// Named registry of counters, gauges, and histograms.
+/// The metrics half of [`Telemetry`]: a named registry of counters,
+/// gauges, and histograms.
 ///
 /// Handles ([`Counter`], [`Gauge`], [`Histogram`]) are registered by name
 /// once (the lock is taken only at registration and snapshot time) and
@@ -384,53 +298,13 @@ impl Slot {
 /// twice returns a handle to the same underlying metric; re-registering
 /// under a different kind or time domain panics — metric names are a
 /// program-wide namespace and a collision is a bug at the call site.
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    enabled: bool,
-    slots: Mutex<BTreeMap<String, Slot>>,
-}
-
-/// The shared always-disabled registry, for call sites that take a
-/// `&MetricsRegistry` unconditionally (mirrors `obs::NOOP`).
-pub static NOOP: MetricsRegistry = MetricsRegistry::disabled();
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MetricsRegistry {
-    /// A live registry that records everything.
-    pub fn new() -> Self {
-        MetricsRegistry {
-            enabled: true,
-            slots: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// A registry that records nothing and allocates nothing. `const`, so
-    /// it backs the [`NOOP`] static.
-    pub const fn disabled() -> Self {
-        MetricsRegistry {
-            enabled: false,
-            slots: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Whether this registry records anything. The entire cost of a
-    /// disabled registry is this branch (plus a `None` check per handle
-    /// operation), exactly like `Recorder::enabled`.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
+/// With metering off every handle is inert and nothing is allocated.
+impl Telemetry {
     fn slot<F>(&self, name: &str, make: F) -> Option<Slot>
     where
         F: FnOnce() -> Slot,
     {
-        if !self.enabled {
+        if !self.metering() {
             return None;
         }
         let mut slots = self.slots.lock().unwrap();
@@ -666,36 +540,6 @@ impl HistogramSnapshot {
         }
         Some(f64::INFINITY)
     }
-
-    /// Fold another histogram's counts into this one (integer adds; any
-    /// merge order yields identical results). Panics if names or domains
-    /// differ.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(
-            self.name, other.name,
-            "merging differently-named histograms"
-        );
-        assert_eq!(self.domain, other.domain, "merging across time domains");
-        self.zero += other.zero;
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        let mut by_le: BTreeMap<u64, u64> = self
-            .buckets
-            .iter()
-            .map(|b| (b.le.to_bits(), b.count))
-            .collect();
-        for b in &other.buckets {
-            *by_le.entry(b.le.to_bits()).or_insert(0) += b.count;
-        }
-        // Positive finite bounds sort identically by bits and by value.
-        self.buckets = by_le
-            .into_iter()
-            .map(|(bits, count)| HistogramBucket {
-                le: f64::from_bits(bits),
-                count,
-            })
-            .collect();
-    }
 }
 
 /// A full registry snapshot: every section sorted by metric name, so two
@@ -716,52 +560,6 @@ impl MetricsSnapshot {
         self.counters.retain(|c| c.domain == domain);
         self.gauges.retain(|g| g.domain == domain);
         self.histograms.retain(|h| h.domain == domain);
-    }
-
-    /// Fold another snapshot into this one: counters and histogram
-    /// buckets add; gauges are last-write-wins (the other snapshot's
-    /// value replaces this one's, matching "later snapshot wins").
-    /// Metrics unknown to `self` are inserted in name order.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for c in &other.counters {
-            match self
-                .counters
-                .binary_search_by(|x| x.name.as_str().cmp(&c.name))
-            {
-                Ok(i) => {
-                    assert_eq!(
-                        self.counters[i].domain, c.domain,
-                        "merging across time domains"
-                    );
-                    self.counters[i].value += c.value;
-                }
-                Err(i) => self.counters.insert(i, c.clone()),
-            }
-        }
-        for g in &other.gauges {
-            match self
-                .gauges
-                .binary_search_by(|x| x.name.as_str().cmp(&g.name))
-            {
-                Ok(i) => {
-                    assert_eq!(
-                        self.gauges[i].domain, g.domain,
-                        "merging across time domains"
-                    );
-                    self.gauges[i].value = g.value;
-                }
-                Err(i) => self.gauges.insert(i, g.clone()),
-            }
-        }
-        for h in &other.histograms {
-            match self
-                .histograms
-                .binary_search_by(|x| x.name.as_str().cmp(&h.name))
-            {
-                Ok(i) => self.histograms[i].merge(h),
-                Err(i) => self.histograms.insert(i, h.clone()),
-            }
-        }
     }
 
     /// Convenience lookup: counter value by name.
@@ -816,20 +614,33 @@ impl MetricsSnapshot {
             };
             Ok((name, domain))
         };
-        let num =
-            |v: &serde::Value, key: &str| v.get(key).and_then(serde::Value::as_u64).unwrap_or(0);
+        let bad = |name: &str, key: &str| {
+            format!("metrics snapshot {name:?}: missing or mistyped {key:?}")
+        };
+        let num = |v: &serde::Value, name: &str, key: &str| {
+            v.get(key)
+                .and_then(serde::Value::as_u64)
+                .ok_or_else(|| bad(name, key))
+        };
         let mut snap = MetricsSnapshot::default();
         for c in section("counters")? {
             let (name, domain) = name_domain(&c)?;
+            let value = num(&c, &name, "value")?;
             snap.counters.push(CounterSnapshot {
                 name,
                 domain,
-                value: num(&c, "value"),
+                value,
             });
         }
         for g in section("gauges")? {
             let (name, domain) = name_domain(&g)?;
-            let value = g.get("value").and_then(serde::Value::as_f64).unwrap_or(0.0);
+            let value = match g.get("value") {
+                // `to_json` spells a non-finite gauge as null.
+                Some(serde::Value::Null) => f64::NAN,
+                v => v
+                    .and_then(serde::Value::as_f64)
+                    .ok_or_else(|| bad(&name, "value"))?,
+            };
             snap.gauges.push(GaugeSnapshot {
                 name,
                 domain,
@@ -842,23 +653,23 @@ impl MetricsSnapshot {
             for b in h
                 .get("buckets")
                 .and_then(serde::Value::as_seq)
-                .unwrap_or(&[])
+                .ok_or_else(|| bad(&name, "buckets"))?
             {
                 let le = b
                     .get("le")
                     .and_then(serde::Value::as_f64)
-                    .ok_or_else(|| format!("metrics snapshot {name:?}: bucket without le"))?;
+                    .ok_or_else(|| bad(&name, "le"))?;
                 buckets.push(HistogramBucket {
                     le,
-                    count: num(b, "count"),
+                    count: num(b, &name, "count")?,
                 });
             }
             snap.histograms.push(HistogramSnapshot {
+                zero: num(&h, &name, "zero")?,
+                underflow: num(&h, &name, "underflow")?,
+                overflow: num(&h, &name, "overflow")?,
                 name,
                 domain,
-                zero: num(&h, "zero"),
-                underflow: num(&h, "underflow"),
-                overflow: num(&h, "overflow"),
                 buckets,
             });
         }
@@ -942,9 +753,9 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn disabled_registry_hands_out_inert_handles() {
-        let m = MetricsRegistry::disabled();
-        assert!(!m.enabled());
+    fn metering_off_hands_out_inert_handles() {
+        let m = Telemetry::new(true, false);
+        assert!(!m.metering());
         let c = m.counter("c", TimeDomain::Sim);
         let g = m.gauge("g", TimeDomain::Sim);
         let h = m.histogram("h", TimeDomain::Wall);
@@ -958,14 +769,14 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap, MetricsSnapshot::default());
         // The shared static behaves the same.
-        assert!(!NOOP.enabled());
-        NOOP.counter("x", TimeDomain::Wall).inc();
-        assert_eq!(NOOP.snapshot(), MetricsSnapshot::default());
+        assert!(!crate::obs::OFF.metering());
+        crate::obs::OFF.counter("x", TimeDomain::Wall).inc();
+        assert_eq!(crate::obs::OFF.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]
     fn counter_and_gauge_roundtrip_through_snapshot() {
-        let m = MetricsRegistry::new();
+        let m = Telemetry::live();
         let c = m.counter("engine/supersteps_total", TimeDomain::Sim);
         c.add(7);
         // Re-registering the same name returns the same counter.
@@ -982,7 +793,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already registered")]
     fn kind_collision_panics() {
-        let m = MetricsRegistry::new();
+        let m = Telemetry::live();
         let _c = m.counter("x", TimeDomain::Sim);
         let _g = m.gauge("x", TimeDomain::Sim);
     }
@@ -990,7 +801,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already registered")]
     fn domain_collision_panics() {
-        let m = MetricsRegistry::new();
+        let m = Telemetry::live();
         let _a = m.counter("x", TimeDomain::Sim);
         let _b = m.counter("x", TimeDomain::Wall);
     }
@@ -1047,7 +858,7 @@ mod tests {
 
     #[test]
     fn histogram_snapshot_counts_means_quantiles() {
-        let m = MetricsRegistry::new();
+        let m = Telemetry::live();
         let h = m.histogram("t", TimeDomain::Sim);
         assert!(h.is_live());
         h.observe(0.0);
@@ -1083,61 +894,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_matches_direct_observation() {
-        let values = [0.0, 1e-20, 0.5, 0.5, 1.0, 3.75, 1e9, f64::INFINITY, -1.0];
-        let m_direct = MetricsRegistry::new();
-        let h_direct = m_direct.histogram("h", TimeDomain::Wall);
-        for &v in &values {
-            h_direct.observe(v);
-        }
-        let m_sharded = MetricsRegistry::new();
-        let h_sharded = m_sharded.histogram("h", TimeDomain::Wall);
-        let mut a = HistogramShard::new();
-        let mut b = HistogramShard::new();
-        assert!(a.is_empty());
-        for (i, &v) in values.iter().enumerate() {
-            if i % 2 == 0 {
-                a.observe(v);
-            } else {
-                b.observe(v);
-            }
-        }
-        assert_eq!(a.count() + b.count(), values.len() as u64);
-        h_sharded.merge_shard(&a);
-        h_sharded.merge_shard(&b);
-        assert_eq!(m_direct.snapshot(), m_sharded.snapshot());
-    }
-
-    #[test]
-    fn snapshot_merge_adds_counts_and_overwrites_gauges() {
-        let build = |n: u64, g: f64, vs: &[f64]| {
-            let m = MetricsRegistry::new();
-            m.counter("c", TimeDomain::Sim).add(n);
-            m.gauge("g", TimeDomain::Sim).set(g);
-            let h = m.histogram("h", TimeDomain::Sim);
-            for &v in vs {
-                h.observe(v);
-            }
-            m.snapshot()
-        };
-        let mut a = build(3, 1.0, &[0.5, 2.0]);
-        let b = build(4, 2.0, &[2.0, 1e9]);
-        a.merge(&b);
-        assert_eq!(a.counter_value("c"), Some(7));
-        assert_eq!(a.gauge_value("g"), Some(2.0));
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.count(), 4);
-        // Disjoint metric names are inserted in order.
-        let m2 = MetricsRegistry::new();
-        m2.counter("a", TimeDomain::Sim).inc();
-        a.merge(&m2.snapshot());
-        assert_eq!(a.counters[0].name, "a");
-        assert_eq!(a.counter_value("a"), Some(1));
-    }
-
-    #[test]
     fn json_roundtrips_exactly() {
-        let m = MetricsRegistry::new();
+        let m = Telemetry::live();
         m.counter("engine/supersteps_total", TimeDomain::Sim)
             .add(12);
         m.gauge("engine/imbalance", TimeDomain::Sim).set(1.0625);
@@ -1155,11 +913,55 @@ mod tests {
         // float formatting).
         assert_eq!(back.to_json(), json);
         assert!(MetricsSnapshot::from_json("{}").is_err());
+        // A missing or mistyped field is an error naming the field and
+        // the metric, never a silent zero.
+        let parse_one = |section: &str, fields: &str| {
+            let entry = format!(r#"{{"name": "m", "domain": "Sim"{fields}}}"#);
+            let body = ["counters", "gauges", "histograms"]
+                .map(|k| format!("{k:?}: [{}]", if k == section { &entry } else { "" }));
+            MetricsSnapshot::from_json(&format!("{{{}}}", body.join(", ")))
+        };
+        for (section, fields, field) in [
+            ("counters", "", "value"),
+            ("counters", r#", "value": 1.5"#, "value"),
+            ("gauges", r#", "value": "1""#, "value"),
+            (
+                "histograms",
+                r#", "underflow": 0, "overflow": 0, "buckets": []"#,
+                "zero",
+            ),
+            (
+                "histograms",
+                r#", "zero": 0, "overflow": 0, "buckets": []"#,
+                "underflow",
+            ),
+            (
+                "histograms",
+                r#", "zero": 0, "underflow": 0, "buckets": []"#,
+                "overflow",
+            ),
+            (
+                "histograms",
+                r#", "zero": 0, "underflow": 0, "overflow": 0"#,
+                "buckets",
+            ),
+            (
+                "histograms",
+                r#", "zero": 0, "underflow": 0, "overflow": 0, "buckets": [{"le": 1.5}]"#,
+                "count",
+            ),
+        ] {
+            let err = parse_one(section, fields).expect_err(field);
+            assert!(
+                err.contains(&format!("\"m\": missing or mistyped {field:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn prometheus_exposition_golden() {
-        let m = MetricsRegistry::new();
+        let m = Telemetry::live();
         m.counter("engine/supersteps_total", TimeDomain::Sim).add(8);
         m.gauge("engine/imbalance", TimeDomain::Sim).set(1.5);
         let h = m.histogram("engine/superstep makespan_s", TimeDomain::Sim);
@@ -1190,7 +992,7 @@ hetgraph_engine_superstep_makespan_s_count{domain=\"sim\"} 5
 
     #[test]
     fn sim_snapshot_excludes_wall_metrics() {
-        let m = MetricsRegistry::new();
+        let m = Telemetry::live();
         m.counter("sim_c", TimeDomain::Sim).inc();
         m.counter("wall_c", TimeDomain::Wall).inc();
         m.histogram("wall_h", TimeDomain::Wall).observe(1.0);
@@ -1203,47 +1005,26 @@ hetgraph_engine_superstep_makespan_s_count{domain=\"sim\"} 5
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // Satellite: shard-merge order can never change a snapshot. Any
-        // partition of the observations into shards, merged in any
-        // order (including shard-into-shard pre-merges), yields the
-        // same histogram as serial observation.
+        // Observation order can never change a snapshot: bucket counts
+        // are integers and integer adds commute, so any interleaving of
+        // worker threads yields the same bytes.
         #[test]
-        fn shard_merge_order_is_invisible(
+        fn observation_order_is_invisible(
             values in proptest::collection::vec(0.0f64..1e8, 1..200),
-            split in 1usize..8,
-            rotate in 0usize..8,
-            pre_merge in any::<bool>(),
+            rotate in 0usize..200,
         ) {
-            let serial = MetricsRegistry::new();
-            let hs = serial.histogram("h", TimeDomain::Sim);
-            for &v in &values {
-                hs.observe(v);
-            }
-
-            let mut shards = vec![HistogramShard::new(); split];
-            for (i, &v) in values.iter().enumerate() {
-                shards[i % split].observe(v);
-            }
-            shards.rotate_left(rotate % split);
-            let sharded = MetricsRegistry::new();
-            let hm = sharded.histogram("h", TimeDomain::Sim);
-            if pre_merge {
-                let mut folded = HistogramShard::new();
-                for s in &shards {
-                    folded.merge(s);
+            let observe_all = |vs: &[f64]| {
+                let m = Telemetry::live();
+                let h = m.histogram("h", TimeDomain::Sim);
+                for &v in vs {
+                    h.observe(v);
                 }
-                hm.merge_shard(&folded);
-            } else {
-                for s in &shards {
-                    hm.merge_shard(s);
-                }
-            }
-
-            let a = serial.snapshot_sim();
-            let b = sharded.snapshot_sim();
-            prop_assert_eq!(&a, &b);
-            prop_assert_eq!(a.to_json(), b.to_json());
-            prop_assert_eq!(a.to_prometheus(), b.to_prometheus());
+                m.snapshot_sim().to_json()
+            };
+            let mut reordered = values.clone();
+            reordered.rotate_left(rotate % values.len());
+            reordered.reverse();
+            prop_assert_eq!(observe_all(&values), observe_all(&reordered));
         }
 
         // Recorded observation counts are exact regardless of magnitude.
@@ -1251,7 +1032,7 @@ hetgraph_engine_superstep_makespan_s_count{domain=\"sim\"} 5
         fn histogram_never_loses_observations(
             values in proptest::collection::vec(-1e12f64..1e12, 0..100),
         ) {
-            let m = MetricsRegistry::new();
+            let m = Telemetry::live();
             let h = m.histogram("h", TimeDomain::Sim);
             for &v in &values {
                 h.observe(v);

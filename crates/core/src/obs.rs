@@ -5,14 +5,13 @@
 //! synchronization barrier. Aggregate reports can say *that* a run was
 //! imbalanced; only per-machine per-superstep spans can show *which*
 //! machine stalled *which* barrier. This module is the substrate for that
-//! evidence: an object-safe [`Recorder`] trait that instrumented code
-//! writes [`TraceEvent`]s through, a [`NoopRecorder`] that compiles the
-//! hot path down to one predictable branch, a [`TraceRecorder`] that
-//! collects events in memory, a per-thread [`TraceBuffer`] so fan-out
-//! workers record without touching a shared lock per event, and exporters
-//! to JSON-lines ([`to_jsonl`]) and the Chrome `trace_event` format
-//! ([`chrome_trace`], [`chrome_trace_sim`]) loadable in
-//! `chrome://tracing` or <https://ui.perfetto.dev>.
+//! evidence: [`Telemetry`], the one handle instrumented code takes, whose
+//! event log collects [`TraceEvent`]s in memory and whose metrics half
+//! ([`crate::metrics`]) keeps running aggregates; the shared [`OFF`]
+//! handle, which compiles the hot path down to one predictable branch;
+//! and exporters to JSON-lines ([`to_jsonl`]) and the Chrome
+//! `trace_event` format ([`chrome_trace`], [`chrome_trace_sim`]) loadable
+//! in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! ## Two time domains
 //!
@@ -25,16 +24,20 @@
 //!   obeys). Sim events must only be emitted from serial code — in
 //!   practice, the engine's per-superstep timing section.
 //! - [`TimeDomain::Wall`] — *host wall-clock time*, measured against the
-//!   recorder's epoch ([`Recorder::now_us`]). Wall events may be emitted
-//!   from worker threads (via [`TraceBuffer`]) and are inherently
-//!   nondeterministic; they never appear in [`chrome_trace_sim`] output.
+//!   handle's epoch ([`Telemetry::now_us`]). Wall events may be emitted
+//!   from worker threads and are inherently nondeterministic; they never
+//!   appear in [`chrome_trace_sim`] output.
 //!
 //! In the Chrome export the two domains become two processes: `pid 0` is
 //! the simulated cluster (one thread lane per machine), `pid 1` is the
 //! host.
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::metrics::Slot;
 
 /// Which clock an event's timestamps belong to (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -105,7 +108,7 @@ impl TraceEvent {
     }
 
     /// A wall-clock span; `start_us`/`dur_us` come from
-    /// [`Recorder::now_us`].
+    /// [`Telemetry::now_us`].
     pub fn wall_span(
         name: impl Into<String>,
         cat: impl Into<String>,
@@ -172,171 +175,113 @@ impl TraceEvent {
     }
 }
 
-/// Sink for [`TraceEvent`]s.
-///
-/// Instrumented code takes `&dyn Recorder` and must guard any non-trivial
-/// event construction behind [`Recorder::enabled`] — with the
-/// [`NoopRecorder`] that guard is the *entire* cost of instrumentation,
+/// The one telemetry handle: an in-memory event log (the trace) and a
+/// metrics registry (the aggregates, see [`crate::metrics`]), each on or
+/// off on its own. Instrumented code takes `&Telemetry` and guards any
+/// non-trivial event construction behind [`Telemetry::tracing`] and any
+/// metric registration behind [`Telemetry::metering`] — with the shared
+/// [`OFF`] handle those guards are the *entire* cost of instrumentation,
 /// which is what keeps the engine hot path within the benchmark's
-/// overhead budget (`benches/engine.rs`, `engine_obs` group).
-pub trait Recorder: Sync {
-    /// Whether events are being kept. `false` promises that [`record`]
-    /// and [`record_batch`] are no-ops, so callers skip event
-    /// construction entirely.
-    ///
-    /// [`record`]: Recorder::record
-    /// [`record_batch`]: Recorder::record_batch
-    fn enabled(&self) -> bool;
-
-    /// Record one event. Serial call sites use this directly; fan-out
-    /// workers should stage through a [`TraceBuffer`] instead.
-    fn record(&self, event: TraceEvent);
-
-    /// Drain `events` into the recorder in one operation (one lock
-    /// acquisition for the whole batch). `events` is left empty either
-    /// way.
-    fn record_batch(&self, events: &mut Vec<TraceEvent>);
-
-    /// Microseconds since the recorder's epoch, for wall-domain
-    /// timestamps. Disabled recorders return `0.0`.
-    fn now_us(&self) -> f64;
-}
-
-/// The disabled recorder: drops everything, reports `enabled() == false`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-/// Shared instance of [`NoopRecorder`], the default recorder everywhere a
-/// `&dyn Recorder` is threaded through.
-pub static NOOP: NoopRecorder = NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn record(&self, _event: TraceEvent) {}
-    fn record_batch(&self, events: &mut Vec<TraceEvent>) {
-        events.clear();
-    }
-    fn now_us(&self) -> f64 {
-        0.0
-    }
-}
-
-/// In-memory recorder: collects every event under one mutex, in arrival
-/// order. Serial emitters (the engine's timing section) therefore produce
-/// a deterministic event order; concurrent wall-domain emitters batch
-/// through [`TraceBuffer`] so the lock is taken once per flush, not once
-/// per event.
-pub struct TraceRecorder {
-    epoch: Instant,
+/// overhead budget (`benches/engine.rs`, `engine_telemetry` group).
+///
+/// Events are kept in arrival order under one mutex, so serial emitters
+/// (the engine's timing section) produce a deterministic event order;
+/// concurrent emitters record wall-domain events only.
+#[derive(Debug)]
+pub struct Telemetry {
+    /// Wall-clock epoch; `None` when the event log is off.
+    epoch: Option<Instant>,
     events: Mutex<Vec<TraceEvent>>,
+    /// Sim-time origin in microseconds (`f64` bits), added to every
+    /// recorded [`TimeDomain::Sim`] timestamp.
+    sim_origin_us: AtomicU64,
+    metering: bool,
+    pub(crate) slots: Mutex<BTreeMap<String, Slot>>,
 }
 
-impl TraceRecorder {
-    /// A recorder whose wall epoch is "now".
-    pub fn new() -> Self {
-        TraceRecorder {
-            epoch: Instant::now(),
+/// The shared handle with both halves off: the default everywhere a
+/// `&Telemetry` is threaded through.
+pub static OFF: Telemetry = Telemetry::off();
+
+impl Telemetry {
+    /// A handle that keeps nothing and allocates nothing. `const`, so it
+    /// backs the [`OFF`] static.
+    pub const fn off() -> Self {
+        Telemetry {
+            epoch: None,
             events: Mutex::new(Vec::new()),
+            sim_origin_us: AtomicU64::new(0),
+            metering: false,
+            slots: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Take every recorded event, leaving the recorder empty.
-    pub fn take_events(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().expect("trace event lock poisoned"))
+    /// A handle whose event log is on when `tracing` (wall epoch "now")
+    /// and whose metrics registry is on when `metering`.
+    pub fn new(tracing: bool, metering: bool) -> Self {
+        Telemetry {
+            epoch: tracing.then(Instant::now),
+            metering,
+            ..Telemetry::off()
+        }
     }
 
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("trace event lock poisoned").len()
+    /// A handle with both halves on.
+    pub fn live() -> Self {
+        Telemetry::new(true, true)
     }
 
-    /// Whether no events have been recorded (or all were taken).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Whether events are being kept. `false` promises that
+    /// [`Telemetry::record`] is a no-op, so callers skip event
+    /// construction entirely.
+    #[inline]
+    pub fn tracing(&self) -> bool {
+        self.epoch.is_some()
     }
-}
 
-impl Default for TraceRecorder {
-    fn default() -> Self {
-        TraceRecorder::new()
+    /// Whether the metrics registry records anything. `false` hands out
+    /// inert handles (a `None` check per operation).
+    #[inline]
+    pub fn metering(&self) -> bool {
+        self.metering
     }
-}
 
-impl Recorder for TraceRecorder {
-    fn enabled(&self) -> bool {
-        true
+    /// Microseconds since the handle's epoch, for wall-domain timestamps;
+    /// `0.0` when the event log is off.
+    pub fn now_us(&self) -> f64 {
+        self.epoch
+            .map_or(0.0, |epoch| epoch.elapsed().as_secs_f64() * 1e6)
     }
-    fn record(&self, event: TraceEvent) {
+
+    /// Record one event (dropped when the event log is off). A
+    /// sim-domain event is moved onto the timeline by the sim-time origin
+    /// (see [`Telemetry::set_sim_origin_s`]).
+    pub fn record(&self, mut event: TraceEvent) {
+        if !self.tracing() {
+            return;
+        }
+        if event.domain == TimeDomain::Sim {
+            event.ts_us += f64::from_bits(self.sim_origin_us.load(Ordering::Relaxed));
+        }
         self.events
             .lock()
             .expect("trace event lock poisoned")
             .push(event);
     }
-    fn record_batch(&self, events: &mut Vec<TraceEvent>) {
-        self.events
-            .lock()
-            .expect("trace event lock poisoned")
-            .append(events);
-    }
-    fn now_us(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64() * 1e6
-    }
-}
 
-/// Per-thread staging buffer for fan-out workers.
-///
-/// Pushes are plain `Vec` appends — no atomics, no locks — and the whole
-/// batch is handed to the recorder in one [`Recorder::record_batch`] call
-/// on [`flush`] (or drop). When the recorder is disabled every push is a
-/// no-op, so workers can hold a buffer unconditionally.
-///
-/// [`flush`]: TraceBuffer::flush
-pub struct TraceBuffer<'r> {
-    recorder: &'r dyn Recorder,
-    enabled: bool,
-    events: Vec<TraceEvent>,
-}
-
-impl<'r> TraceBuffer<'r> {
-    /// A buffer staging into `recorder`.
-    pub fn new(recorder: &'r dyn Recorder) -> Self {
-        TraceBuffer {
-            recorder,
-            enabled: recorder.enabled(),
-            events: Vec::new(),
-        }
+    /// Start the simulated clock of subsequently recorded sim-domain
+    /// events at `origin_s` seconds instead of 0. The serving loop sets it
+    /// to a wave's start so each kernel run lands on one continuous
+    /// serving timeline, and resets it to 0 afterwards; one serving run
+    /// per handle at a time.
+    pub fn set_sim_origin_s(&self, origin_s: f64) {
+        self.sim_origin_us
+            .store((origin_s * 1e6).to_bits(), Ordering::Relaxed);
     }
 
-    /// Whether the underlying recorder keeps events.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Wall-clock microseconds from the recorder's epoch.
-    pub fn now_us(&self) -> f64 {
-        self.recorder.now_us()
-    }
-
-    /// Stage one event (dropped immediately if the recorder is disabled).
-    pub fn push(&mut self, event: TraceEvent) {
-        if self.enabled {
-            self.events.push(event);
-        }
-    }
-
-    /// Hand all staged events to the recorder (one lock acquisition).
-    pub fn flush(&mut self) {
-        if !self.events.is_empty() {
-            self.recorder.record_batch(&mut self.events);
-        }
-    }
-}
-
-impl Drop for TraceBuffer<'_> {
-    fn drop(&mut self) {
-        self.flush();
+    /// Take every recorded event, leaving the log empty.
+    pub fn take_events(&self) -> Vec<TraceEvent> {
+        std::mem::take(&mut *self.events.lock().expect("trace event lock poisoned"))
     }
 }
 
@@ -436,52 +381,49 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noop_recorder_drops_everything() {
-        assert!(!NOOP.enabled());
-        NOOP.record(TraceEvent::sim_span("x", "test", 0, 0.0, 1.0));
-        let mut batch = vec![TraceEvent::sim_counter("c", 0, 0.0, 1.0)];
-        NOOP.record_batch(&mut batch);
-        assert!(batch.is_empty());
-        assert_eq!(NOOP.now_us(), 0.0);
+    fn off_handle_drops_everything() {
+        assert!(!OFF.tracing() && !OFF.metering());
+        OFF.record(TraceEvent::sim_span("x", "test", 0, 0.0, 1.0));
+        assert!(OFF.take_events().is_empty());
+        assert_eq!(OFF.now_us(), 0.0);
+        let metrics_only = Telemetry::new(false, true);
+        metrics_only.record(TraceEvent::sim_span("x", "test", 0, 0.0, 1.0));
+        assert!(metrics_only.take_events().is_empty());
+        assert!(metrics_only.metering());
     }
 
     #[test]
-    fn trace_recorder_keeps_arrival_order() {
-        let rec = TraceRecorder::new();
-        assert!(rec.enabled());
-        rec.record(TraceEvent::sim_span("a", "test", 0, 0.0, 1.0));
-        rec.record(TraceEvent::sim_span("b", "test", 1, 1.0, 1.0));
-        let events = rec.take_events();
+    fn event_log_keeps_arrival_order() {
+        let t = Telemetry::new(true, false);
+        assert!(t.tracing() && !t.metering());
+        t.record(TraceEvent::sim_span("a", "test", 0, 0.0, 1.0));
+        t.record(TraceEvent::sim_span("b", "test", 1, 1.0, 1.0));
+        let events = t.take_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "a");
         assert_eq!(events[1].name, "b");
-        assert!(rec.is_empty(), "take_events drains");
+        assert!(t.take_events().is_empty(), "take_events drains");
     }
 
     #[test]
-    fn trace_buffer_flushes_on_drop() {
-        let rec = TraceRecorder::new();
-        {
-            let mut buf = TraceBuffer::new(&rec);
-            buf.push(TraceEvent::wall_span("w", "test", 3, 10.0, 5.0));
-            assert_eq!(rec.len(), 0, "staged, not yet flushed");
-        }
-        assert_eq!(rec.len(), 1, "drop flushed the batch");
-    }
-
-    #[test]
-    fn trace_buffer_is_noop_when_disabled() {
-        let mut buf = TraceBuffer::new(&NOOP);
-        assert!(!buf.enabled());
-        buf.push(TraceEvent::wall_span("w", "test", 0, 0.0, 1.0));
-        buf.flush(); // must not panic or record anywhere
+    fn sim_origin_shifts_sim_events_only() {
+        let t = Telemetry::live();
+        t.set_sim_origin_s(2.5);
+        t.record(TraceEvent::sim_span("k", "test", 0, 0.25, 1.0));
+        t.record(TraceEvent::wall_span("w", "test", 0, 7.0, 1.0));
+        t.set_sim_origin_s(0.0);
+        t.record(TraceEvent::sim_counter("c", 0, 0.25, 1.0));
+        let events = t.take_events();
+        assert_eq!(events[0].ts_us, 0.25e6 + 2.5e6);
+        assert_eq!(events[1].ts_us, 7.0);
+        assert_eq!(events[2].ts_us, 0.25e6);
     }
 
     #[test]
     fn wall_clock_advances() {
-        let rec = TraceRecorder::new();
-        let t0 = rec.now_us();
-        let t1 = rec.now_us();
+        let t = Telemetry::live();
+        let t0 = t.now_us();
+        let t1 = t.now_us();
         assert!(t1 >= t0);
         assert!(t0 >= 0.0);
     }

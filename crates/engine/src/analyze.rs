@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 
 use hetgraph_core::metrics::MetricsSnapshot;
+use hetgraph_partition::MAX_MACHINES;
 
 /// One reconstructed superstep.
 #[derive(Debug, Clone)]
@@ -177,8 +178,9 @@ fn parse_events(jsonl: &str) -> Result<Vec<Event>, String> {
 
 impl TraceAnalysis {
     /// Reconstruct a run from `obs::to_jsonl` output. Fails on malformed
-    /// JSON or a trace with no supersteps (no `active_vertices` samples —
-    /// e.g. a Chrome-format file passed by mistake).
+    /// JSON, a trace with no supersteps (no `active_vertices` samples —
+    /// e.g. a Chrome-format file passed by mistake), or a machine count
+    /// (the `active_vertices` track) outside `1..=MAX_MACHINES`.
     pub fn from_jsonl(jsonl: &str) -> Result<TraceAnalysis, String> {
         let events = parse_events(jsonl)?;
 
@@ -202,6 +204,12 @@ impl TraceAnalysis {
             .find(|e| e.kind == "Counter" && e.name == "active_vertices")
             .map(|e| e.track)
             .unwrap();
+        if !(1..=MAX_MACHINES).contains(&machines) {
+            return Err(format!(
+                "trace names {machines} machines (the active_vertices track); \
+                 expected 1..={MAX_MACHINES}"
+            ));
+        }
         // Index of the step whose window contains ts: last start <= ts.
         // (Migration events land between a step's end and the next
         // step's start, so they attribute to the step that planned them.)
@@ -552,5 +560,12 @@ mod tests {
         let only_wall = to_jsonl(&[TraceEvent::wall_span("x", "host", 0, 0.0, 1.0)]);
         assert!(TraceAnalysis::from_jsonl(&only_wall).is_err());
         assert!(TraceAnalysis::from_jsonl("not json\n").is_err());
+        // The machine count comes from the active_vertices track: zero
+        // and more than the bitmask cap are rejected, not indexed.
+        for track in [0, MAX_MACHINES as u32 + 1, u32::MAX] {
+            let foreign = to_jsonl(&[TraceEvent::sim_counter("active_vertices", track, 0.0, 1.0)]);
+            let err = TraceAnalysis::from_jsonl(&foreign).unwrap_err();
+            assert!(err.contains("machines"), "{err}");
+        }
     }
 }

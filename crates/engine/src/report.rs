@@ -2,8 +2,8 @@
 
 use hetgraph_cluster::{EnergyReport, WorkCounts};
 
-/// One superstep's timing snapshot (recorded when an enabled recorder is
-/// attached via [`crate::SimEngine::with_recorder`]).
+/// One superstep's timing snapshot (recorded when a tracing telemetry
+/// handle is attached via [`crate::SimEngine::with_telemetry`]).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StepRecord {
     /// Superstep index.

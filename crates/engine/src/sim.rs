@@ -70,8 +70,8 @@ use hetgraph_cluster::{
     AppProfile, Cluster, EnergyModel, EnergyReport, GraphShape, MachineSpec, NetworkModel,
     PerturbationSchedule, WorkCounts, MIGRATION_BYTES_PER_EDGE,
 };
-use hetgraph_core::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use hetgraph_core::obs::{Recorder, TimeDomain, TraceEvent, NOOP};
+use hetgraph_core::metrics::{Counter, Gauge, Histogram};
+use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent, OFF};
 use hetgraph_core::par::{scheduled, Pool};
 use hetgraph_core::{FrontierSet, GraphMeta, VertexId};
 
@@ -98,8 +98,7 @@ const SOURCE_TABLE_DIVISOR: usize = 8;
 pub struct SimEngine<'a> {
     cluster: &'a Cluster,
     network: NetworkModel,
-    recorder: &'a dyn Recorder,
-    metrics: &'a MetricsRegistry,
+    telemetry: &'a Telemetry,
     perturbations: Option<&'a PerturbationSchedule>,
 }
 
@@ -330,8 +329,7 @@ impl<'a> SimEngine<'a> {
         SimEngine {
             cluster,
             network: NetworkModel::default(),
-            recorder: &NOOP,
-            metrics: &hetgraph_core::metrics::NOOP,
+            telemetry: &OFF,
             perturbations: None,
         }
     }
@@ -341,8 +339,7 @@ impl<'a> SimEngine<'a> {
         SimEngine {
             cluster,
             network,
-            recorder: &NOOP,
-            metrics: &hetgraph_core::metrics::NOOP,
+            telemetry: &OFF,
             perturbations: None,
         }
     }
@@ -359,33 +356,29 @@ impl<'a> SimEngine<'a> {
         self
     }
 
-    /// Attach a [`Recorder`]. With an enabled recorder the kernel records
-    /// a [`crate::report::StepRecord`] per superstep and emits structured
+    /// Attach a [`Telemetry`] handle.
+    ///
+    /// With its event log on, the kernel records a
+    /// [`crate::report::StepRecord`] per superstep and emits structured
     /// trace events: per-machine gather/apply/scatter spans, per-machine
     /// `barrier_wait` slack (`max busy − busy_i`), the cluster-wide
     /// communication barrier, and per-superstep counters (active
     /// vertices, imbalance, straggler machine) — all in simulated time,
-    /// plus host wall-clock spans for the fan-out phases. With the
-    /// default [`NOOP`] recorder all of that costs one branch per
-    /// superstep (traces grow linearly with supersteps, so recording is
-    /// off by default).
-    pub fn with_recorder(mut self, recorder: &'a dyn Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attach a [`MetricsRegistry`]. With an enabled registry the kernel
-    /// aggregates per-superstep telemetry — a makespan histogram,
-    /// per-machine busy and `barrier_wait` histograms, active-vertex and
-    /// superstep counters, imbalance/straggler gauges, and rebalance
-    /// trigger/batch/migration counters — all in the sim domain, recorded
-    /// only from the serial timing section, so
-    /// [`MetricsRegistry::snapshot_sim`] is byte-identical at any host
-    /// thread count. With the default
-    /// [`metrics::NOOP`](hetgraph_core::metrics::NOOP) registry the whole
-    /// feature costs one branch per superstep.
-    pub fn with_metrics(mut self, metrics: &'a MetricsRegistry) -> Self {
-        self.metrics = metrics;
+    /// plus host wall-clock spans for the fan-out phases.
+    ///
+    /// With its metrics registry on, the kernel aggregates per-superstep
+    /// telemetry — a makespan histogram, per-machine busy and
+    /// `barrier_wait` histograms, active-vertex and superstep counters,
+    /// imbalance/straggler gauges, and rebalance trigger/batch/migration
+    /// counters — all in the sim domain, recorded only from the serial
+    /// timing section, so [`Telemetry::snapshot_sim`] is byte-identical
+    /// at any host thread count.
+    ///
+    /// With the default [`OFF`] handle each half costs one branch per
+    /// superstep (traces grow linearly with supersteps, so both are off
+    /// by default).
+    pub fn with_telemetry(mut self, telemetry: &'a Telemetry) -> Self {
+        self.telemetry = telemetry;
         self
     }
 
@@ -522,16 +515,16 @@ impl<'a> SimEngine<'a> {
         // the redundant per-edge recomputation is gone.
         let by_source = program.gather_by_source() && program.gather_direction() != Direction::None;
         let mut source_table: Vec<P::Accum> = Vec::with_capacity(if by_source { n } else { 0 });
-        // Observability: with the default NoopRecorder this one branch is
+        // Observability: with the default OFF handle this one branch is
         // the entire per-superstep cost of instrumentation. Sim-domain
         // events are emitted only from the serial timing section below,
         // so their order — and the exported trace bytes — are independent
         // of `host_threads`.
-        let recorder = self.recorder;
-        let tracing = recorder.enabled();
-        // Aggregated telemetry: `None` with the default disabled registry,
-        // so the per-superstep cost mirrors the recorder's single branch.
-        let kernel_metrics = KernelMetrics::new(self.metrics, p);
+        let telemetry = self.telemetry;
+        let tracing = telemetry.tracing();
+        // Aggregated telemetry: `None` with metering off, so the
+        // per-superstep cost mirrors the event log's single branch.
+        let kernel_metrics = KernelMetrics::new(telemetry, p);
         // Snapshot of `step_work` taken between gather-merge and scatter,
         // used to split each machine's busy time into per-phase spans.
         let mut gather_work = vec![WorkCounts::zero(); p];
@@ -558,7 +551,7 @@ impl<'a> SimEngine<'a> {
             let counts = view.machine_counts();
 
             // --- Gather + Apply (reads previous-step data), fanned out ---
-            let wall_gather_t0 = if tracing { recorder.now_us() } else { 0.0 };
+            let wall_gather_t0 = if tracing { telemetry.now_us() } else { 0.0 };
             changed.clear();
             let n_chunks = frontier.len().div_ceil(CHUNK);
             // Filling the table costs O(n); it pays off only when the
@@ -687,8 +680,8 @@ impl<'a> SimEngine<'a> {
             }
             if tracing {
                 gather_work.copy_from_slice(&step_work);
-                let t = recorder.now_us();
-                recorder.record(TraceEvent::wall_span(
+                let t = telemetry.now_us();
+                telemetry.record(TraceEvent::wall_span(
                     "gather_merge",
                     "host",
                     0,
@@ -698,7 +691,7 @@ impl<'a> SimEngine<'a> {
             }
 
             // --- Scatter (sees post-apply data), fanned out over changed ---
-            let wall_scatter_t0 = if tracing { recorder.now_us() } else { 0.0 };
+            let wall_scatter_t0 = if tracing { telemetry.now_us() } else { 0.0 };
             debug_assert!(next_frontier.is_empty(), "frontier drained last step");
             if program.scatter_direction() != Direction::None && !changed.is_empty() {
                 let n_sc_chunks = changed.len().div_ceil(CHUNK);
@@ -754,8 +747,8 @@ impl<'a> SimEngine<'a> {
                 }
             }
             if tracing {
-                let t = recorder.now_us();
-                recorder.record(TraceEvent::wall_span(
+                let t = telemetry.now_us();
+                telemetry.record(TraceEvent::wall_span(
                     "scatter_fanout",
                     "host",
                     0,
@@ -784,7 +777,7 @@ impl<'a> SimEngine<'a> {
             }
             if tracing {
                 emit_step_trace(
-                    recorder,
+                    telemetry,
                     &EmitStep {
                         machines: step_machines,
                         profile: &profile,
@@ -869,7 +862,7 @@ impl<'a> SimEngine<'a> {
                             if tracing {
                                 for &(f, t, _) in &pairs {
                                     for lane in [f.0, t.0] {
-                                        recorder.record(TraceEvent::sim_span(
+                                        telemetry.record(TraceEvent::sim_span(
                                             "migration",
                                             "rebalance",
                                             lane as u32,
@@ -878,13 +871,13 @@ impl<'a> SimEngine<'a> {
                                         ));
                                     }
                                 }
-                                recorder.record(TraceEvent::sim_counter(
+                                telemetry.record(TraceEvent::sim_counter(
                                     "migrated_edges",
                                     p as u32,
                                     makespan,
                                     delta.edges_moved() as f64,
                                 ));
-                                recorder.record(TraceEvent::sim_counter(
+                                telemetry.record(TraceEvent::sim_counter(
                                     "migration_bytes",
                                     p as u32,
                                     makespan,
@@ -935,7 +928,7 @@ impl<'a> SimEngine<'a> {
 }
 
 /// Handles for the kernel's aggregated telemetry, registered once per run
-/// when the engine's [`MetricsRegistry`] is enabled. Everything here is
+/// when the engine's [`Telemetry`] is metering. Everything here is
 /// sim-domain: observed only from the kernel's serial sections, from
 /// deterministic simulated quantities, so sim snapshots are byte-identical
 /// at any host thread count.
@@ -959,11 +952,10 @@ struct KernelMetrics {
 }
 
 impl KernelMetrics {
-    /// Register the kernel's metrics; `None` when the registry is
-    /// disabled, so the hot loop pays exactly one `Option` check per
-    /// superstep.
-    fn new(metrics: &MetricsRegistry, p: usize) -> Option<Self> {
-        if !metrics.enabled() {
+    /// Register the kernel's metrics; `None` when metering is off, so
+    /// the hot loop pays exactly one `Option` check per superstep.
+    fn new(metrics: &Telemetry, p: usize) -> Option<Self> {
+        if !metrics.metering() {
             return None;
         }
         let sim = TimeDomain::Sim;
@@ -1044,7 +1036,7 @@ struct EmitStep<'s> {
 /// sum exactly to `busy[i]` (the model is not additive across phases —
 /// skew relief sees the whole step — so the split is proportional
 /// attribution, not three independent model evaluations).
-fn emit_step_trace(recorder: &dyn Recorder, s: &EmitStep<'_>) {
+fn emit_step_trace(telemetry: &Telemetry, s: &EmitStep<'_>) {
     let p = s.busy.len();
     for i in 0..p {
         let gw = s.gather_work[i];
@@ -1080,7 +1072,7 @@ fn emit_step_trace(recorder: &dyn Recorder, s: &EmitStep<'_>) {
             for (name, t) in phase_costs {
                 let dur = t * scale;
                 if dur > 0.0 {
-                    recorder.record(TraceEvent::sim_span(
+                    telemetry.record(TraceEvent::sim_span(
                         name,
                         "superstep",
                         i as u32,
@@ -1095,7 +1087,7 @@ fn emit_step_trace(recorder: &dyn Recorder, s: &EmitStep<'_>) {
         // superstep barrier waiting for the straggler.
         let slack = s.step_compute - s.busy[i];
         if slack > 0.0 {
-            recorder.record(TraceEvent::sim_span(
+            telemetry.record(TraceEvent::sim_span(
                 "barrier_wait",
                 "superstep",
                 i as u32,
@@ -1105,7 +1097,7 @@ fn emit_step_trace(recorder: &dyn Recorder, s: &EmitStep<'_>) {
         }
     }
     if s.step_comm > 0.0 {
-        recorder.record(TraceEvent::sim_span(
+        telemetry.record(TraceEvent::sim_span(
             "comm_barrier",
             "superstep",
             p as u32,
@@ -1113,7 +1105,7 @@ fn emit_step_trace(recorder: &dyn Recorder, s: &EmitStep<'_>) {
             s.step_comm,
         ));
     }
-    recorder.record(TraceEvent::sim_counter(
+    telemetry.record(TraceEvent::sim_counter(
         "active_vertices",
         p as u32,
         s.step_start_s,
@@ -1125,7 +1117,7 @@ fn emit_step_trace(recorder: &dyn Recorder, s: &EmitStep<'_>) {
     } else {
         1.0
     };
-    recorder.record(TraceEvent::sim_gauge(
+    telemetry.record(TraceEvent::sim_gauge(
         "imbalance",
         p as u32,
         s.step_start_s,
@@ -1138,7 +1130,7 @@ fn emit_step_trace(recorder: &dyn Recorder, s: &EmitStep<'_>) {
         .iter()
         .position(|&b| b == s.step_compute)
         .unwrap_or(0);
-    recorder.record(TraceEvent::sim_gauge(
+    telemetry.record(TraceEvent::sim_gauge(
         "straggler_machine",
         p as u32,
         s.step_start_s,
@@ -1456,7 +1448,7 @@ fn scatter_chunk<P: GasProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgraph_core::obs::TraceRecorder;
+    use hetgraph_core::obs::Telemetry;
     use hetgraph_core::{Edge, EdgeList, Graph};
     use hetgraph_partition::{MachineWeights, PartitionAssignment, Partitioner, RandomHash};
 
@@ -1680,8 +1672,8 @@ mod tests {
         let g = two_components();
         let cluster = Cluster::case2();
         let a = partitioned(&g, &cluster);
-        let rec = TraceRecorder::new();
-        let traced = run_min_label(&SimEngine::new(&cluster).with_recorder(&rec), &g, &a, 1);
+        let rec = Telemetry::new(true, false);
+        let traced = run_min_label(&SimEngine::new(&cluster).with_telemetry(&rec), &g, &a, 1);
         let plain = run_min_label(&SimEngine::new(&cluster), &g, &a, 1);
         assert!(plain.report.steps.is_empty(), "tracing is off by default");
         assert_eq!(traced.report.steps.len(), traced.report.supersteps);
@@ -1704,8 +1696,8 @@ mod tests {
         let g = big_graph();
         let cluster = Cluster::case2();
         let a = partitioned(&g, &cluster);
-        let rec = TraceRecorder::new();
-        let out = run_min_label(&SimEngine::new(&cluster).with_recorder(&rec), &g, &a, 1);
+        let rec = Telemetry::new(true, false);
+        let out = run_min_label(&SimEngine::new(&cluster).with_telemetry(&rec), &g, &a, 1);
         let events = rec.take_events();
         assert!(!events.is_empty());
         let sim: Vec<_> = events
@@ -1736,8 +1728,8 @@ mod tests {
         let g = big_graph();
         let cluster = Cluster::case3();
         let a = partitioned(&g, &cluster);
-        let rec = TraceRecorder::new();
-        let out = run_min_label(&SimEngine::new(&cluster).with_recorder(&rec), &g, &a, 1);
+        let rec = Telemetry::new(true, false);
+        let out = run_min_label(&SimEngine::new(&cluster).with_telemetry(&rec), &g, &a, 1);
         let events = rec.take_events();
         // Per machine: Σ (gather+apply+scatter spans) == total busy, and
         // Σ barrier_wait == compute_s − busy_i (the derived attribution).
@@ -1773,9 +1765,9 @@ mod tests {
         let cluster = Cluster::case2();
         let a = partitioned(&g, &cluster);
         let trace_at = |threads: usize| {
-            let rec = TraceRecorder::new();
+            let rec = Telemetry::new(true, false);
             run_min_label(
-                &SimEngine::new(&cluster).with_recorder(&rec),
+                &SimEngine::new(&cluster).with_telemetry(&rec),
                 &g,
                 &a,
                 threads,
@@ -2085,8 +2077,8 @@ mod tests {
         let g = big_graph();
         let cluster = Cluster::case2();
         let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()]);
-        let rec = TraceRecorder::new();
-        let engine = SimEngine::new(&cluster).with_recorder(&rec);
+        let rec = Telemetry::new(true, false);
+        let engine = SimEngine::new(&cluster).with_telemetry(&rec);
         let mut dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
         let mut policy = MoveSome::new(1_000);
         let out = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 2);

@@ -1,7 +1,6 @@
 //! The partitioner interface.
 
-use hetgraph_core::metrics::MetricsRegistry;
-use hetgraph_core::obs::{Recorder, TimeDomain, TraceEvent};
+use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent};
 use hetgraph_core::{Edge, Graph};
 
 use crate::assignment::PartitionAssignment;
@@ -52,14 +51,14 @@ pub trait Partitioner {
     }
 
     /// [`Partitioner::partition_with_threads`] wrapped in observability.
-    /// To `recorder`: a wall-clock span plus edge-throughput (and, where
-    /// the algorithm has one, greedy-scan) counters. To `metrics`:
-    /// per-algorithm edge and greedy-scan counters (sim domain — both are
-    /// deterministic properties of the input, so they belong in the
-    /// byte-stable snapshot), plus a wall-clock duration histogram and an
-    /// edge-throughput gauge (wall domain — host-dependent). With both
-    /// sinks disabled this is exactly `partition_with_threads`; the
-    /// assignment is identical with any sink combination.
+    /// To the event log: a wall-clock span plus edge-throughput (and,
+    /// where the algorithm has one, greedy-scan) counters. To the metrics
+    /// registry: per-algorithm edge and greedy-scan counters (sim domain —
+    /// both are deterministic properties of the input, so they belong in
+    /// the byte-stable snapshot), plus a wall-clock duration histogram and
+    /// an edge-throughput gauge (wall domain — host-dependent). With both
+    /// halves off this is exactly `partition_with_threads`; the
+    /// assignment is identical with any combination.
     ///
     /// # Panics
     /// Panics if `host_threads == 0`.
@@ -68,21 +67,20 @@ pub trait Partitioner {
         graph: &Graph,
         weights: &MachineWeights,
         host_threads: usize,
-        recorder: &dyn Recorder,
-        metrics: &MetricsRegistry,
+        telemetry: &Telemetry,
     ) -> PartitionAssignment {
-        if !recorder.enabled() && !metrics.enabled() {
+        if !telemetry.tracing() && !telemetry.metering() {
             return self.partition_with_threads(graph, weights, host_threads);
         }
         let wall_t0 = std::time::Instant::now();
-        let t0 = recorder.now_us();
+        let t0 = telemetry.now_us();
         let assignment = self.partition_with_threads(graph, weights, host_threads);
-        let t1 = recorder.now_us();
+        let t1 = telemetry.now_us();
         let wall_s = wall_t0.elapsed().as_secs_f64();
         let name = self.name();
         let scans = self.greedy_scans(graph);
-        if recorder.enabled() {
-            recorder.record(TraceEvent::wall_span(
+        if telemetry.tracing() {
+            telemetry.record(TraceEvent::wall_span(
                 format!("partition/{name}"),
                 "partition",
                 0,
@@ -90,10 +88,10 @@ pub trait Partitioner {
                 t1 - t0,
             ));
             let edges = graph.num_edges() as f64;
-            recorder.record(TraceEvent::wall_counter("partition_edges", 0, t1, edges));
+            telemetry.record(TraceEvent::wall_counter("partition_edges", 0, t1, edges));
             let dur_s = (t1 - t0) / 1e6;
             if dur_s > 0.0 {
-                recorder.record(TraceEvent::wall_counter(
+                telemetry.record(TraceEvent::wall_counter(
                     "partition_edges_per_sec",
                     0,
                     t1,
@@ -101,7 +99,7 @@ pub trait Partitioner {
                 ));
             }
             if let Some(scans) = scans {
-                recorder.record(TraceEvent::wall_counter(
+                telemetry.record(TraceEvent::wall_counter(
                     "partition_greedy_scans",
                     0,
                     t1,
@@ -109,23 +107,23 @@ pub trait Partitioner {
                 ));
             }
         }
-        if metrics.enabled() {
-            metrics
+        if telemetry.metering() {
+            telemetry
                 .counter(&format!("partition/{name}/edges_total"), TimeDomain::Sim)
                 .add(graph.num_edges() as u64);
             if let Some(scans) = scans {
-                metrics
+                telemetry
                     .counter(
                         &format!("partition/{name}/greedy_scans_total"),
                         TimeDomain::Sim,
                     )
                     .add(scans);
             }
-            metrics
+            telemetry
                 .histogram(&format!("partition/{name}/wall_s"), TimeDomain::Wall)
                 .observe(wall_s);
             if wall_s > 0.0 {
-                metrics
+                telemetry
                     .gauge(&format!("partition/{name}/edges_per_sec"), TimeDomain::Wall)
                     .set(graph.num_edges() as f64 / wall_s);
             }
@@ -251,9 +249,8 @@ mod tests {
     }
 
     #[test]
-    fn partition_traced_matches_plain_and_emits_counters() {
-        use hetgraph_core::metrics::NOOP as METRICS_NOOP;
-        use hetgraph_core::obs::{TraceRecorder, NOOP};
+    fn partition_instrumented_matches_plain_and_emits_telemetry() {
+        use hetgraph_core::obs::OFF;
         use hetgraph_core::{Edge, EdgeList};
         let n = 200u32;
         let edges: Vec<Edge> = (0..n).map(|v| Edge::new(v, (v * 7 + 1) % n)).collect();
@@ -262,12 +259,12 @@ mod tests {
         for kind in PartitionerKind::ALL {
             let p = kind.build();
             let plain = p.partition_with_threads(&g, &w, 1);
-            let noop = p.partition_instrumented(&g, &w, 1, &NOOP, &METRICS_NOOP);
-            assert_eq!(plain.edge_machines(), noop.edge_machines(), "{kind}");
-            let rec = TraceRecorder::new();
-            let traced = p.partition_instrumented(&g, &w, 1, &rec, &METRICS_NOOP);
-            assert_eq!(plain.edge_machines(), traced.edge_machines(), "{kind}");
-            let events = rec.take_events();
+            let off = p.partition_instrumented(&g, &w, 1, &OFF);
+            assert_eq!(plain.edge_machines(), off.edge_machines(), "{kind}");
+            let t = Telemetry::live();
+            let inst = p.partition_instrumented(&g, &w, 1, &t);
+            assert_eq!(plain.edge_machines(), inst.edge_machines(), "{kind}");
+            let events = t.take_events();
             assert!(
                 events.iter().any(|e| e.name == format!("partition/{kind}")),
                 "{kind} span"
@@ -277,27 +274,7 @@ mod tests {
                 .find(|e| e.name == "partition_edges")
                 .unwrap_or_else(|| panic!("{kind} edge counter"));
             assert_eq!(edges_counter.value, g.num_edges() as f64);
-        }
-    }
-
-    #[test]
-    fn partition_instrumented_matches_plain_and_aggregates() {
-        use hetgraph_core::metrics::{MetricsRegistry, NOOP as METRICS_NOOP};
-        use hetgraph_core::obs::NOOP;
-        use hetgraph_core::{Edge, EdgeList};
-        let n = 200u32;
-        let edges: Vec<Edge> = (0..n).map(|v| Edge::new(v, (v * 7 + 1) % n)).collect();
-        let g = Graph::from_edge_list(EdgeList::from_edges(n, edges));
-        let w = crate::MachineWeights::uniform(4);
-        for kind in PartitionerKind::ALL {
-            let p = kind.build();
-            let plain = p.partition_with_threads(&g, &w, 1);
-            let noop = p.partition_instrumented(&g, &w, 1, &NOOP, &METRICS_NOOP);
-            assert_eq!(plain.edge_machines(), noop.edge_machines(), "{kind}");
-            let m = MetricsRegistry::new();
-            let inst = p.partition_instrumented(&g, &w, 1, &NOOP, &m);
-            assert_eq!(plain.edge_machines(), inst.edge_machines(), "{kind}");
-            let snap = m.snapshot();
+            let snap = t.snapshot();
             assert_eq!(
                 snap.counter_value(&format!("partition/{kind}/edges_total")),
                 Some(g.num_edges() as u64),
@@ -312,7 +289,7 @@ mod tests {
             // sim-domain snapshot carries only the deterministic counters.
             let h = snap.histogram(&format!("partition/{kind}/wall_s")).unwrap();
             assert_eq!(h.count(), 1, "{kind}");
-            let sim = m.snapshot_sim();
+            let sim = t.snapshot_sim();
             assert!(sim.histograms.is_empty(), "{kind}");
             assert!(sim
                 .counter_value(&format!("partition/{kind}/edges_total"))

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::Cluster;
+use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent, OFF};
 use hetgraph_core::Graph;
 use hetgraph_gen::ProxySet;
 
@@ -132,31 +133,19 @@ impl CcrPool {
         apps: &[AnyApp],
         host_threads: usize,
     ) -> Self {
-        Self::profile_instrumented(
-            cluster,
-            proxies,
-            apps,
-            host_threads,
-            &hetgraph_core::obs::NOOP,
-            &hetgraph_core::metrics::NOOP,
-        )
+        Self::profile_instrumented(cluster, proxies, apps, host_threads, &OFF)
     }
 
-    /// [`CcrPool::profile_with_threads`] with observability. Through the
-    /// recorder: wall-clock spans for proxy-graph generation and for
-    /// every CCR estimation cell (application × machine group), recorded
-    /// through per-worker [`hetgraph_core::obs::TraceBuffer`]s
-    /// (worker-side events are wall-domain only — their arrival order
-    /// depends on scheduling). Through the registry:
-    /// deterministic cell/proxy counters in the sim domain (they depend
-    /// only on the cluster composition and app list, so they belong in
-    /// the byte-stable snapshot) plus wall-clock histograms for proxy
-    /// generation and per measurement cell. Cell durations are staged in
-    /// a per-cell [`hetgraph_core::metrics::HistogramShard`] and folded
-    /// with one atomic pass — the metrics analogue of the per-worker
-    /// `TraceBuffer` — so worker scheduling cannot interleave partial
-    /// updates. The returned pool is identical with any sink
-    /// combination.
+    /// [`CcrPool::profile_with_threads`] with observability. To the event
+    /// log: wall-clock spans for proxy-graph generation and for every CCR
+    /// estimation cell (application × machine group), recorded from the
+    /// workers (wall-domain only — their arrival order depends on
+    /// scheduling). To the metrics registry: deterministic cell/proxy
+    /// counters in the sim domain (they depend only on the cluster
+    /// composition and app list, so they belong in the byte-stable
+    /// snapshot) plus wall-clock histograms for proxy generation and per
+    /// measurement cell. The returned pool is identical with any
+    /// combination of the two halves.
     ///
     /// # Panics
     /// Panics if `host_threads == 0`.
@@ -165,19 +154,16 @@ impl CcrPool {
         proxies: &ProxySet,
         apps: &[AnyApp],
         host_threads: usize,
-        recorder: &dyn hetgraph_core::obs::Recorder,
-        metrics: &hetgraph_core::metrics::MetricsRegistry,
+        telemetry: &Telemetry,
     ) -> Self {
-        use hetgraph_core::metrics::HistogramShard;
-        use hetgraph_core::obs::{TimeDomain, TraceBuffer, TraceEvent};
         let specs = proxies.proxies();
-        let t_gen0 = recorder.now_us();
-        let wall_gen0 = metrics.enabled().then(std::time::Instant::now);
+        let t_gen0 = telemetry.now_us();
+        let wall_gen0 = telemetry.metering().then(std::time::Instant::now);
         let graphs: Vec<Graph> =
             hetgraph_core::par::scheduled(specs.len(), host_threads, |i| specs[i].generate());
-        if recorder.enabled() {
-            let t = recorder.now_us();
-            recorder.record(TraceEvent::wall_span(
+        if telemetry.tracing() {
+            let t = telemetry.now_us();
+            telemetry.record(TraceEvent::wall_span(
                 "proxy_generation",
                 "profile",
                 0,
@@ -188,15 +174,15 @@ impl CcrPool {
         let groups = cluster.groups();
         let group_list: Vec<_> = groups.iter().collect();
         let n_groups = group_list.len();
-        let cell_wall = metrics.histogram("profile/cell_wall_s", TimeDomain::Wall);
+        let cell_wall = telemetry.histogram("profile/cell_wall_s", TimeDomain::Wall);
         if let Some(t0) = wall_gen0 {
-            metrics
+            telemetry
                 .counter("profile/proxy_graphs_total", TimeDomain::Sim)
                 .add(specs.len() as u64);
-            metrics
+            telemetry
                 .counter("profile/measurement_cells_total", TimeDomain::Sim)
                 .add((apps.len() * n_groups) as u64);
-            metrics
+            telemetry
                 .histogram("profile/proxy_generation_wall_s", TimeDomain::Wall)
                 .observe(t0.elapsed().as_secs_f64());
         }
@@ -205,36 +191,27 @@ impl CcrPool {
             hetgraph_core::par::scheduled(apps.len() * n_groups, host_threads, |k| {
                 let (ai, gi) = (k / n_groups, k % n_groups);
                 let rep = cluster.machine(group_list[gi].1[0]);
-                if !recorder.enabled() && !cell_wall.is_live() {
-                    return profiling_set_time(rep, &apps[ai], &graphs);
-                }
                 let wall_t0 = cell_wall.is_live().then(std::time::Instant::now);
-                let time = if !recorder.enabled() {
-                    profiling_set_time(rep, &apps[ai], &graphs)
-                } else {
-                    let mut buf = TraceBuffer::new(recorder);
-                    let t0 = buf.now_us();
-                    let time = profiling_set_time(rep, &apps[ai], &graphs);
-                    let t1 = buf.now_us();
-                    buf.push(TraceEvent::wall_span(
+                let t0 = telemetry.now_us();
+                let time = profiling_set_time(rep, &apps[ai], &graphs);
+                if telemetry.tracing() {
+                    let t1 = telemetry.now_us();
+                    telemetry.record(TraceEvent::wall_span(
                         format!("ccr/{}/{}", apps[ai].name(), group_list[gi].0),
                         "profile",
                         gi as u32,
                         t0,
                         t1 - t0,
                     ));
-                    buf.push(TraceEvent::wall_gauge(
+                    telemetry.record(TraceEvent::wall_gauge(
                         format!("proxy_set_time_s/{}", apps[ai].name()),
                         gi as u32,
                         t1,
                         time,
                     ));
-                    time
-                };
+                }
                 if let Some(t0) = wall_t0 {
-                    let mut shard = HistogramShard::new();
-                    shard.observe(t0.elapsed().as_secs_f64());
-                    cell_wall.merge_shard(&shard);
+                    cell_wall.observe(t0.elapsed().as_secs_f64());
                 }
                 time
             });
@@ -351,46 +328,26 @@ mod tests {
     }
 
     #[test]
-    fn profile_traced_matches_and_emits_cell_spans() {
-        use hetgraph_core::metrics::NOOP as METRICS_NOOP;
-        use hetgraph_core::obs::{TraceRecorder, NOOP};
+    fn profile_instrumented_matches_and_emits_telemetry() {
         let cluster = Cluster::case2();
         let proxies = ProxySet::standard(6400);
         let apps = standard_apps();
         let plain = CcrPool::profile_with_threads(&cluster, &proxies, &apps, 2);
-        let noop =
-            CcrPool::profile_instrumented(&cluster, &proxies, &apps, 2, &NOOP, &METRICS_NOOP);
-        assert_eq!(plain, noop);
-        let rec = TraceRecorder::new();
-        let traced =
-            CcrPool::profile_instrumented(&cluster, &proxies, &apps, 2, &rec, &METRICS_NOOP);
-        assert_eq!(plain, traced, "recording must not perturb the pool");
-        let events = rec.take_events();
+        let off = CcrPool::profile_instrumented(&cluster, &proxies, &apps, 2, &OFF);
+        assert_eq!(plain, off);
+        let t = Telemetry::live();
+        let inst = CcrPool::profile_instrumented(&cluster, &proxies, &apps, 2, &t);
+        assert_eq!(plain, inst, "telemetry must not perturb the pool");
+        let events = t.take_events();
         assert!(events.iter().any(|e| e.name == "proxy_generation"));
         // One estimation span per (app × machine group); Case 2 has two
         // distinct machine types.
-        let cells = events.iter().filter(|e| e.name.starts_with("ccr/")).count();
-        assert_eq!(cells, apps.len() * 2);
-        assert!(events
-            .iter()
-            .all(|e| e.domain == hetgraph_core::obs::TimeDomain::Wall));
-    }
-
-    #[test]
-    fn profile_instrumented_matches_and_aggregates() {
-        use hetgraph_core::metrics::MetricsRegistry;
-        use hetgraph_core::obs::NOOP;
-        let cluster = Cluster::case2();
-        let proxies = ProxySet::standard(6400);
-        let apps = standard_apps();
-        let plain = CcrPool::profile_with_threads(&cluster, &proxies, &apps, 2);
-        let m = MetricsRegistry::new();
-        let inst = CcrPool::profile_instrumented(&cluster, &proxies, &apps, 2, &NOOP, &m);
-        assert_eq!(plain, inst, "metrics must not perturb the pool");
-        let snap = m.snapshot();
-        // Case 2 has two machine groups -> apps × 2 measurement cells,
-        // each observed once into the wall histogram.
         let cells = (apps.len() * 2) as u64;
+        let spans = events.iter().filter(|e| e.name.starts_with("ccr/")).count();
+        assert_eq!(spans as u64, cells);
+        assert!(events.iter().all(|e| e.domain == TimeDomain::Wall));
+        // Each cell is observed once into the wall histogram.
+        let snap = t.snapshot();
         assert_eq!(
             snap.counter_value("profile/measurement_cells_total"),
             Some(cells)
@@ -410,7 +367,7 @@ mod tests {
             1
         );
         // The deterministic counters are sim-domain; the timings are not.
-        let sim = m.snapshot_sim();
+        let sim = t.snapshot_sim();
         assert!(sim
             .counter_value("profile/measurement_cells_total")
             .is_some());

@@ -19,8 +19,8 @@
 //! - [`loadgen`] — a seeded open-loop arrival generator in simulated
 //!   time;
 //! - [`server`] — the serving loop: queue → batcher → wave →
-//!   extraction, instrumented through the workspace's `MetricsRegistry`
-//!   and `Recorder` so `hetgraph report` can analyze a serve trace.
+//!   extraction, instrumented through the workspace's one `Telemetry`
+//!   handle so `hetgraph report` can analyze a serve trace.
 //!
 //! The control plane is serial and simulated-time; waves execute on the
 //! unmodified superstep kernel, so a whole serving run is byte-identical

@@ -20,8 +20,8 @@
 
 use hetgraph_apps::KCore;
 use hetgraph_cluster::Cluster;
-use hetgraph_core::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use hetgraph_core::obs::{Recorder, TimeDomain, TraceEvent};
+use hetgraph_core::metrics::{Counter, Gauge, Histogram};
+use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent, OFF};
 use hetgraph_core::{hash64, rng::hash_combine, VertexId};
 use hetgraph_engine::{DistributedGraph, SimEngine, SimReport};
 
@@ -144,7 +144,7 @@ impl ServeReport {
     }
 }
 
-/// Pre-registered metric handles (no-ops on the disabled registry).
+/// Pre-registered metric handles (no-ops with metering off).
 struct ServeMetrics {
     queue_depth: Gauge,
     batch_size: Histogram,
@@ -155,7 +155,7 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn new(metrics: &MetricsRegistry, tenants: usize) -> Self {
+    fn new(metrics: &Telemetry, tenants: usize) -> Self {
         ServeMetrics {
             queue_depth: metrics.gauge("serve/queue_depth", TimeDomain::Sim),
             batch_size: metrics.histogram("serve/batch_size", TimeDomain::Sim),
@@ -171,67 +171,11 @@ impl ServeMetrics {
     }
 }
 
-/// Splices per-wave kernel traces into one continuous serving timeline:
-/// sim-domain timestamps are offset by the wave's start time (each
-/// kernel run starts its own clock at zero); wall-domain events pass
-/// through untouched. The offset is plain `f64` bit storage — waves run
-/// one at a time, and concurrent kernel workers only emit wall events.
-struct ShiftRecorder<'a> {
-    inner: &'a dyn Recorder,
-    offset_us: std::sync::atomic::AtomicU64,
-}
-
-impl<'a> ShiftRecorder<'a> {
-    fn new(inner: &'a dyn Recorder) -> Self {
-        ShiftRecorder {
-            inner,
-            offset_us: std::sync::atomic::AtomicU64::new(0.0f64.to_bits()),
-        }
-    }
-
-    fn set_offset_s(&self, offset_s: f64) {
-        self.offset_us.store(
-            (offset_s * 1e6).to_bits(),
-            std::sync::atomic::Ordering::Relaxed,
-        );
-    }
-
-    fn shift(&self, mut event: TraceEvent) -> TraceEvent {
-        if event.domain == TimeDomain::Sim {
-            event.ts_us +=
-                f64::from_bits(self.offset_us.load(std::sync::atomic::Ordering::Relaxed));
-        }
-        event
-    }
-}
-
-impl Recorder for ShiftRecorder<'_> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn record(&self, event: TraceEvent) {
-        self.inner.record(self.shift(event));
-    }
-
-    fn record_batch(&self, events: &mut Vec<TraceEvent>) {
-        for e in events.iter_mut() {
-            *e = self.shift(e.clone());
-        }
-        self.inner.record_batch(events);
-    }
-
-    fn now_us(&self) -> f64 {
-        self.inner.now_us()
-    }
-}
-
 /// The serving front end: owns the instrumentation wiring and runs
 /// request streams over a shared partitioned graph.
 pub struct Server<'a> {
     cluster: &'a Cluster,
-    recorder: &'a dyn Recorder,
-    metrics: &'a MetricsRegistry,
+    telemetry: &'a Telemetry,
 }
 
 impl<'a> Server<'a> {
@@ -239,25 +183,19 @@ impl<'a> Server<'a> {
     pub fn new(cluster: &'a Cluster) -> Self {
         Server {
             cluster,
-            recorder: &hetgraph_core::obs::NOOP,
-            metrics: &hetgraph_core::metrics::NOOP,
+            telemetry: &OFF,
         }
     }
 
-    /// Attach a [`Recorder`]: the serving loop emits `wave/<class>`
-    /// spans and queue-depth gauges, and each wave's kernel trace is
-    /// time-shifted onto the serving timeline, so `hetgraph report`
-    /// analyzes a serve trace like any simulate trace.
-    pub fn with_recorder(mut self, recorder: &'a dyn Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attach a [`MetricsRegistry`] (queue-depth gauge, batch-size
-    /// histograms, per-tenant served counters, shed counter — all
-    /// sim-domain, recorded from the serial control plane).
-    pub fn with_metrics(mut self, metrics: &'a MetricsRegistry) -> Self {
-        self.metrics = metrics;
+    /// Attach a [`Telemetry`] handle. To its event log the serving loop
+    /// emits `wave/<class>` spans and queue-depth gauges, and each wave's
+    /// kernel trace starts at the wave's start (the handle's sim-time
+    /// origin), so `hetgraph report` analyzes a serve trace like any
+    /// simulate trace. To its metrics registry: a queue-depth gauge,
+    /// batch-size histograms, per-tenant served counters and a shed
+    /// counter — all sim-domain, recorded from the serial control plane.
+    pub fn with_telemetry(mut self, telemetry: &'a Telemetry) -> Self {
+        self.telemetry = telemetry;
         self
     }
 
@@ -296,11 +234,8 @@ impl<'a> Server<'a> {
             );
         }
         let tenants = cfg.tenant_weights.len();
-        let m = ServeMetrics::new(self.metrics, tenants);
-        let shift = ShiftRecorder::new(self.recorder);
-        let engine = SimEngine::new(self.cluster)
-            .with_recorder(&shift)
-            .with_metrics(self.metrics);
+        let m = ServeMetrics::new(self.telemetry, tenants);
+        let engine = SimEngine::new(self.cluster).with_telemetry(self.telemetry);
         // Serve-level trace lane: one past the cluster-wide track the
         // kernel uses for its communication barrier.
         let serve_track = self.cluster.len() as u32 + 1;
@@ -335,17 +270,20 @@ impl<'a> Server<'a> {
                 m.tenant_served[r.tenant].inc();
             }
 
-            shift.set_offset_s(now);
+            // The wave's kernel clock starts at `now`; the serving loop's
+            // own events below already carry absolute times.
+            self.telemetry.set_sim_origin_s(now);
             let wave = execute_wave(&engine, dist, cfg, &batch, now, report.waves.len());
-            if self.recorder.enabled() {
-                self.recorder.record(TraceEvent::sim_span(
+            self.telemetry.set_sim_origin_s(0.0);
+            if self.telemetry.tracing() {
+                self.telemetry.record(TraceEvent::sim_span(
                     format!("wave/{}", wave.record.class),
                     "serve",
                     serve_track,
                     now,
                     wave.record.makespan_s,
                 ));
-                self.recorder.record(TraceEvent::sim_gauge(
+                self.telemetry.record(TraceEvent::sim_gauge(
                     "serve/queue_depth",
                     serve_track,
                     now,
@@ -735,13 +673,10 @@ mod tests {
         let a = partition(&g);
         let dist = DistributedGraph::new(&g, &a).unwrap();
         let stream = LoadGenConfig::standard(1, 40, 0.01).generate(g.num_vertices());
-        let recorder = hetgraph_core::obs::TraceRecorder::new();
-        let metrics = MetricsRegistry::new();
-        let report = Server::new(&cluster)
-            .with_recorder(&recorder)
-            .with_metrics(&metrics)
-            .serve(&dist, &ServeConfig::standard(2), &stream);
-        let events = recorder.take_events();
+        let telemetry = Telemetry::live();
+        let server = Server::new(&cluster).with_telemetry(&telemetry);
+        let report = server.serve(&dist, &ServeConfig::standard(2), &stream);
+        let events = telemetry.take_events();
         let wave_spans: Vec<&TraceEvent> = events
             .iter()
             .filter(|e| e.name.starts_with("wave/"))
@@ -761,7 +696,7 @@ mod tests {
                     && e.kind == hetgraph_core::obs::EventKind::Span)
                 .all(|e| e.ts_us >= first_wave_ts - 1e-9)
         );
-        let snap = metrics.snapshot_sim();
+        let snap = telemetry.snapshot_sim();
         assert_eq!(
             snap.counter_value("serve/wave_total"),
             Some(report.waves.len() as u64)

@@ -75,8 +75,7 @@ pub mod prelude {
         catalog, AppProfile, Cluster, EnergyModel, MachineSpec, NetworkModel,
     };
     pub use hetgraph_core::obs::{
-        chrome_trace, chrome_trace_sim, to_jsonl, NoopRecorder, Recorder, TraceBuffer, TraceEvent,
-        TraceRecorder, NOOP,
+        chrome_trace, chrome_trace_sim, to_jsonl, Telemetry, TraceEvent, OFF,
     };
     pub use hetgraph_core::{Edge, EdgeList, Graph, GraphBuilder, MachineId, VertexId};
     pub use hetgraph_engine::{

@@ -45,11 +45,11 @@ fn grid_json(threads: usize) -> String {
     let mut cells: Vec<(String, SimReport)> = Vec::new();
     for (gname, graph) in &graphs() {
         for (cname, cluster) in &clusters() {
-            // An enabled recorder turns on per-step tracing, exactly as
-            // the old `with_trace(true)` flag did; the serialized report
-            // is unchanged (trace events live beside it, not inside it).
-            let recorder = TraceRecorder::new();
-            let engine = SimEngine::new(cluster).with_recorder(&recorder);
+            // A tracing handle turns on per-step records, exactly as the
+            // old `with_trace(true)` flag did; the serialized report is
+            // unchanged (trace events live beside it, not inside it).
+            let telemetry = Telemetry::new(true, false);
+            let engine = SimEngine::new(cluster).with_telemetry(&telemetry);
             for kind in PARTITIONERS {
                 let assignment = kind
                     .build()

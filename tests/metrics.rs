@@ -3,7 +3,7 @@
 //! Three layers are pinned here, where every crate is in scope at once:
 //!
 //! 1. The full pipeline (CCR profiling, partitioning, the superstep
-//!    kernel) run under one live registry produces a sim-domain snapshot
+//!    kernel) run under one metering handle produces a sim-domain snapshot
 //!    whose JSON and Prometheus bytes are identical at any host thread
 //!    count — the metrics analogue of the trace determinism contract in
 //!    `tests/threading.rs`.
@@ -18,8 +18,8 @@
 
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::Cluster;
-use hetgraph_core::metrics::{MetricsRegistry, MetricsSnapshot};
-use hetgraph_core::obs::{to_jsonl, TraceRecorder, NOOP};
+use hetgraph_core::metrics::MetricsSnapshot;
+use hetgraph_core::obs::{to_jsonl, Telemetry};
 use hetgraph_core::Graph;
 use hetgraph_engine::{DistributedGraph, SimEngine, TraceAnalysis};
 use hetgraph_gen::{PowerLawConfig, ProxySet};
@@ -38,23 +38,22 @@ fn sim_metrics_snapshot_bytes_identical_across_thread_counts() {
     let snapshots: Vec<MetricsSnapshot> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
-            let metrics = MetricsRegistry::new();
+            let metrics = Telemetry::new(false, true);
             let pool = CcrPool::profile_instrumented(
                 &cluster,
                 &ProxySet::standard(3200),
                 std::slice::from_ref(&app),
                 threads,
-                &NOOP,
                 &metrics,
             );
             let weights =
                 MachineWeights::from_ccr(pool.ccr(app.name()).expect("just profiled").ratios());
             let assignment = PartitionerKind::Hybrid
                 .build()
-                .partition_instrumented(&graph, &weights, threads, &NOOP, &metrics);
+                .partition_instrumented(&graph, &weights, threads, &metrics);
             let dist = DistributedGraph::new_with_threads(&graph, &assignment, threads)
                 .expect("assignment must cover the graph");
-            let engine = SimEngine::new(&cluster).with_metrics(&metrics);
+            let engine = SimEngine::new(&cluster).with_telemetry(&metrics);
             app.run(&engine, &dist, threads);
             metrics.snapshot_sim()
         })
@@ -81,22 +80,18 @@ fn trace_analysis_reproduces_sim_report_stragglers() {
     let graph = fixture_graph();
     let cluster = Cluster::case3(); // two frequency domains: real stragglers
     let app = AnyApp::pagerank();
-    let recorder = TraceRecorder::new();
-    let metrics = MetricsRegistry::new();
+    let telemetry = Telemetry::live();
     let assignment = PartitionerKind::RandomHash.build().partition_instrumented(
         &graph,
         &MachineWeights::uniform(cluster.len()),
         1,
-        &recorder,
-        &metrics,
+        &telemetry,
     );
     let dist = DistributedGraph::new(&graph, &assignment).expect("assignment must cover the graph");
-    let engine = SimEngine::new(&cluster)
-        .with_recorder(&recorder)
-        .with_metrics(&metrics);
+    let engine = SimEngine::new(&cluster).with_telemetry(&telemetry);
     let report = app.run(&engine, &dist, 1);
 
-    let analysis = TraceAnalysis::from_jsonl(&to_jsonl(&recorder.take_events()))
+    let analysis = TraceAnalysis::from_jsonl(&to_jsonl(&telemetry.take_events()))
         .expect("exported trace analyzes");
     // The acceptance contract: offline attribution over the exported
     // trace equals what the engine derived online, step for step.
@@ -113,7 +108,7 @@ fn trace_analysis_reproduces_sim_report_stragglers() {
     }
 
     // The kernel's metrics agree with the report the same run produced.
-    let snap = metrics.snapshot_sim();
+    let snap = telemetry.snapshot_sim();
     assert_eq!(
         snap.counter_value("engine/supersteps_total"),
         Some(report.supersteps as u64)

@@ -107,7 +107,7 @@ fn sim_trace_bytes_are_identical_across_thread_counts() {
     // so the Chrome export of the simulated timeline is byte-identical
     // at any host thread budget. (Wall-domain events are host timing
     // and legitimately vary; `chrome_trace_sim` excludes them.)
-    use hetgraph::prelude::{chrome_trace_sim, TraceRecorder};
+    use hetgraph::prelude::{chrome_trace_sim, Telemetry};
     use hetgraph_engine::DistributedGraph;
 
     let (cluster, pool, graphs) = fixture();
@@ -117,19 +117,15 @@ fn sim_trace_bytes_are_identical_across_thread_counts() {
     let traces: Vec<String> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
-            let recorder = TraceRecorder::new();
-            let assignment = PartitionerKind::Hybrid.build().partition_instrumented(
-                graph,
-                &weights,
-                threads,
-                &recorder,
-                &hetgraph_core::metrics::NOOP,
-            );
+            let telemetry = Telemetry::new(true, false);
+            let assignment = PartitionerKind::Hybrid
+                .build()
+                .partition_instrumented(graph, &weights, threads, &telemetry);
             let dist = DistributedGraph::new_with_threads(graph, &assignment, threads)
                 .expect("assignment must cover the graph");
-            let engine = SimEngine::new(&cluster).with_recorder(&recorder);
+            let engine = SimEngine::new(&cluster).with_telemetry(&telemetry);
             app.run(&engine, &dist, threads);
-            chrome_trace_sim(&recorder.take_events())
+            chrome_trace_sim(&telemetry.take_events())
         })
         .collect();
     assert!(traces[0].contains("barrier_wait"), "trace has attribution");
