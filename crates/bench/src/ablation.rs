@@ -19,7 +19,7 @@ use hetgraph_gen::{ProxyGraph, ProxySet};
 use hetgraph_partition::{
     Hybrid, MachineWeights, PartitionMetrics, Partitioner, PartitionerKind, RandomHash,
 };
-use hetgraph_profile::{AccuracyReport, CcrPool, FeedbackBalancer};
+use hetgraph_profile::{AccuracyReport, CcrPool, FeedbackBalancer, Policy};
 
 use crate::context::ExperimentContext;
 use crate::output::{f3, pct, print_table, write_json};
@@ -224,22 +224,17 @@ pub fn feedback_convergence(ctx: &ExperimentContext) -> Vec<(String, String, Opt
     let balancer = FeedbackBalancer::default();
     let mut rows = Vec::new();
     for app in [AnyApp::pagerank(), AnyApp::connected_components()] {
-        let starts: Vec<(String, MachineWeights)> = vec![
-            ("default".into(), MachineWeights::uniform(cluster.len())),
-            (
-                "prior_work".into(),
-                MachineWeights::from_thread_counts(&cluster),
-            ),
-            (
-                "ccr_guided".into(),
-                MachineWeights::from_ccr(pool.ccr(app.name()).expect("profiled").ratios()),
-            ),
-        ];
-        for (name, w) in starts {
+        for policy in Policy::ALL {
+            let w = policy.weights(&cluster, &pool, app.name());
             let history = balancer.run(&cluster, &graph, &app, &RandomHash::new(), w);
             let epochs = FeedbackBalancer::epochs_to_balance(&history, 1.25);
             let final_mk = history.last().expect("non-empty").makespan_s;
-            rows.push((app.name().to_string(), name, epochs, final_mk));
+            rows.push((
+                app.name().to_string(),
+                policy.name().to_string(),
+                epochs,
+                final_mk,
+            ));
         }
     }
     let table: Vec<Vec<String>> = rows
@@ -288,11 +283,8 @@ pub fn frequency_sweep(ctx: &ExperimentContext) -> Vec<(f64, f64, f64)> {
                 .expect("assignment must cover the graph");
             pagerank.run(&engine, &dist, 1).makespan_s
         };
-        let t_default = mk(&MachineWeights::uniform(2));
-        let t_prior = mk(&MachineWeights::from_thread_counts(&cluster));
-        let t_ccr = mk(&MachineWeights::from_ccr(
-            pool.ccr("pagerank").expect("profiled").ratios(),
-        ));
+        let [t_default, t_prior, t_ccr] =
+            Policy::ALL.map(|p| mk(&p.weights(&cluster, &pool, pagerank.name())));
         rows.push((freq, t_default / t_prior, t_default / t_ccr));
     }
     let table: Vec<Vec<String>> = rows

@@ -1,6 +1,6 @@
 //! Fig 2 (motivation) and Fig 8 (CCR accuracy).
 
-use hetgraph_apps::{standard_apps, AnyApp};
+use hetgraph_apps::standard_apps;
 use hetgraph_cluster::{catalog, MachineSpec};
 use hetgraph_core::Graph;
 use hetgraph_profile::runner::profiling_set_time;
@@ -177,24 +177,6 @@ pub fn fig8(ctx: &ExperimentContext, part: &str) -> Fig8Result {
     );
     write_json(ctx.out_dir.as_deref(), &format!("fig8{part}"), &result);
     result
-}
-
-/// Convenience: the applications' real per-machine profile times — used by
-/// ablations and docs examples.
-pub fn profile_times_on(
-    machines: &[MachineSpec],
-    app: &AnyApp,
-    graph: &Graph,
-) -> Vec<(String, f64)> {
-    machines
-        .iter()
-        .map(|m| {
-            (
-                m.name.clone(),
-                profiling_set_time(m, app, std::slice::from_ref(graph)),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -9,7 +9,13 @@ fn main() {
         .iter()
         .position(|a| a == "--part")
         .and_then(|i| rest.get(i + 1))
-        .map(|s| s.as_str());
+        .map(|s| match s.as_str() {
+            p @ ("a" | "b") => p,
+            _ => {
+                eprintln!("error: --part must be a or b, got {s:?}");
+                std::process::exit(2);
+            }
+        });
     match part {
         Some(p) => {
             hetgraph_bench::accuracy::fig8(&ctx, p);

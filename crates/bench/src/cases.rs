@@ -7,14 +7,13 @@ use hetgraph_core::stats;
 use hetgraph_core::Graph;
 use hetgraph_engine::{DistributedGraph, SimEngine};
 use hetgraph_partition::{MachineWeights, PartitionAssignment, PartitionMetrics, PartitionerKind};
-use hetgraph_profile::CcrPool;
+use hetgraph_profile::{CcrPool, Policy};
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use crate::context::ExperimentContext;
 use crate::output::{f3, pct, print_table, write_json};
-use crate::policy::Policy;
 
 /// One (app, graph, partitioner, policy) measurement.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]

@@ -101,8 +101,15 @@ impl ExperimentContext {
     {
         let mut ctx = ExperimentContext::default();
         let mut rest = Vec::new();
+        let mut seen: Vec<String> = Vec::new();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            if a.starts_with("--") {
+                if seen.contains(&a) {
+                    return Err(format!("flag {a} given twice"));
+                }
+                seen.push(a.clone());
+            }
             match a.as_str() {
                 "--scale" => {
                     let v = it.next().ok_or("--scale needs a value")?;
@@ -354,6 +361,13 @@ mod tests {
         assert!(ExperimentContext::parse_args(argv(&["--threads", "0"]), &[]).is_err());
         assert!(ExperimentContext::parse_args(argv(&["--threads", "many"]), &[]).is_err());
         assert!(ExperimentContext::parse_args(argv(&["--threads"]), &[]).is_err());
+        // A repeated flag is an error, not last-one-wins.
+        let err = ExperimentContext::parse_args(argv(&["--scale", "8", "--scale", "8192"]), &[])
+            .unwrap_err();
+        assert!(err.contains("--scale given twice"), "err: {err}");
+        let err = ExperimentContext::parse_args(argv(&["--case", "2", "--case", "3"]), &["--case"])
+            .unwrap_err();
+        assert!(err.contains("--case given twice"), "err: {err}");
     }
 
     #[test]

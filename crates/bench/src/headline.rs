@@ -8,11 +8,11 @@
 use hetgraph_cluster::Cluster;
 use hetgraph_core::stats;
 use hetgraph_partition::PartitionerKind;
+use hetgraph_profile::Policy;
 
 use crate::cases::{energy_savings_over, profile_pool, run_matrix, speedups_over, CaseRow};
 use crate::context::ExperimentContext;
 use crate::output::{f3, pct, write_json};
-use crate::policy::Policy;
 
 /// Aggregate numbers mirrored against the paper's abstract.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]

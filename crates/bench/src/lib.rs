@@ -42,11 +42,9 @@ pub mod gate;
 pub mod headline;
 pub mod output;
 pub mod partition_bench;
-pub mod policy;
 pub mod rebalance_bench;
 pub mod scale_bench;
 pub mod serve_bench;
 pub mod tables;
 
 pub use context::ExperimentContext;
-pub use policy::Policy;

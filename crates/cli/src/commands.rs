@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use hetgraph::{BalancePolicy, Framework};
+use hetgraph::Framework;
 use hetgraph_apps::{AnyApp, AppRegistry};
 use hetgraph_cluster::Cluster;
 use hetgraph_core::degree::DegreeHistogram;
@@ -13,7 +13,7 @@ use hetgraph_gen::{
     SmallWorldConfig, StreamingGenerator,
 };
 use hetgraph_partition::{MachineWeights, PartitionMetrics, PartitionerKind};
-use hetgraph_profile::{CcrPool, PriorWorkEstimator};
+use hetgraph_profile::{CcrPool, Policy, PriorWorkEstimator};
 
 use crate::args::{CliError, Flags};
 
@@ -67,6 +67,27 @@ fn parse_cluster(name: &str) -> Result<Cluster, CliError> {
             "unknown cluster {other:?}; expected case1, case2, or case3"
         ))),
     }
+}
+
+/// Resolve `--policy default|prior|ccr` (default: ccr).
+fn parse_policy(flags: &Flags) -> Result<Policy, CliError> {
+    match flags.get("policy").unwrap_or("ccr") {
+        "default" => Ok(Policy::Default),
+        "prior" => Ok(Policy::PriorWork),
+        "ccr" => Ok(Policy::CcrGuided),
+        other => Err(CliError(format!(
+            "unknown policy {other:?}; expected default, prior, or ccr"
+        ))),
+    }
+}
+
+/// Resolve `--scale N` (proxy or stand-in downscale factor), rejecting 0.
+fn parse_scale(flags: &Flags, default: u32) -> Result<u32, CliError> {
+    let scale: u32 = flags.get_or("scale", default)?;
+    if scale == 0 {
+        return Err(CliError("--scale must be positive".into()));
+    }
+    Ok(scale)
 }
 
 /// Resolve `--app` against the full app registry, plus the opt-in
@@ -170,10 +191,7 @@ pub fn generate(args: &[String]) -> Result<(), CliError> {
         }
         "natural" => {
             let which = flags.require("natural")?;
-            let scale: u32 = flags.get_or("scale", 64u32)?;
-            if scale == 0 {
-                return Err(CliError("--scale must be positive".into()));
-            }
+            let scale = parse_scale(&flags, 64)?;
             let spec = NaturalGraph::ALL
                 .into_iter()
                 .find(|g| g.name() == which)
@@ -323,6 +341,11 @@ pub fn partition(args: &[String]) -> Result<(), CliError> {
                     w.len()
                 )));
             }
+            if let Some(bad) = w.iter().find(|x| !(x.is_finite() && **x > 0.0)) {
+                return Err(CliError(format!(
+                    "--weights entries must be positive and finite, got {bad}"
+                )));
+            }
             MachineWeights::new(&w)
         }
         None => MachineWeights::uniform(machines),
@@ -354,10 +377,7 @@ pub fn partition(args: &[String]) -> Result<(), CliError> {
 pub fn profile(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(args, &["cluster", "scale", "threads", "apps"])?;
     let cluster = parse_cluster(flags.get("cluster").unwrap_or("case2"))?;
-    let scale: u32 = flags.get_or("scale", 320u32)?;
-    if scale == 0 {
-        return Err(CliError("--scale must be positive".into()));
-    }
+    let scale = parse_scale(&flags, 320)?;
     let threads = parse_threads(&flags)?;
     let apps = parse_apps(flags.get("apps").unwrap_or("all"))?;
     println!(
@@ -425,27 +445,21 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
     let kind = parse_partitioner(flags.get("algorithm").unwrap_or("hybrid"))?;
     let threads = parse_threads(&flags)?;
     let telemetry = telemetry_for(&flags);
-    let policy = flags.get("policy").unwrap_or("ccr");
-    let weights = match policy {
-        "default" => MachineWeights::uniform(cluster.len()),
-        "prior" => MachineWeights::from_thread_counts(&cluster),
-        "ccr" => {
-            let scale: u32 = flags.get_or("scale", 640u32)?;
-            let pool = CcrPool::profile_instrumented(
-                &cluster,
-                &ProxySet::standard(scale.max(1)),
-                std::slice::from_ref(&app),
-                threads,
-                &telemetry,
-            );
-            MachineWeights::from_ccr(pool.ccr(app.name()).expect("just profiled").ratios())
-        }
-        other => {
-            return Err(CliError(format!(
-                "unknown policy {other:?}; expected default, prior, or ccr"
-            )))
-        }
+    let policy = parse_policy(&flags)?;
+    let scale = parse_scale(&flags, 640)?;
+    // Only the CCR-guided policy reads the pool: profile just this app.
+    let pool = if policy == Policy::CcrGuided {
+        CcrPool::profile_instrumented(
+            &cluster,
+            &ProxySet::standard(scale),
+            std::slice::from_ref(&app),
+            threads,
+            &telemetry,
+        )
+    } else {
+        CcrPool::new()
     };
+    let weights = policy.weights(&cluster, &pool, app.name());
     let engine = hetgraph_engine::SimEngine::new(&cluster).with_telemetry(&telemetry);
     // Build the view the flags describe, then run it: one entry point.
     // The owners outlive the target that borrows them; only the chosen
@@ -661,25 +675,21 @@ pub fn submit(args: &[String]) -> Result<(), CliError> {
     let cluster = parse_cluster(flags.get("cluster").unwrap_or("case2"))?;
     let app = parse_app(flags.get("app").unwrap_or("pagerank"))?;
     let threads = parse_threads(&flags)?;
-    let scale: u32 = flags.get_or("scale", 640u32)?;
-    if scale == 0 {
-        return Err(CliError("--scale must be positive".into()));
-    }
-    let policy = match flags.get("policy").unwrap_or("ccr") {
-        "default" => BalancePolicy::Uniform,
-        "prior" => BalancePolicy::ThreadCounts,
-        "ccr" => BalancePolicy::CcrGuided,
-        other => {
-            return Err(CliError(format!(
-                "unknown policy {other:?}; expected default, prior, or ccr"
-            )))
-        }
-    };
+    let scale = parse_scale(&flags, 640)?;
+    let policy = parse_policy(&flags)?;
     let mut framework = Framework::deploy(cluster, scale)
         .with_policy(policy)
         .with_threads(threads);
     if let Some(name) = flags.get("algorithm") {
         framework = framework.with_partitioner(parse_partitioner(name)?);
+    }
+    if policy == Policy::CcrGuided && framework.pool().ccr(app.name()).is_none() {
+        let profiled: Vec<&str> = framework.pool().iter().map(|set| set.app()).collect();
+        return Err(CliError(format!(
+            "--app {} has no profiled CCR (deploy profiles: {}); use --policy default or prior",
+            app.name(),
+            profiled.join(", ")
+        )));
     }
     let result = framework.submit(&g, &app);
     println!("{}", result.report);
@@ -750,6 +760,9 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
                     "--weights has {} entries for {tenants} tenants",
                     parsed.len()
                 )));
+            }
+            if parsed.contains(&0) {
+                return Err(CliError("--weights entries must be positive".into()));
             }
             parsed
         }
@@ -973,6 +986,19 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.0.contains("entries"));
+        // Non-positive and non-finite weights are errors, not panics.
+        for bad in ["1,-1", "nan,1", "0,1", "inf,1"] {
+            let err = partition(&argv(&[
+                "--input",
+                &path,
+                "--machines",
+                "2",
+                "--weights",
+                bad,
+            ]))
+            .unwrap_err();
+            assert!(err.0.contains("--weights"), "{bad}: {err:?}");
+        }
     }
 
     #[test]
@@ -1273,6 +1299,41 @@ mod tests {
     }
 
     #[test]
+    fn submit_rejects_unprofiled_app_only_under_ccr() {
+        let path = tmp("submit_f32.hgb");
+        generate(&argv(&[
+            "--family",
+            "powerlaw",
+            "--vertices",
+            "600",
+            "--out",
+            &path,
+        ]))
+        .unwrap();
+        let run = |policy: &str| {
+            submit(&argv(&[
+                "--input",
+                &path,
+                "--app",
+                "pagerank_f32",
+                "--policy",
+                policy,
+                "--scale",
+                "3200",
+                "--threads",
+                "1",
+            ]))
+        };
+        let err = run("ccr").unwrap_err();
+        assert!(
+            err.0.contains("pagerank_f32") && err.0.contains("kcore"),
+            "{err:?}"
+        );
+        run("default").unwrap();
+        run("prior").unwrap();
+    }
+
+    #[test]
     fn generate_shards_then_simulate_compact_matches_plain() {
         let file = tmp("shards_plain.hgb");
         let dir = tmp("shards_dir");
@@ -1404,6 +1465,17 @@ mod tests {
         assert_eq!(parse_app("pagerank_f32").unwrap().name(), "pagerank_f32");
         assert_eq!(parse_apps("sssp,sssp").unwrap().len(), 1);
         assert!(parse_partitioner("nope").unwrap_err().0.contains("hybrid"));
+        let err = simulate(&argv(&[
+            "--input",
+            "/definitely/missing",
+            "--policy",
+            "nope",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("unknown policy"), "{err:?}");
+        // `--scale 0` is an error, not a silent scale of 1.
+        let err = simulate(&argv(&["--input", "/definitely/missing", "--scale", "0"])).unwrap_err();
+        assert!(err.0.contains("--scale"), "{err:?}");
         assert!(load_graph("/definitely/missing")
             .unwrap_err()
             .0
@@ -1446,6 +1518,16 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.0.contains("entries"), "{err:?}");
+        let err = serve(&argv(&[
+            "--requests",
+            "10",
+            "--weights",
+            "0,1",
+            "--vertices",
+            "100",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("--weights"), "{err:?}");
         let err = serve(&argv(&[
             "--requests",
             "10",

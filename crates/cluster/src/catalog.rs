@@ -146,14 +146,6 @@ pub fn table1() -> Vec<MachineSpec> {
     ]
 }
 
-/// Look up a machine by its Table I / catalog name.
-pub fn by_name(name: &str) -> Option<MachineSpec> {
-    table1()
-        .into_iter()
-        .chain(std::iter::once(tiny_arm()))
-        .find(|m| m.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,11 +181,13 @@ mod tests {
             ("c4.4xlarge", 0.838),
             ("c4.8xlarge", 1.675),
         ];
-        for (name, price) in prices {
-            let m = by_name(name).unwrap();
-            assert_eq!(m.hourly_rate, Some(price), "{name}");
+        let t1 = table1();
+        for (spec, (name, price)) in t1.iter().zip(prices) {
+            assert_eq!(spec.name, name);
+            assert_eq!(spec.hourly_rate, Some(price), "{name}");
         }
-        assert_eq!(by_name("xeon_s").unwrap().hourly_rate, None);
+        // The two local Xeons are owned, not rented.
+        assert!(t1[6..].iter().all(|m| m.hourly_rate.is_none()));
     }
 
     #[test]
@@ -201,11 +195,6 @@ mod tests {
         for m in table1().iter().chain(std::iter::once(&tiny_arm())) {
             m.assert_valid();
         }
-    }
-
-    #[test]
-    fn by_name_misses_gracefully() {
-        assert!(by_name("p5.48xlarge").is_none());
     }
 
     #[test]

@@ -85,12 +85,6 @@ impl Cluster {
         self.groups().into_values().map(|ids| ids[0]).collect()
     }
 
-    /// Whether every machine has the same spec name (a homogeneous cluster;
-    /// prior work's assumption).
-    pub fn is_homogeneous(&self) -> bool {
-        self.groups().len() <= 1
-    }
-
     /// The prior-work capability estimate: computing threads per machine
     /// (LeBeane et al. — "number of hardware computing slots/threads",
     /// after reserving two for communication).
@@ -139,13 +133,6 @@ mod tests {
         assert_eq!(groups.len(), 2);
         assert_eq!(groups["c4.xlarge"].len(), 2);
         assert_eq!(c.group_representatives().len(), 2);
-        assert!(!c.is_homogeneous());
-    }
-
-    #[test]
-    fn homogeneous_detection() {
-        let c = Cluster::new(vec![catalog::c4_xlarge(), catalog::c4_xlarge()]);
-        assert!(c.is_homogeneous());
     }
 
     #[test]

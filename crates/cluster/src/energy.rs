@@ -34,22 +34,6 @@ impl EnergyReport {
     pub fn total_j(&self) -> f64 {
         self.per_machine_j.iter().sum()
     }
-
-    /// Total busy seconds across machines.
-    pub fn total_busy_s(&self) -> f64 {
-        self.busy_s.iter().sum()
-    }
-
-    /// Fraction of wall-clock machine-time spent idle (0 if nothing ran).
-    pub fn idle_fraction(&self) -> f64 {
-        let busy: f64 = self.busy_s.iter().sum();
-        let idle: f64 = self.idle_s.iter().sum();
-        if busy + idle == 0.0 {
-            0.0
-        } else {
-            idle / (busy + idle)
-        }
-    }
 }
 
 /// Energy model over a fixed set of machines.
@@ -162,15 +146,5 @@ mod tests {
         let m = model();
         let mut r = EnergyReport::new(2);
         m.account_step(&mut r, 0, 5.0, 2.0);
-    }
-
-    #[test]
-    fn idle_fraction() {
-        let m = model();
-        let mut r = EnergyReport::new(2);
-        m.account_step(&mut r, 0, 1.0, 4.0);
-        m.account_step(&mut r, 1, 4.0, 4.0);
-        assert!((r.idle_fraction() - 3.0 / 8.0).abs() < 1e-12);
-        assert_eq!(EnergyReport::new(1).idle_fraction(), 0.0);
     }
 }

@@ -129,11 +129,6 @@ impl WorkCounts {
         self.edge_units += other.edge_units;
         self.vertex_units += other.vertex_units;
     }
-
-    /// Whether there is no work at all.
-    pub fn is_zero(&self) -> bool {
-        self.edge_units == 0.0 && self.vertex_units == 0.0
-    }
 }
 
 /// Ground-truth performance profile of one application (see module docs).
@@ -206,20 +201,10 @@ impl AppProfile {
     }
 
     /// Extended-Amdahl parallel efficiency at `threads` computing threads
-    /// (pure profile, no graph shape — the hub-straggler term is added by
-    /// [`AppProfile::parallel_efficiency_on`]).
-    pub fn parallel_efficiency(&self, threads: u32) -> f64 {
-        self.efficiency_with_serial(threads, self.serial_fraction)
-    }
-
-    /// Parallel efficiency on a concrete graph: the effective serial
-    /// fraction is `s + κ · hub_fraction`, capped at 0.95.
+    /// on a concrete graph: the effective serial fraction is
+    /// `s + κ · hub_fraction`, capped at 0.95.
     pub fn parallel_efficiency_on(&self, threads: u32, shape: &GraphShape) -> f64 {
         let s = (self.serial_fraction + self.skew_sensitivity * shape.hub_fraction).min(0.95);
-        self.efficiency_with_serial(threads, s)
-    }
-
-    fn efficiency_with_serial(&self, threads: u32, s: f64) -> f64 {
         let t = (threads.max(1)) as f64;
         1.0 / (s + (1.0 - s) / t.powf(self.parallel_exponent))
     }
@@ -261,20 +246,6 @@ impl AppProfile {
         let t_compute = ops / (self.compute_rate_gops(machine, shape) * 1e9);
         let t_mem = bytes / (machine.mem_bw_gbps * 1e9);
         t_compute.max(t_mem)
-    }
-
-    /// Whether `machine` is memory-bound (vs compute-bound) for `work` on a
-    /// graph of the given shape. Diagnostic used by the ablation benches.
-    pub fn is_memory_bound(
-        &self,
-        machine: &MachineSpec,
-        work: &WorkCounts,
-        shape: &GraphShape,
-    ) -> bool {
-        let ops = work.edge_units * self.edge_flops + work.vertex_units * self.vertex_flops;
-        let bytes = work.edge_units * self.edge_bytes * self.density_relief(shape.avg_degree)
-            + work.vertex_units * self.vertex_bytes;
-        bytes / (machine.mem_bw_gbps) > ops / self.compute_rate_gops(machine, shape)
     }
 }
 
@@ -327,9 +298,10 @@ mod tests {
     #[test]
     fn parallel_efficiency_monotone_in_threads() {
         let p = memory_heavy();
+        let hub_free = GraphShape::new(10.0, 0.0);
         let mut prev = 0.0;
         for t in [1u32, 2, 4, 8, 16, 32] {
-            let e = p.parallel_efficiency(t);
+            let e = p.parallel_efficiency_on(t, &hub_free);
             assert!(e > prev, "efficiency must grow with threads");
             assert!(e <= t as f64 + 1e-9, "cannot exceed linear speedup");
             prev = e;
@@ -339,7 +311,7 @@ mod tests {
     #[test]
     fn serial_fraction_caps_efficiency() {
         let p = memory_heavy(); // s = 0.02 -> cap 50x
-        assert!(p.parallel_efficiency(10_000) < 50.0 + 1e-9);
+        assert!(p.parallel_efficiency_on(10_000, &GraphShape::new(10.0, 0.0)) < 50.0 + 1e-9);
     }
 
     #[test]
@@ -368,8 +340,6 @@ mod tests {
             cpu_gain > mem_gain + 0.2,
             "cpu gain {cpu_gain} should exceed mem gain {mem_gain}"
         );
-        assert!(mem.is_memory_bound(&big, &w, &shape(12.0)));
-        assert!(!cpu.is_memory_bound(&big, &w, &shape(12.0)));
     }
 
     #[test]
@@ -468,7 +438,6 @@ mod tests {
         let p = compute_heavy();
         let m = catalog::c4_xlarge();
         assert_eq!(p.time_seconds(&m, &WorkCounts::zero(), &shape(10.0)), 0.0);
-        assert!(WorkCounts::zero().is_zero());
     }
 
     #[test]

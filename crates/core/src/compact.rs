@@ -201,11 +201,6 @@ impl CompactCsr {
         self.data.len() + self.index.resident_bytes()
     }
 
-    /// Whether the offset indexes use the narrow (`u32`) representation.
-    pub fn narrow_index(&self) -> bool {
-        matches!(self.index, Index::U32 { .. })
-    }
-
     /// This direction's degree index, for [`meta_pair`].
     fn degree_index(&self) -> crate::meta::DegreeIndex<'_> {
         match &self.index {
@@ -458,7 +453,6 @@ mod tests {
             "{data_bytes} bytes for {} edges",
             edges.len()
         );
-        assert!(compact.narrow_index());
     }
 
     #[test]

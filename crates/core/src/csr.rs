@@ -103,28 +103,6 @@ impl Csr {
     pub fn targets(&self) -> &[VertexId] {
         &self.targets
     }
-
-    /// Sort each vertex's neighbor list ascending (enables binary-search
-    /// membership tests, used by triangle counting).
-    pub fn sort_neighbor_lists(&mut self) {
-        for v in 0..self.num_vertices() as usize {
-            let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
-            self.targets[lo..hi].sort_unstable();
-        }
-    }
-
-    /// Whether `u`'s neighbor list contains `w`. Requires sorted neighbor
-    /// lists (see [`Csr::sort_neighbor_lists`]); falls back to a linear scan
-    /// for tiny lists, where it is faster than binary search.
-    #[inline]
-    pub fn contains_sorted(&self, u: VertexId, w: VertexId) -> bool {
-        let ns = self.neighbors(u);
-        if ns.len() <= 8 {
-            ns.contains(&w)
-        } else {
-            ns.binary_search(&w).is_ok()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -185,16 +163,6 @@ mod tests {
         let es = vec![Edge::new(0, 1), Edge::new(0, 1)];
         let csr = Csr::from_edges(2, &es);
         assert_eq!(csr.neighbors(0), &[1, 1]);
-    }
-
-    #[test]
-    fn sorted_membership() {
-        let mut csr = Csr::from_edges(4, &[Edge::new(0, 3), Edge::new(0, 1), Edge::new(0, 2)]);
-        csr.sort_neighbor_lists();
-        assert_eq!(csr.neighbors(0), &[1, 2, 3]);
-        assert!(csr.contains_sorted(0, 2));
-        assert!(!csr.contains_sorted(0, 0));
-        assert!(!csr.contains_sorted(1, 0));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (Fig 6). This module computes the histograms and summary statistics used
 //! to verify that property and to report Table II.
 
-use crate::{Graph, VertexId};
+use crate::Graph;
 
 /// Summary statistics of a graph's degree distribution.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -96,11 +96,6 @@ impl DegreeHistogram {
     /// Histogram of out-degrees.
     pub fn out_degrees(g: &Graph) -> Self {
         Self::from_degrees((0..g.num_vertices()).map(|v| g.out_degree(v)))
-    }
-
-    /// Histogram of in-degrees.
-    pub fn in_degrees(g: &Graph) -> Self {
-        Self::from_degrees((0..g.num_vertices()).map(|v| g.in_degree(v)))
     }
 
     /// Histogram of total degrees.
@@ -230,17 +225,6 @@ fn least_squares_slope(pts: &[(f64, f64)]) -> Option<f64> {
     Some((n * sxy - sx * sy) / denom)
 }
 
-/// The `k` highest-degree vertices (by total degree), descending.
-///
-/// Mixed-cut partitioners special-case high-degree vertices; this helper is
-/// used by tests and diagnostics to find them.
-pub fn top_degree_vertices(g: &Graph, k: usize) -> Vec<(VertexId, usize)> {
-    let mut all: Vec<(VertexId, usize)> = (0..g.num_vertices()).map(|v| (v, g.degree(v))).collect();
-    all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    all.truncate(k);
-    all
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,16 +292,6 @@ mod tests {
         let h = DegreeHistogram { counts };
         let fit = h.fit_alpha_ccdf(2).unwrap();
         assert!((fit - alpha).abs() < 0.2, "fit = {fit}");
-    }
-
-    #[test]
-    fn top_degree_vertices_sorted() {
-        let g = star(8);
-        let top = top_degree_vertices(&g, 3);
-        assert_eq!(top[0].0, 0);
-        assert_eq!(top[0].1, 7);
-        assert_eq!(top.len(), 3);
-        assert!(top[1].1 <= top[0].1);
     }
 
     #[test]

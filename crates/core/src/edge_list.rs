@@ -81,7 +81,8 @@ impl EdgeList {
     }
 
     /// Build from parts. Panics if any edge is out of range (programmer
-    /// error; use [`crate::GraphBuilder`] for fallible construction).
+    /// error; the readers in [`crate::io`] and [`crate::shard`] return
+    /// [`crate::CoreError::VertexOutOfRange`] instead).
     pub fn from_edges(num_vertices: u32, edges: Vec<Edge>) -> Self {
         for e in &edges {
             assert!(
@@ -147,31 +148,6 @@ impl EdgeList {
     pub fn into_edges(self) -> Vec<Edge> {
         self.edges
     }
-
-    /// Remove self loops in place, preserving order.
-    pub fn remove_self_loops(&mut self) {
-        self.edges.retain(|e| !e.is_self_loop());
-    }
-
-    /// Sort edges and remove exact duplicates in place.
-    pub fn sort_dedup(&mut self) {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-    }
-
-    /// Count of self loops currently present.
-    pub fn self_loop_count(&self) -> usize {
-        self.edges.iter().filter(|e| e.is_self_loop()).count()
-    }
-
-    /// Approximate in-memory footprint in bytes (edges only).
-    ///
-    /// Used to report the "Footprint" column of Table II: each edge is a
-    /// pair of `u32`s plus the text representation overhead the paper's
-    /// on-disk figure includes; we report the binary footprint.
-    pub fn footprint_bytes(&self) -> usize {
-        self.edges.len() * std::mem::size_of::<Edge>()
-    }
 }
 
 impl IntoIterator for EdgeList {
@@ -214,26 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn self_loop_detection_and_removal() {
-        let mut el = sample();
-        assert_eq!(el.self_loop_count(), 1);
-        el.remove_self_loops();
-        assert_eq!(el.self_loop_count(), 0);
-        assert_eq!(el.num_edges(), 4);
-    }
-
-    #[test]
-    fn sort_dedup_removes_duplicates_only() {
-        let mut el = sample();
-        el.sort_dedup();
-        assert_eq!(el.num_edges(), 4); // one duplicate (1,2) removed
-        let v: Vec<_> = el.iter().collect();
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(v, sorted);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn from_edges_validates() {
         EdgeList::from_edges(2, vec![Edge::new(0, 5)]);
@@ -252,11 +208,5 @@ mod tests {
     #[test]
     fn empty_graph_avg_degree_is_zero() {
         assert_eq!(EdgeList::new(0).avg_degree(), 0.0);
-    }
-
-    #[test]
-    fn footprint_counts_edge_bytes() {
-        let el = sample();
-        assert_eq!(el.footprint_bytes(), 5 * 8);
     }
 }

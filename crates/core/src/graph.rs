@@ -5,8 +5,7 @@ use crate::{Csr, DegreeStats, Edge, EdgeList, VertexId};
 /// An immutable directed graph with the edge list plus both adjacency
 /// directions in CSR form.
 ///
-/// Construct through [`crate::GraphBuilder`] (fallible, with cleaning
-/// options) or [`Graph::from_edge_list`] (infallible over a validated
+/// Construct through [`Graph::from_edge_list`] (infallible over a validated
 /// [`EdgeList`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct Graph {
@@ -132,15 +131,6 @@ impl Graph {
         DegreeStats::from_graph(self)
     }
 
-    /// A copy of this graph with every neighbor list sorted ascending
-    /// (enables `contains_sorted` membership tests; triangle counting
-    /// requires it).
-    pub fn with_sorted_adjacency(mut self) -> Self {
-        self.out_csr.sort_neighbor_lists();
-        self.in_csr.sort_neighbor_lists();
-        self
-    }
-
     /// The undirected version of this graph: each edge `{u, v}` appears as
     /// both `(u, v)` and `(v, u)` exactly once; self loops removed.
     ///
@@ -246,13 +236,6 @@ mod tests {
         for e in u.edges() {
             assert!(u.out_neighbors(e.dst).contains(&e.src));
         }
-    }
-
-    #[test]
-    fn sorted_adjacency_enables_membership() {
-        let g = diamond().with_sorted_adjacency();
-        assert!(g.out_csr().contains_sorted(0, 2));
-        assert!(!g.out_csr().contains_sorted(0, 3));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! built on:
 //!
 //! - [`Graph`] — an immutable directed graph with both out- and in-adjacency
-//!   in CSR (compressed sparse row) form, built through [`GraphBuilder`].
+//!   in CSR (compressed sparse row) form, built from an [`EdgeList`].
 //! - [`EdgeList`] / [`Edge`] — the streaming representation consumed by the
 //!   partitioners (PowerGraph-style partitioning assigns *edges*, so the edge
 //!   list is the canonical unit of work).
@@ -17,8 +17,8 @@
 //!   paper-reproduction harness.
 //! - [`degree`] — degree distributions, histograms, and the tail statistics
 //!   used to check that synthetic graphs follow the intended power law.
-//! - [`stats`] — small numeric helpers (means, geomeans, percentiles,
-//!   relative errors) used by the profiling and evaluation crates.
+//! - [`stats`] — small numeric helpers (means, geomeans, relative errors)
+//!   used by the profiling and evaluation crates.
 //! - [`frontier`] — the engine's hybrid sparse/dense frontier set with
 //!   dirty-word clearing (active-vertex tracking on the hot path).
 //! - [`par`] — deterministic self-scheduling fan-out, shared by the engine's
@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod builder;
 pub mod compact;
 pub mod csr;
 pub mod degree;
@@ -66,7 +65,6 @@ pub mod shard;
 pub mod stats;
 pub mod transform;
 
-pub use builder::GraphBuilder;
 pub use compact::CompactCsr;
 pub use csr::Csr;
 pub use degree::DegreeStats;

@@ -81,40 +81,6 @@ impl<'a> GraphMeta<'a> {
         }
     }
 
-    /// Build from compact narrow (`u32`) edge-offset arrays.
-    pub fn from_narrow_offsets(
-        num_vertices: u32,
-        num_edges: usize,
-        out_offsets: &'a [u32],
-        in_offsets: &'a [u32],
-    ) -> Self {
-        debug_assert_eq!(out_offsets.len(), num_vertices as usize + 1);
-        debug_assert_eq!(in_offsets.len(), num_vertices as usize + 1);
-        GraphMeta {
-            num_vertices,
-            num_edges,
-            out: DegreeIndex::Narrow(out_offsets),
-            inn: DegreeIndex::Narrow(in_offsets),
-        }
-    }
-
-    /// Build from compact wide (`u64`) edge-offset arrays.
-    pub fn from_wide_offsets(
-        num_vertices: u32,
-        num_edges: usize,
-        out_offsets: &'a [u64],
-        in_offsets: &'a [u64],
-    ) -> Self {
-        debug_assert_eq!(out_offsets.len(), num_vertices as usize + 1);
-        debug_assert_eq!(in_offsets.len(), num_vertices as usize + 1);
-        GraphMeta {
-            num_vertices,
-            num_edges,
-            out: DegreeIndex::Narrow64(out_offsets),
-            inn: DegreeIndex::Narrow64(in_offsets),
-        }
-    }
-
     /// Number of vertices, including isolated ones.
     #[inline]
     pub fn num_vertices(&self) -> u32 {
@@ -208,16 +174,6 @@ mod tests {
             assert_eq!(out.degree(v), g.out_degree(v));
             assert_eq!(inn.degree(v), g.in_degree(v));
         }
-    }
-
-    #[test]
-    fn wide_offsets_work() {
-        let out = [0u64, 2, 3];
-        let inn = [0u64, 1, 3];
-        let m = GraphMeta::from_wide_offsets(2, 3, &out, &inn);
-        assert_eq!(m.out_degree(0), 2);
-        assert_eq!(m.in_degree(1), 2);
-        assert_eq!(m.degree(1), 3);
     }
 
     #[test]

@@ -162,22 +162,10 @@ impl Xoshiro256 {
         lo + self.next_bounded(span + 1)
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Fork an independent child generator. The child stream is decorrelated
-    /// from the parent by re-seeding through SplitMix64 with a fresh draw.
-    pub fn fork(&mut self) -> Xoshiro256 {
-        Xoshiro256::new(self.next_u64())
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -327,15 +315,5 @@ mod tests {
     #[test]
     fn hash_combine_order_sensitive() {
         assert_ne!(hash_combine(1, 2), hash_combine(2, 1));
-    }
-
-    #[test]
-    fn fork_decorrelates() {
-        let mut parent = Xoshiro256::new(123);
-        let mut child = parent.fork();
-        let matches = (0..64)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
-        assert_eq!(matches, 0);
     }
 }

@@ -51,58 +51,6 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
     (estimate - truth).abs() / truth.abs()
 }
 
-/// Mean absolute percentage error over paired (estimate, truth) samples,
-/// in percent. This is the paper's accuracy metric for CCR estimation
-/// ("92% accuracy" = 8% MAPE).
-pub fn mape(pairs: &[(f64, f64)]) -> f64 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    100.0
-        * mean(
-            &pairs
-                .iter()
-                .map(|&(e, t)| relative_error(e, t))
-                .collect::<Vec<_>>(),
-        )
-}
-
-/// Percentile via linear interpolation on sorted data; `p` in `[0, 100]`.
-///
-/// # Panics
-/// Panics on empty input or out-of-range `p`.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!(!xs.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-}
-
-/// Normalize a weight vector to sum to 1.
-///
-/// # Panics
-/// Panics if the sum is not positive or any weight is negative.
-pub fn normalize(weights: &[f64]) -> Vec<f64> {
-    let sum: f64 = weights.iter().sum();
-    assert!(sum > 0.0, "cannot normalize weights summing to {sum}");
-    weights
-        .iter()
-        .map(|&w| {
-            assert!(w >= 0.0, "negative weight {w}");
-            w / sum
-        })
-        .collect()
-}
-
 /// Maximum over an `f64` iterator (NaN-free input assumed). `None` if empty.
 pub fn fmax(xs: impl IntoIterator<Item = f64>) -> Option<f64> {
     xs.into_iter().fold(None, |acc, x| match acc {
@@ -147,35 +95,6 @@ mod tests {
     fn relative_error_basic() {
         assert!((relative_error(1.1, 1.0) - 0.1).abs() < 1e-12);
         assert!((relative_error(0.9, 1.0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mape_matches_hand_computation() {
-        let pairs = [(1.1, 1.0), (1.8, 2.0)];
-        // errors: 10% and 10% -> MAPE 10%
-        assert!((mape(&pairs) - 10.0).abs() < 1e-9);
-        assert_eq!(mape(&[]), 0.0);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 4.0);
-        assert!((percentile(&xs, 50.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_sums_to_one() {
-        let w = normalize(&[1.0, 3.0]);
-        assert!((w[0] - 0.25).abs() < 1e-12);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "normalize")]
-    fn normalize_rejects_zero_sum() {
-        normalize(&[0.0, 0.0]);
     }
 
     #[test]

@@ -1,39 +1,11 @@
-//! Graph transformations: induced subgraphs, vertex relabeling, sampling.
+//! Graph transformations: vertex relabeling and edge sampling.
 //!
-//! Used by experiments that need to shrink or reshape graphs while
-//! preserving (or deliberately destroying) structure — e.g. checking that
-//! CCR profiling is insensitive to vertex-id ordering, or extracting the
-//! largest component for diameter-sensitive runs.
+//! Used by tests that need to reshape graphs while preserving structure —
+//! e.g. checking that results survive a degree-sorted renumbering, or
+//! shrinking a graph by uniform edge sampling.
 
 use crate::rng::Xoshiro256;
 use crate::{Edge, EdgeList, Graph, VertexId};
-
-/// The subgraph induced by `keep` (vertices are relabeled densely in the
-/// order they appear in `keep`). Edges with either endpoint outside `keep`
-/// are dropped.
-///
-/// # Panics
-/// Panics if `keep` contains an out-of-range or duplicate vertex.
-pub fn induced_subgraph(graph: &Graph, keep: &[VertexId]) -> Graph {
-    let n = graph.num_vertices();
-    let mut mapping: Vec<u32> = vec![u32::MAX; n as usize];
-    for (new_id, &v) in keep.iter().enumerate() {
-        assert!(v < n, "vertex {v} out of range");
-        assert!(
-            mapping[v as usize] == u32::MAX,
-            "vertex {v} listed twice in keep set"
-        );
-        mapping[v as usize] = new_id as u32;
-    }
-    let mut edges = Vec::new();
-    for e in graph.edges() {
-        let (s, d) = (mapping[e.src as usize], mapping[e.dst as usize]);
-        if s != u32::MAX && d != u32::MAX {
-            edges.push(Edge::new(s, d));
-        }
-    }
-    Graph::from_edge_list(EdgeList::from_edges(keep.len() as u32, edges))
-}
 
 /// Relabel vertices by a permutation: vertex `v` becomes `perm[v]`.
 ///
@@ -81,14 +53,6 @@ pub fn degree_sort_permutation(graph: &Graph) -> Vec<VertexId> {
     perm
 }
 
-/// A uniformly random permutation relabeling (destroys any id-locality the
-/// generator left behind; deterministic per seed).
-pub fn shuffle_labels(graph: &Graph, seed: u64) -> Graph {
-    let mut perm: Vec<u32> = (0..graph.num_vertices()).collect();
-    Xoshiro256::new(seed).shuffle(&mut perm);
-    relabel(graph, &perm)
-}
-
 /// Uniform edge sample: keep each edge independently with probability `p`
 /// (deterministic per seed). Vertex count is preserved.
 ///
@@ -120,30 +84,6 @@ mod tests {
                 Edge::new(2, 3),
             ],
         ))
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = diamond();
-        let sub = induced_subgraph(&g, &[0, 1, 3]);
-        assert_eq!(sub.num_vertices(), 3);
-        // Edges (0,1) and (1,3) survive, relabeled to (0,1) and (1,2).
-        assert_eq!(sub.num_edges(), 2);
-        assert!(sub.out_neighbors(0).contains(&1));
-        assert!(sub.out_neighbors(1).contains(&2));
-    }
-
-    #[test]
-    fn induced_subgraph_empty_keep() {
-        let sub = induced_subgraph(&diamond(), &[]);
-        assert_eq!(sub.num_vertices(), 0);
-        assert_eq!(sub.num_edges(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "listed twice")]
-    fn duplicate_keep_rejected() {
-        induced_subgraph(&diamond(), &[0, 0]);
     }
 
     #[test]
@@ -199,15 +139,6 @@ mod tests {
             vec![Edge::new(0, 1), Edge::new(2, 3)],
         ));
         assert_eq!(degree_sort_permutation(&g), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn shuffle_is_deterministic_and_structure_preserving() {
-        let g = diamond();
-        let a = shuffle_labels(&g, 9);
-        let b = shuffle_labels(&g, 9);
-        assert_eq!(a.edges(), b.edges());
-        assert_eq!(a.num_edges(), g.num_edges());
     }
 
     #[test]

@@ -112,8 +112,8 @@ impl<'a> DistributedGraph<'a> {
     /// one machine-lane load and add per edge.
     ///
     /// Built lazily on first call (one pass over each slot array) and
-    /// cached. Returns `None` when the cluster has more than
-    /// [`ROW_COUNTS_MAX_MACHINES`] machines, where the tables' `n * p`
+    /// cached. Returns `None` when the cluster has more than 8 machines
+    /// (the crate-private `ROW_COUNTS_MAX_MACHINES`), where the tables' `n * p`
     /// footprint stops paying for itself; callers must keep a per-edge
     /// fallback.
     pub fn machine_counts(&self) -> Option<(&[u32], &[u32])> {

@@ -178,13 +178,6 @@ impl GreedyRebalance {
         self
     }
 
-    /// Cap on edges moved per migration.
-    pub fn with_max_batch(mut self, edges: usize) -> Self {
-        assert!(edges > 0, "batch cap must be positive");
-        self.max_batch_edges = edges;
-        self
-    }
-
     /// Every migration the kernel applied on this policy's plans.
     pub fn events(&self) -> &[MigrationEvent] {
         &self.events

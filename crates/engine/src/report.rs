@@ -94,21 +94,6 @@ impl SimReport {
         }
     }
 
-    /// Alias of [`SimReport::compute_imbalance`]: slowest machine's busy
-    /// time over the mean (1.0 = perfectly balanced).
-    pub fn imbalance(&self) -> f64 {
-        self.compute_imbalance()
-    }
-
-    /// Fraction of the makespan spent communicating.
-    pub fn comm_fraction(&self) -> f64 {
-        if self.makespan_s == 0.0 {
-            0.0
-        } else {
-            self.comm_s / self.makespan_s
-        }
-    }
-
     /// Per-machine barrier-wait slack accumulated over the whole run:
     /// `compute_s − per_machine_busy_s[i]`.
     ///
@@ -212,11 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn comm_fraction() {
-        assert!((report().comm_fraction() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
     fn display_mentions_key_numbers() {
         let s = report().to_string();
         assert!(s.contains("test"));
@@ -226,8 +206,6 @@ mod tests {
     #[test]
     fn zero_cases() {
         let mut r = report();
-        r.makespan_s = 0.0;
-        assert_eq!(r.comm_fraction(), 0.0);
         r.per_machine_busy_s = vec![0.0, 0.0];
         assert_eq!(r.compute_imbalance(), 1.0);
     }
@@ -237,7 +215,7 @@ mod tests {
         let mut r = report();
         r.per_machine_busy_s = vec![8.0];
         r.compute_s = 8.0;
-        assert_eq!(r.imbalance(), 1.0);
+        assert_eq!(r.compute_imbalance(), 1.0);
         assert_eq!(r.barrier_wait_s(), vec![0.0]);
         assert_eq!(r.total_barrier_wait_s(), 0.0);
         // A lone machine is its own straggler on every traced step.
@@ -284,8 +262,7 @@ mod tests {
             energy: EnergyReport::new(2),
             steps: Vec::new(),
         };
-        assert_eq!(r.imbalance(), 1.0);
-        assert_eq!(r.comm_fraction(), 0.0);
+        assert_eq!(r.compute_imbalance(), 1.0);
         assert_eq!(r.barrier_wait_s(), vec![0.0, 0.0]);
         assert_eq!(r.straggler_histogram(), vec![0, 0]);
     }

@@ -334,16 +334,6 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// Engine with a custom network model.
-    pub fn with_network(cluster: &'a Cluster, network: NetworkModel) -> Self {
-        SimEngine {
-            cluster,
-            network,
-            telemetry: &OFF,
-            perturbations: None,
-        }
-    }
-
     /// Attach a [`PerturbationSchedule`]: at each superstep the schedule
     /// may override machine specs (e.g. a mid-run clock slowdown), and
     /// the kernel prices that step's compute and communication against

@@ -17,7 +17,7 @@
 //!   synthetic proxies. That difference is the mechanism behind the paper's
 //!   ~8 % CCR estimation error, so it must exist in the reproduction.
 //! - [`uniform`] — Erdős–Rényi G(n, m), the degenerate no-skew baseline.
-//! - [`structured`] — deterministic test graphs (ring, star, grid, clique).
+//! - [`structured`] — the deterministic 2-D grid graph.
 //! - [`catalog`] — Table II: the four natural-graph stand-ins with the
 //!   paper's exact |V|/|E| (scalable for laptop-class runs).
 //! - [`proxy`] — the three deployed synthetic proxy graphs

@@ -8,7 +8,6 @@
 
 use hetgraph_core::Graph;
 
-use crate::alpha::fit_alpha;
 use crate::powerlaw::PowerLawConfig;
 
 /// Full-scale vertex count of each deployed proxy (Table II).
@@ -159,36 +158,6 @@ impl ProxySet {
             })
             .expect("proxy set is non-empty")
     }
-
-    /// Extend coverage for an uncovered graph by generating one additional
-    /// proxy at exactly its α (the paper's "if its α is beyond the covered
-    /// range, an additional synthetic graph can be generated").
-    ///
-    /// Returns `true` if a proxy was added.
-    pub fn ensure_coverage(&mut self, alpha: f64) -> bool {
-        if self.covers(alpha) {
-            return false;
-        }
-        let n = self.proxies[0].num_vertices;
-        let idx = self.proxies.len() as u64;
-        let mut extra = ProxyGraph::new(
-            format!("SyntheticGraph_extra_{idx}"),
-            n,
-            alpha,
-            0x5e11_1000 + idx,
-        );
-        // Inherit the set's degree cap so the new proxy is comparable.
-        extra.max_degree = self.proxies[0].max_degree;
-        self.proxies.push(extra);
-        true
-    }
-
-    /// Match a natural graph to the best proxy by fitting its α from
-    /// (|V|, |E|) — the paper's end-to-end matching flow.
-    pub fn match_graph(&self, num_vertices: u64, num_edges: u64) -> Option<&ProxyGraph> {
-        let fit = fit_alpha(num_vertices, num_edges).ok()?;
-        Some(self.closest(fit.alpha))
-    }
 }
 
 #[cfg(test)]
@@ -235,26 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn ensure_coverage_adds_only_when_needed() {
-        let mut set = ProxySet::standard(100);
-        assert!(!set.ensure_coverage(2.0));
-        assert_eq!(set.len(), 3);
-        assert!(set.ensure_coverage(3.1));
-        assert_eq!(set.len(), 4);
-        assert!(set.covers(3.1));
-    }
-
-    #[test]
-    fn match_graph_uses_fitted_alpha() {
-        let set = ProxySet::standard(100);
-        // amazon: fitted alpha is on the dense side -> one of the denser proxies
-        let p = set.match_graph(403_394, 3_387_388).expect("fit succeeds");
-        assert!(p.alpha <= 2.30);
-        // degenerate graph -> None
-        assert!(set.match_graph(0, 0).is_none());
-    }
-
-    #[test]
     fn degree_cap_scales_with_proxy_size() {
         // Hub fraction (max degree over total degree) must be roughly
         // scale-invariant, not an artifact of downscaling.
@@ -273,14 +222,6 @@ mod tests {
             coarse < 0.02,
             "capped proxies must not be one giant star: {coarse}"
         );
-    }
-
-    #[test]
-    fn ensure_coverage_inherits_cap() {
-        let mut set = ProxySet::standard(256);
-        set.ensure_coverage(3.5);
-        let added = set.proxies().last().unwrap();
-        assert_eq!(added.max_degree, set.proxies()[0].max_degree);
     }
 
     #[test]

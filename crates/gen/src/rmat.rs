@@ -45,23 +45,6 @@ impl RmatConfig {
         }
     }
 
-    /// Override quadrant probabilities.
-    ///
-    /// # Panics
-    /// Panics if probabilities are not positive or do not sum to ~1.
-    pub fn with_probabilities(mut self, a: f64, b: f64, c: f64, d: f64) -> Self {
-        assert!(
-            a > 0.0 && b > 0.0 && c > 0.0 && d > 0.0,
-            "probabilities must be positive"
-        );
-        assert!(
-            ((a + b + c + d) - 1.0).abs() < 1e-9,
-            "probabilities must sum to 1"
-        );
-        self.probabilities = (a, b, c, d);
-        self
-    }
-
     /// Generate the graph with the given seed.
     ///
     /// # Panics
@@ -181,15 +164,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sum to 1")]
-    fn rejects_bad_probabilities() {
-        RmatConfig::natural(10, 10).with_probabilities(0.5, 0.5, 0.5, 0.5);
-    }
-
-    #[test]
     fn homogeneous_probabilities_approach_uniform() {
-        let mut cfg =
-            RmatConfig::natural(10_000, 80_000).with_probabilities(0.25, 0.25, 0.25, 0.25);
+        let mut cfg = RmatConfig::natural(10_000, 80_000);
+        cfg.probabilities = (0.25, 0.25, 0.25, 0.25);
         cfg.noise = 0.0;
         let g = cfg.generate(2);
         let cv = g.degree_stats().coefficient_of_variation();

@@ -1,38 +1,6 @@
-//! Deterministic structured graphs for tests and examples.
+//! Deterministic structured graphs for examples.
 
 use hetgraph_core::{Edge, EdgeList, Graph};
-
-/// Directed ring `0 -> 1 -> … -> n-1 -> 0`.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn ring(n: u32) -> Graph {
-    assert!(n > 0, "ring requires at least one vertex");
-    let edges = (0..n).map(|v| Edge::new(v, (v + 1) % n)).collect();
-    Graph::from_edge_list(EdgeList::from_edges(n, edges))
-}
-
-/// Star with hub 0 pointing at every other vertex.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn star(n: u32) -> Graph {
-    assert!(n > 0, "star requires at least one vertex");
-    let edges = (1..n).map(|v| Edge::new(0, v)).collect();
-    Graph::from_edge_list(EdgeList::from_edges(n, edges))
-}
-
-/// Directed path `0 -> 1 -> … -> n-1`.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn path(n: u32) -> Graph {
-    assert!(n > 0, "path requires at least one vertex");
-    let edges = (0..n.saturating_sub(1))
-        .map(|v| Edge::new(v, v + 1))
-        .collect();
-    Graph::from_edge_list(EdgeList::from_edges(n, edges))
-}
 
 /// 2-D grid of `rows x cols` vertices with edges right and down.
 ///
@@ -56,77 +24,9 @@ pub fn grid(rows: u32, cols: u32) -> Graph {
     Graph::from_edge_list(EdgeList::from_edges(n, edges))
 }
 
-/// Complete directed graph on `n` vertices (all ordered pairs, no loops).
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn complete(n: u32) -> Graph {
-    assert!(n > 0, "complete graph requires at least one vertex");
-    let mut edges = Vec::with_capacity((n as usize) * (n as usize - 1));
-    for u in 0..n {
-        for v in 0..n {
-            if u != v {
-                edges.push(Edge::new(u, v));
-            }
-        }
-    }
-    Graph::from_edge_list(EdgeList::from_edges(n, edges))
-}
-
-/// Two cliques of size `k` joined by a single bridge edge — the classic
-/// connected-components / partitioning stress shape.
-pub fn barbell(k: u32) -> Graph {
-    assert!(k > 0, "barbell requires positive clique size");
-    let n = 2 * k;
-    let mut edges = Vec::new();
-    for base in [0, k] {
-        for u in 0..k {
-            for v in 0..k {
-                if u != v {
-                    edges.push(Edge::new(base + u, base + v));
-                }
-            }
-        }
-    }
-    edges.push(Edge::new(k - 1, k)); // the bridge
-    Graph::from_edge_list(EdgeList::from_edges(n, edges))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_degrees() {
-        let g = ring(5);
-        assert_eq!(g.num_edges(), 5);
-        for v in g.vertices() {
-            assert_eq!(g.out_degree(v), 1);
-            assert_eq!(g.in_degree(v), 1);
-        }
-    }
-
-    #[test]
-    fn star_shape() {
-        let g = star(6);
-        assert_eq!(g.out_degree(0), 5);
-        assert_eq!(g.in_degree(0), 0);
-        assert_eq!(g.in_degree(5), 1);
-    }
-
-    #[test]
-    fn path_endpoints() {
-        let g = path(4);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.out_degree(3), 0);
-        assert_eq!(g.in_degree(0), 0);
-    }
-
-    #[test]
-    fn single_vertex_path() {
-        let g = path(1);
-        assert_eq!(g.num_edges(), 0);
-    }
 
     #[test]
     fn grid_edge_count() {
@@ -134,22 +34,5 @@ mod tests {
         assert_eq!(g.num_vertices(), 12);
         // right edges: 3 * 3 = 9, down edges: 2 * 4 = 8
         assert_eq!(g.num_edges(), 17);
-    }
-
-    #[test]
-    fn complete_edge_count() {
-        let g = complete(5);
-        assert_eq!(g.num_edges(), 20);
-        for v in g.vertices() {
-            assert_eq!(g.out_degree(v), 4);
-        }
-    }
-
-    #[test]
-    fn barbell_has_bridge() {
-        let g = barbell(3);
-        assert_eq!(g.num_vertices(), 6);
-        assert_eq!(g.num_edges(), 2 * 6 + 1);
-        assert!(g.out_neighbors(2).contains(&3));
     }
 }

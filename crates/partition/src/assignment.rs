@@ -245,22 +245,6 @@ impl PartitionAssignment {
             .fold((0, 0, 0), |acc, x| (acc.0 + x.0, acc.1 + x.1, acc.2 + x.2))
     }
 
-    /// Mirror count per machine (replicas that are not the master).
-    pub fn mirrors_per_machine(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.num_machines];
-        for v in 0..self.replica_mask.len() {
-            let mut mask = self.replica_mask[v];
-            while mask != 0 {
-                let m = mask.trailing_zeros();
-                mask &= mask - 1;
-                if m as u16 != self.master[v] {
-                    counts[m as usize] += 1;
-                }
-            }
-        }
-        counts
-    }
-
     /// Incrementally reassign a batch of edges to new machines, keeping
     /// the derived replication structure (masks, masters, per-machine edge
     /// counts) exactly what a from-scratch
@@ -447,8 +431,6 @@ mod tests {
         assert_eq!(a.total_mirrors(), 2);
         // RF over covered vertices: (2+1+2+1)/4 = 1.5
         assert!((a.replication_factor() - 1.5).abs() < 1e-12);
-        let per_machine: u64 = a.mirrors_per_machine().iter().sum();
-        assert_eq!(per_machine, 2);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! which edges moved and which vertices' replica sets (and possibly
 //! masters) changed as a consequence. Consumers patch their derived state
 //! from the delta in O(|delta|) instead of rebuilding O(E) structures:
-//! `DistributedGraph::apply_delta` patches its CSR slot lanes, and
-//! [`PartitionMetricsTracker`](crate::PartitionMetricsTracker) updates the
-//! partition quality metrics.
+//! `DistributedGraph::apply_delta` patches its CSR slot lanes.
 
 use hetgraph_core::{MachineId, VertexId};
 
@@ -67,15 +65,6 @@ impl AssignmentDelta {
         self.moves.len()
     }
 
-    /// Net change in total replica count (mirrors gained minus mirrors
-    /// lost) across the batch.
-    pub fn replica_delta(&self) -> i64 {
-        self.mask_changes
-            .iter()
-            .map(|c| c.new_mask.count_ones() as i64 - c.old_mask.count_ones() as i64)
-            .sum()
-    }
-
     /// Edges moved per `(from, to)` machine pair, ascending by pair.
     /// Migration traffic between distinct pairs flows concurrently, so
     /// cost models price each pair's volume separately.
@@ -104,7 +93,6 @@ mod tests {
         let d = AssignmentDelta::default();
         assert!(d.is_empty());
         assert_eq!(d.edges_moved(), 0);
-        assert_eq!(d.replica_delta(), 0);
         assert!(d.moves_per_pair().is_empty());
     }
 
@@ -138,33 +126,5 @@ mod tests {
                 (MachineId(1), MachineId(0), 2)
             ]
         );
-    }
-
-    #[test]
-    fn replica_delta_counts_bits() {
-        let d = AssignmentDelta {
-            moves: vec![EdgeMove {
-                edge: 0,
-                from: MachineId(0),
-                to: MachineId(1),
-            }],
-            mask_changes: vec![
-                MaskChange {
-                    vertex: 0,
-                    old_mask: 0b01,
-                    new_mask: 0b11, // gained a mirror
-                    old_master: MachineId(0),
-                    new_master: MachineId(0),
-                },
-                MaskChange {
-                    vertex: 1,
-                    old_mask: 0b11,
-                    new_mask: 0b10, // lost a mirror
-                    old_master: MachineId(0),
-                    new_master: MachineId(1),
-                },
-            ],
-        };
-        assert_eq!(d.replica_delta(), 0);
     }
 }

@@ -27,10 +27,6 @@ use crate::weights::{assert_bitmask_capacity, MachineWeights};
 #[derive(Debug, Clone)]
 pub struct Ginger {
     threshold: usize,
-    /// Balance-pressure coefficient γ. Larger values favor balance over
-    /// locality; Fennel's analysis suggests values around the average
-    /// degree, which is what [`Ginger::new`] uses at partition time.
-    gamma: Option<f64>,
 }
 
 impl Ginger {
@@ -38,16 +34,6 @@ impl Ginger {
     pub fn new() -> Self {
         Ginger {
             threshold: DEFAULT_THRESHOLD,
-            gamma: None,
-        }
-    }
-
-    /// Custom threshold and γ.
-    pub fn with_params(threshold: usize, gamma: f64) -> Self {
-        assert!(gamma >= 0.0, "gamma must be non-negative");
-        Ginger {
-            threshold,
-            gamma: Some(gamma),
         }
     }
 }
@@ -87,7 +73,10 @@ impl Partitioner for Ginger {
         let p = weights.len();
         assert_bitmask_capacity(p);
         let n = graph.num_vertices() as usize;
-        let gamma = self.gamma.unwrap_or_else(|| graph.avg_degree().max(1.0));
+        // Balance-pressure coefficient γ. Larger values favor balance over
+        // locality; Fennel's analysis suggests values around the average
+        // degree.
+        let gamma = graph.avg_degree().max(1.0);
 
         // Initial homes: the Hybrid phase-1 target hash, computed once per
         // vertex (threaded pick table).
@@ -261,22 +250,5 @@ mod tests {
         let a = Ginger::new().partition(&g, &MachineWeights::uniform(5));
         let total: usize = a.edges_per_machine().iter().sum();
         assert_eq!(total, g.num_edges());
-    }
-
-    #[test]
-    fn zero_gamma_maximizes_locality() {
-        // With no balance pressure, every low-degree vertex chases its
-        // neighbors; replication drops (possibly at balance cost).
-        let g = community_graph();
-        let w = MachineWeights::uniform(4);
-        let greedy = Ginger::with_params(100, 0.0).partition(&g, &w);
-        let balanced = Ginger::with_params(100, 50.0).partition(&g, &w);
-        assert!(greedy.replication_factor() <= balanced.replication_factor() + 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_gamma_rejected() {
-        Ginger::with_params(100, -1.0);
     }
 }

@@ -43,7 +43,7 @@ pub use delta::{AssignmentDelta, EdgeMove, MaskChange};
 pub use ginger::Ginger;
 pub use grid::Grid;
 pub use hybrid::Hybrid;
-pub use metrics::{PartitionMetrics, PartitionMetricsTracker};
+pub use metrics::PartitionMetrics;
 pub use oblivious::Oblivious;
 pub use random_hash::RandomHash;
 pub use traits::{Partitioner, PartitionerKind, StreamPartitioner};

@@ -1,7 +1,6 @@
 //! Partition quality metrics.
 
 use crate::assignment::PartitionAssignment;
-use crate::delta::AssignmentDelta;
 use crate::weights::MachineWeights;
 
 /// Quality summary of one partition against a target weight vector.
@@ -47,122 +46,37 @@ impl PartitionMetrics {
             weights.len(),
             "assignment and weights must cover the same machines"
         );
-        let (total, covered, _) = assignment.replication_summary_with_threads(host_threads);
-        from_counts(assignment.edges_per_machine(), total, covered, weights)
-    }
-}
-
-/// The metrics math, shared between the from-scratch compute and the
-/// incremental tracker so both produce bit-identical floats: shares are
-/// integer counts divided by the integer total, and the replica summary is
-/// a pair of integers, so any path that hands over the same integers gets
-/// the same metrics.
-fn from_counts(
-    edges_per_machine: &[usize],
-    total_replicas: u64,
-    covered: u64,
-    weights: &MachineWeights,
-) -> PartitionMetrics {
-    let total_edges: usize = edges_per_machine.iter().sum();
-    let shares: Vec<f64> = if total_edges == 0 {
-        vec![0.0; edges_per_machine.len()]
-    } else {
-        edges_per_machine
-            .iter()
-            .map(|&c| c as f64 / total_edges as f64)
-            .collect()
-    };
-    let mut max_norm: f64 = 0.0;
-    let mut max_err: f64 = 0.0;
-    for (i, &s) in shares.iter().enumerate() {
-        let w = weights.as_slice()[i];
-        max_norm = max_norm.max(s / w);
-        max_err = max_err.max((s - w).abs() / w);
-    }
-    let replication_factor = if covered == 0 {
-        1.0
-    } else {
-        total_replicas as f64 / covered as f64
-    };
-    PartitionMetrics {
-        replication_factor,
-        total_mirrors: total_replicas - covered,
-        edge_shares: shares,
-        max_normalized_load: max_norm,
-        weighted_balance_error: max_err,
-    }
-}
-
-/// Incrementally maintained [`PartitionMetrics`]: seeded from one full
-/// compute, then patched per migration batch from the
-/// [`AssignmentDelta`] in O(|delta| + machines) — no O(V + E) recompute.
-///
-/// The tracker carries the integer state the metrics derive from
-/// (per-machine edge counts, total replicas, covered vertices); after each
-/// delta it re-derives the floats through the same shared helper the full
-/// compute uses, so tracked metrics are bit-identical to a from-scratch
-/// [`PartitionMetrics::compute`] of the migrated assignment.
-#[derive(Debug, Clone)]
-pub struct PartitionMetricsTracker {
-    weights: MachineWeights,
-    edges_per_machine: Vec<usize>,
-    total_replicas: u64,
-    covered: u64,
-    metrics: PartitionMetrics,
-}
-
-impl PartitionMetricsTracker {
-    /// Seed the tracker with a full metrics compute of `assignment`.
-    ///
-    /// # Panics
-    /// Panics if machine counts mismatch.
-    pub fn new(assignment: &PartitionAssignment, weights: &MachineWeights) -> Self {
-        assert_eq!(
-            assignment.num_machines(),
-            weights.len(),
-            "assignment and weights must cover the same machines"
-        );
-        let (total, covered, _) = assignment.replication_summary_with_threads(1);
-        let edges_per_machine = assignment.edges_per_machine().to_vec();
-        let metrics = from_counts(&edges_per_machine, total, covered, weights);
-        PartitionMetricsTracker {
-            weights: weights.clone(),
-            edges_per_machine,
-            total_replicas: total,
-            covered,
-            metrics,
+        let (total_replicas, covered, _) =
+            assignment.replication_summary_with_threads(host_threads);
+        let edges_per_machine = assignment.edges_per_machine();
+        let total_edges: usize = edges_per_machine.iter().sum();
+        let shares: Vec<f64> = if total_edges == 0 {
+            vec![0.0; edges_per_machine.len()]
+        } else {
+            edges_per_machine
+                .iter()
+                .map(|&c| c as f64 / total_edges as f64)
+                .collect()
+        };
+        let mut max_norm: f64 = 0.0;
+        let mut max_err: f64 = 0.0;
+        for (i, &s) in shares.iter().enumerate() {
+            let w = weights.as_slice()[i];
+            max_norm = max_norm.max(s / w);
+            max_err = max_err.max((s - w).abs() / w);
         }
-    }
-
-    /// Fold one migration batch into the metrics.
-    ///
-    /// # Panics
-    /// Panics if the delta references machines outside this tracker's
-    /// range (it came from a different assignment).
-    pub fn apply_delta(&mut self, delta: &AssignmentDelta) {
-        for mv in &delta.moves {
-            self.edges_per_machine[mv.from.index()] -= 1;
-            self.edges_per_machine[mv.to.index()] += 1;
+        let replication_factor = if covered == 0 {
+            1.0
+        } else {
+            total_replicas as f64 / covered as f64
+        };
+        PartitionMetrics {
+            replication_factor,
+            total_mirrors: total_replicas - covered,
+            edge_shares: shares,
+            max_normalized_load: max_norm,
+            weighted_balance_error: max_err,
         }
-        for c in &delta.mask_changes {
-            let old = c.old_mask.count_ones() as u64;
-            let new = c.new_mask.count_ones() as u64;
-            self.total_replicas = self.total_replicas + new - old;
-            self.covered = (self.covered + u64::from(c.new_mask != 0)) - u64::from(c.old_mask != 0);
-        }
-        if !delta.is_empty() {
-            self.metrics = from_counts(
-                &self.edges_per_machine,
-                self.total_replicas,
-                self.covered,
-                &self.weights,
-            );
-        }
-    }
-
-    /// The current metrics.
-    pub fn metrics(&self) -> &PartitionMetrics {
-        &self.metrics
     }
 }
 
@@ -239,35 +153,5 @@ mod tests {
         let g = graph();
         let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
         PartitionMetrics::compute(&a, &MachineWeights::uniform(3));
-    }
-
-    #[test]
-    fn tracker_matches_full_compute_after_migrations() {
-        let g = graph();
-        let w = MachineWeights::new(&[3.0, 1.0]);
-        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
-        let mut tracker = PartitionMetricsTracker::new(&a, &w);
-        assert_eq!(tracker.metrics(), &PartitionMetrics::compute(&a, &w));
-
-        let delta = a.migrate_edges(&g, &[(2, 0), (0, 1)]);
-        tracker.apply_delta(&delta);
-        assert_eq!(tracker.metrics(), &PartitionMetrics::compute(&a, &w));
-
-        // A second batch, stacking on the first.
-        let delta = a.migrate_edges(&g, &[(1, 1), (3, 0)]);
-        tracker.apply_delta(&delta);
-        assert_eq!(tracker.metrics(), &PartitionMetrics::compute(&a, &w));
-    }
-
-    #[test]
-    fn tracker_empty_delta_is_a_noop() {
-        let g = graph();
-        let w = MachineWeights::uniform(2);
-        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
-        let mut tracker = PartitionMetricsTracker::new(&a, &w);
-        let before = tracker.metrics().clone();
-        let delta = a.migrate_edges(&g, &[(0, 0)]);
-        tracker.apply_delta(&delta);
-        assert_eq!(tracker.metrics(), &before);
     }
 }

@@ -29,11 +29,6 @@ impl RandomHash {
             salt: 0x9a4e_9a4e_0001,
         }
     }
-
-    /// Custom salt, for ingest-variance studies.
-    pub fn with_salt(salt: u64) -> Self {
-        RandomHash { salt }
-    }
 }
 
 impl Default for RandomHash {
@@ -148,15 +143,6 @@ mod tests {
         let a = RandomHash::new().partition(&g, &w);
         let b = RandomHash::new().partition(&g, &w);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn different_salts_differ() {
-        let g = power_law_like_graph();
-        let w = MachineWeights::uniform(3);
-        let a = RandomHash::with_salt(1).partition(&g, &w);
-        let b = RandomHash::with_salt(2).partition(&g, &w);
-        assert_ne!(a.edge_machines(), b.edge_machines());
     }
 
     #[test]

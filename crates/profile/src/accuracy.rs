@@ -146,11 +146,6 @@ impl AccuracyReport {
                     .collect::<Vec<_>>(),
             )
     }
-
-    /// The paper's headline "accuracy" = 100 % − proxy error.
-    pub fn proxy_accuracy_pct(&self) -> f64 {
-        100.0 - self.proxy_error_pct()
-    }
 }
 
 #[cfg(test)]

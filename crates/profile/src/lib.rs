@@ -13,6 +13,8 @@
 //! - [`accuracy`] — Fig 8: per-machine speedups estimated from proxies vs
 //!   measured on real graphs vs predicted by thread counts, with the
 //!   paper's accuracy metric.
+//! - [`policy`] — [`Policy`], the one choice of weights every experiment
+//!   and the framework compare: uniform, thread counts, or profiled CCRs.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,6 +32,7 @@ pub mod accuracy;
 pub mod ccr;
 pub mod feedback;
 pub mod online;
+pub mod policy;
 pub mod prior;
 pub mod runner;
 
@@ -37,5 +40,6 @@ pub use accuracy::{AccuracyReport, AccuracyRow};
 pub use ccr::{CcrPool, CcrSet};
 pub use feedback::{Epoch, FeedbackBalancer};
 pub use online::{CcrMaintainer, RefreshOutcome};
+pub use policy::Policy;
 pub use prior::PriorWorkEstimator;
 pub use runner::single_machine_time;

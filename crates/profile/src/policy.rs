@@ -1,8 +1,11 @@
-//! The three load-balancing policies compared throughout the evaluation.
+//! The three load-balancing policies the paper compares (Fig 9, Fig 10):
+//! PowerGraph's uniform default, prior work's thread counts, and the
+//! proxy-profiled CCRs.
 
 use hetgraph_cluster::Cluster;
 use hetgraph_partition::MachineWeights;
-use hetgraph_profile::CcrPool;
+
+use crate::ccr::CcrPool;
 
 /// Which capability estimate drives the partitioner's weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -58,7 +61,7 @@ impl std::fmt::Display for Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgraph_profile::CcrSet;
+    use crate::ccr::CcrSet;
 
     #[test]
     fn default_is_uniform() {
@@ -91,8 +94,10 @@ mod tests {
 
     #[test]
     fn names_distinct() {
-        let names: std::collections::HashSet<_> = Policy::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(names.len(), 3);
+        // These strings are written into every fig9, fig10, headline and
+        // ablation JSON row: pin them exactly, in presentation order.
+        let names: Vec<_> = Policy::ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["default", "prior_work", "ccr_guided"]);
         assert_eq!(Policy::CcrGuided.to_string(), "ccr_guided");
     }
 }

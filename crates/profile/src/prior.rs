@@ -34,15 +34,6 @@ impl PriorWorkEstimator {
         let ratios = threads.iter().map(|&t| t / min).collect();
         CcrSet::from_ratios("prior_work_thread_count", ratios)
     }
-
-    /// Whether prior work would consider this cluster homogeneous (equal
-    /// computing-thread counts) and therefore fall back to uniform
-    /// partitioning. This is exactly the paper's Case 1 setting, where
-    /// "prior work cannot achieve any benefits".
-    pub fn sees_homogeneous(&self, cluster: &Cluster) -> bool {
-        let t = cluster.thread_count_weights();
-        t.windows(2).all(|w| w[0] == w[1])
-    }
 }
 
 #[cfg(test)]
@@ -68,10 +59,7 @@ mod tests {
 
     #[test]
     fn case1_looks_homogeneous_to_prior_work() {
-        let prior = PriorWorkEstimator::new();
-        assert!(prior.sees_homogeneous(&Cluster::case1()));
-        assert!(!prior.sees_homogeneous(&Cluster::case2()));
-        let est = prior.estimate(&Cluster::case1());
+        let est = PriorWorkEstimator::new().estimate(&Cluster::case1());
         assert_eq!(est.ratios(), &[1.0, 1.0]);
     }
 

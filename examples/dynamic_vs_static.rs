@@ -27,20 +27,9 @@ fn main() {
     let app = AnyApp::pagerank();
     let balancer = FeedbackBalancer::default();
 
-    let starts: Vec<(&str, MachineWeights)> = vec![
-        ("default (uniform)", MachineWeights::uniform(cluster.len())),
-        (
-            "prior work (threads)",
-            MachineWeights::from_thread_counts(&cluster),
-        ),
-        (
-            "ccr-guided (ours)",
-            MachineWeights::from_ccr(pool.ccr(app.name()).expect("profiled").ratios()),
-        ),
-    ];
-
-    for (name, weights) in starts {
-        println!("starting from {name}:");
+    for policy in Policy::ALL {
+        let weights = policy.weights(&cluster, &pool, app.name());
+        println!("starting from {policy} weights:");
         let history = balancer.run(&cluster, &graph, &app, &RandomHash::new(), weights);
         for epoch in &history {
             let w: Vec<String> = epoch.weights.iter().map(|x| format!("{x:.2}")).collect();

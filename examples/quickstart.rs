@@ -52,19 +52,13 @@ fn main() {
     //    Connected Components (the compute-bound workload where capability
     //    mis-estimates translate directly into barrier time; see
     //    `exp_fig10` for the full four-application comparison).
+    //    The three policies weigh the machines uniformly (PowerGraph's
+    //    default), by thread counts (prior work), or by the profiled CCR.
     let engine = SimEngine::new(&cluster);
-    let ccr = pool.ccr("connected_components").expect("profiled above");
-    let candidates: [(&str, MachineWeights); 3] = [
-        ("default (uniform)", MachineWeights::uniform(cluster.len())),
-        (
-            "prior work (threads)",
-            MachineWeights::from_thread_counts(&cluster),
-        ),
-        ("ccr-guided (ours)", MachineWeights::from_ccr(ccr.ratios())),
-    ];
     println!();
     let mut baseline = None;
-    for (name, weights) in candidates {
+    for policy in Policy::ALL {
+        let weights = policy.weights(&cluster, &pool, "connected_components");
         // Random hash spreads edges at the finest grain, so realized loads
         // track the target weights tightly — the cleanest first look at the
         // three policies. Try `Hybrid::new()` or `Ginger::new()` for the
@@ -75,7 +69,8 @@ fn main() {
         let t = outcome.report.makespan_s;
         let base = *baseline.get_or_insert(t);
         println!(
-            "{name:22} -> {:.4}s  (speedup over default: {:.2}x, energy {:.1} J)",
+            "{:10} -> {:.4}s  (speedup over default: {:.2}x, energy {:.1} J)",
+            policy.name(),
             t,
             base / t,
             outcome.report.total_energy_j(),

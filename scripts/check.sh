@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the hetgraph workspace. Run before every commit:
 #
-#   scripts/check.sh            # full gate
+#   scripts/check.sh            # full gate (build, tests, fmt, clippy, rustdoc)
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
 #   scripts/check.sh --ci       # GitHub Actions ::group:: annotations
 #
@@ -75,6 +75,11 @@ rustfmt --check --edition 2021 "${fmt_files[@]}"
 endgroup
 
 step cargo clippy --workspace --all-targets -- -D warnings
+
+# Broken intra-doc links (e.g. to a deleted item) fail here. `--lib`
+# keeps the `hetgraph` CLI binary's docs from colliding with the facade
+# crate's `hetgraph/index.html`.
+step env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib
 
 echo
 echo "check.sh: all gates passed"

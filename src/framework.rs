@@ -22,18 +22,7 @@ use hetgraph_core::Graph;
 use hetgraph_engine::{DistributedGraph, SimEngine, SimReport};
 use hetgraph_gen::ProxySet;
 use hetgraph_partition::{MachineWeights, PartitionMetrics, PartitionerKind};
-use hetgraph_profile::{CcrMaintainer, CcrPool};
-
-/// Load-balancing policy for [`Framework::submit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BalancePolicy {
-    /// Uniform partitioning (the PowerGraph default).
-    Uniform,
-    /// Thread-count weights (prior work).
-    ThreadCounts,
-    /// Proxy-profiled CCR weights (the paper's method).
-    CcrGuided,
-}
+use hetgraph_profile::{CcrMaintainer, CcrPool, Policy};
 
 /// Result of one job submission.
 #[derive(Debug, Clone)]
@@ -50,7 +39,7 @@ pub struct Framework {
     proxies: ProxySet,
     pool: CcrPool,
     partitioner: PartitionerKind,
-    policy: BalancePolicy,
+    policy: Policy,
     threads: usize,
 }
 
@@ -69,7 +58,7 @@ impl Framework {
             proxies,
             pool,
             partitioner: PartitionerKind::Hybrid,
-            policy: BalancePolicy::CcrGuided,
+            policy: Policy::CcrGuided,
             threads: 1,
         }
     }
@@ -82,7 +71,7 @@ impl Framework {
     }
 
     /// Select the balancing policy (default: CCR-guided).
-    pub fn with_policy(mut self, policy: BalancePolicy) -> Self {
+    pub fn with_policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
         self
     }
@@ -115,17 +104,12 @@ impl Framework {
     }
 
     /// Weights the current policy would use for `app`.
+    ///
+    /// # Panics
+    /// Panics under [`Policy::CcrGuided`] if `app` is not in the pool:
+    /// deployment profiles only [`hetgraph_apps::full_apps`].
     pub fn weights_for(&self, app: &AnyApp) -> MachineWeights {
-        match self.policy {
-            BalancePolicy::Uniform => MachineWeights::uniform(self.cluster.len()),
-            BalancePolicy::ThreadCounts => MachineWeights::from_thread_counts(&self.cluster),
-            BalancePolicy::CcrGuided => MachineWeights::from_ccr(
-                self.pool
-                    .ccr(app.name())
-                    .expect("deploy() profiles every registered app")
-                    .ratios(),
-            ),
-        }
+        self.policy.weights(&self.cluster, &self.pool, app.name())
     }
 
     /// Fig 7b end to end: pick the CCR set for the application, partition
@@ -155,12 +139,6 @@ impl Framework {
         maintainer
             .maintain(&mut self.pool, &self.cluster, &self.proxies, &full_apps())
             .refreshed
-    }
-
-    /// Replace the cluster (e.g. hardware upgrade) and re-profile.
-    pub fn redeploy(&mut self, cluster: Cluster) {
-        self.cluster = cluster;
-        self.pool = CcrPool::profile(&self.cluster, &self.proxies, &full_apps());
     }
 }
 
@@ -196,16 +174,18 @@ mod tests {
 
     #[test]
     fn policy_changes_weights() {
-        let f = framework();
-        let uniform = f.weights_for(&AnyApp::pagerank());
+        let app = AnyApp::pagerank();
         // Default policy is CCR-guided: weights must be skewed toward the
         // Xeon L.
-        assert!(uniform.as_slice()[1] > 0.6);
-        let f2 = framework().with_policy(BalancePolicy::Uniform);
-        assert_eq!(f2.weights_for(&AnyApp::pagerank()).as_slice(), &[0.5, 0.5]);
-        let f3 = framework().with_policy(BalancePolicy::ThreadCounts);
-        let w = f3.weights_for(&AnyApp::pagerank());
-        assert!((w.as_slice()[1] / w.as_slice()[0] - 5.0).abs() < 1e-9);
+        assert!(framework().weights_for(&app).as_slice()[1] > 0.6);
+        for policy in Policy::ALL {
+            let f = framework().with_policy(policy);
+            assert_eq!(
+                f.weights_for(&app),
+                policy.weights(f.cluster(), f.pool(), app.name()),
+                "{policy}"
+            );
+        }
     }
 
     #[test]
@@ -213,7 +193,7 @@ mod tests {
         let g = PowerLawConfig::new(5_000, 2.0).generate(2);
         let ccr = framework().submit(&g, &AnyApp::pagerank());
         let uni = framework()
-            .with_policy(BalancePolicy::Uniform)
+            .with_policy(Policy::Default)
             .submit(&g, &AnyApp::pagerank());
         assert!(
             ccr.report.makespan_s < uni.report.makespan_s,
@@ -228,8 +208,9 @@ mod tests {
         let mut f = framework();
         assert!(!f.maintain(), "same cluster, same proxies: no refresh");
         let old_spread = f.pool().ccr("pagerank").unwrap().spread();
-        f.redeploy(Cluster::case3());
-        let new_spread = f.pool().ccr("pagerank").unwrap().spread();
+        // A hardware upgrade is a fresh deployment: it re-profiles.
+        let upgraded = Framework::deploy(Cluster::case3(), 3200);
+        let new_spread = upgraded.pool().ccr("pagerank").unwrap().spread();
         assert!(new_spread > old_spread);
     }
 

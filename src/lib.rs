@@ -47,7 +47,7 @@
 
 pub mod framework;
 
-pub use framework::{BalancePolicy, Framework, JobResult};
+pub use framework::{Framework, JobResult};
 
 /// Compiles and runs the README's `rust` blocks under `cargo test`, so
 /// the quickstart cannot drift from the API it advertises.
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use hetgraph_core::obs::{
         chrome_trace, chrome_trace_sim, to_jsonl, Telemetry, TraceEvent, OFF,
     };
-    pub use hetgraph_core::{Edge, EdgeList, Graph, GraphBuilder, MachineId, VertexId};
+    pub use hetgraph_core::{Edge, EdgeList, Graph, MachineId, VertexId};
     pub use hetgraph_engine::{
         DistributedGraph, GasProgram, RunTarget, SimEngine, SimOutcome, SimReport,
     };
@@ -90,6 +90,6 @@ pub mod prelude {
         PartitionerKind, RandomHash,
     };
     pub use hetgraph_profile::{
-        CcrMaintainer, CcrPool, CcrSet, FeedbackBalancer, PriorWorkEstimator,
+        CcrMaintainer, CcrPool, CcrSet, FeedbackBalancer, Policy, PriorWorkEstimator,
     };
 }

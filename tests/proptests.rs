@@ -415,34 +415,6 @@ proptest! {
     }
 
     #[test]
-    fn migration_delta_metrics_match_recompute(
-        g in arb_graph(),
-        w in arb_weights(),
-        kind_idx in 0usize..5,
-        raw_batches in proptest::collection::vec(
-            proptest::collection::vec((0usize..100_000, 0u16..8), 1..60),
-            1..4,
-        ),
-    ) {
-        // Folding migration deltas into a PartitionMetricsTracker must be
-        // bit-identical to a from-scratch PartitionMetrics::compute of the
-        // migrated assignment, for any sequence of random batches (with
-        // duplicate edges and no-op moves included).
-        let mut a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w);
-        let mut tracker = hetgraph::partition::PartitionMetricsTracker::new(&a, &w);
-        for raw in raw_batches {
-            let batch: Vec<(usize, u16)> = raw
-                .into_iter()
-                .map(|(e, m)| (e % g.num_edges(), m % w.len() as u16))
-                .collect();
-            let delta = a.migrate_edges(&g, &batch);
-            tracker.apply_delta(&delta);
-        }
-        let fresh = PartitionMetrics::compute(&a, &w);
-        prop_assert_eq!(tracker.metrics(), &fresh);
-    }
-
-    #[test]
     fn rebalanced_run_is_thread_count_invariant(
         g in arb_graph(),
         w in arb_weights(),

@@ -1,7 +1,7 @@
 //! Reproduction-shape assertions: the paper's qualitative claims must hold
 //! end-to-end through the public experiment harness (at reduced scale).
 
-use hetgraph_bench::{accuracy, cases, tables, ExperimentContext, Policy};
+use hetgraph_bench::{accuracy, cases, tables, ExperimentContext};
 
 use hetgraph::core::stats;
 use hetgraph::prelude::*;

@@ -7,12 +7,12 @@
 //! the engine's `parallel_matches_sequential_data_exactly`.
 
 use hetgraph_bench::cases::{profile_pool, run_matrix, run_matrix_counted, CaseRow};
-use hetgraph_bench::{ExperimentContext, Policy};
+use hetgraph_bench::ExperimentContext;
 use hetgraph_cluster::Cluster;
 use hetgraph_core::Graph;
 use hetgraph_engine::SimEngine;
 use hetgraph_partition::{PartitionMetrics, PartitionerKind};
-use hetgraph_profile::CcrPool;
+use hetgraph_profile::{CcrPool, Policy};
 
 const PARTITIONERS: [PartitionerKind; 2] = [PartitionerKind::RandomHash, PartitionerKind::Ginger];
 
