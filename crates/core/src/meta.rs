@@ -177,6 +177,21 @@ mod tests {
     }
 
     #[test]
+    fn wide_offsets_work() {
+        let out = [0u64, 2, 3];
+        let inn = [0u64, 1, 3];
+        let m = GraphMeta::from_parts(
+            2,
+            3,
+            DegreeIndex::Narrow64(&out),
+            DegreeIndex::Narrow64(&inn),
+        );
+        assert_eq!(m.out_degree(0), 2);
+        assert_eq!(m.in_degree(1), 2);
+        assert_eq!(m.degree(1), 3);
+    }
+
+    #[test]
     fn empty_graph_avg_degree_is_zero() {
         let out = [0usize];
         let m = GraphMeta::from_offsets(0, 0, &out, &out);

@@ -116,7 +116,7 @@ pub trait RebalancePolicy {
 /// 1. **Batch size** comes from the measured per-edge cost rates: moving
 ///    `e` edges lowers the straggler by `e·r_s` and raises the recipient
 ///    by `e·r_t`, so `e = gap / (r_s + r_t)` closes the gap, capped by
-///    `max_batch_edges`.
+///    `MAX_BATCH_EDGES`.
 /// 2. **Candidates** are the straggler's edges bucketed by how cheap they
 ///    are to re-home: endpoints already replicated on the recipient first
 ///    (no new mirrors), then hub edges (endpoints above the degree
@@ -129,10 +129,14 @@ pub struct GreedyRebalance {
     min_imbalance: f64,
     cooldown_steps: usize,
     horizon_steps: usize,
-    max_batch_edges: usize,
     last_migration_step: Option<usize>,
     events: Vec<MigrationEvent>,
 }
+
+/// Largest batch one plan may move. Large enough to close a
+/// whole-machine-sized gap in one batch on the headline fixtures; the
+/// amortization rule, not this cap, is what keeps batches honest.
+const MAX_BATCH_EDGES: usize = 1 << 22;
 
 impl Default for GreedyRebalance {
     fn default() -> Self {
@@ -140,10 +144,6 @@ impl Default for GreedyRebalance {
             min_imbalance: 1.05,
             cooldown_steps: 2,
             horizon_steps: 6,
-            // Large enough to close a whole-machine-sized gap in one
-            // batch on the headline fixtures; the amortization rule, not
-            // this cap, is what keeps batches honest.
-            max_batch_edges: 1 << 22,
             last_migration_step: None,
             events: Vec::new(),
         }
@@ -242,7 +242,7 @@ impl RebalancePolicy for GreedyRebalance {
         // equalizes the pair under the linear model.
         let gap = signals.busy_s[straggler] - signals.busy_s[recipient];
         let batch = ((gap / (c_s + c_t)) as usize)
-            .min(self.max_batch_edges)
+            .min(MAX_BATCH_EDGES)
             .min(edges_s as usize);
         if batch == 0 {
             return Vec::new();

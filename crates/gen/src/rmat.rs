@@ -48,7 +48,8 @@ impl RmatConfig {
     /// Generate the graph with the given seed.
     ///
     /// # Panics
-    /// Panics if `num_vertices == 0`.
+    /// Panics if `num_vertices == 0`, or if the probabilities are not
+    /// positive or do not sum to ~1.
     pub fn generate(&self, seed: u64) -> Graph {
         let mut list = EdgeList::with_capacity(self.num_vertices, self.num_edges);
         self.for_each_edge_impl(seed, &mut |e| list.push(e));
@@ -59,11 +60,19 @@ impl RmatConfig {
     /// streaming core both `generate` and the shard writer share.
     pub(crate) fn for_each_edge_impl(&self, seed: u64, f: &mut dyn FnMut(Edge)) {
         assert!(self.num_vertices > 0, "R-MAT needs at least one vertex");
+        let (a, b, c, d) = self.probabilities;
+        assert!(
+            a > 0.0 && b > 0.0 && c > 0.0 && d > 0.0,
+            "probabilities must be positive"
+        );
+        assert!(
+            ((a + b + c + d) - 1.0).abs() < 1e-9,
+            "probabilities must sum to 1"
+        );
         let n = self.num_vertices;
         let levels = 32 - (n.max(2) - 1).leading_zeros(); // ceil(log2 n)
         let side = 1u64 << levels;
         let mut rng = Xoshiro256::new(seed);
-        let (a, b, c, _d) = self.probabilities;
 
         let mut produced = 0usize;
         // Bound the retry loop: degenerate configs (e.g. n == 1 with self
@@ -161,6 +170,14 @@ mod tests {
         // All candidate edges are self loops; the attempt bound must stop us.
         let g = RmatConfig::natural(1, 100).generate(0);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sum to 1")]
+    fn rejects_bad_probabilities() {
+        let mut cfg = RmatConfig::natural(10, 10);
+        cfg.probabilities = (0.5, 0.5, 0.5, 0.5);
+        cfg.generate(0);
     }
 
     #[test]

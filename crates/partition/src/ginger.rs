@@ -23,24 +23,15 @@ use crate::hybrid::{pick_table, DEFAULT_THRESHOLD, SOURCE_SALT, TARGET_SALT};
 use crate::traits::Partitioner;
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
-/// Ginger mixed-cut partitioner.
-#[derive(Debug, Clone)]
-pub struct Ginger {
-    threshold: usize,
-}
+/// Ginger mixed-cut partitioner: in-degree threshold 100, γ = graph
+/// average degree.
+#[derive(Debug, Clone, Default)]
+pub struct Ginger;
 
 impl Ginger {
-    /// Default construction: threshold 100, γ = graph average degree.
+    /// The partitioner (it has no parameters).
     pub fn new() -> Self {
-        Ginger {
-            threshold: DEFAULT_THRESHOLD,
-        }
-    }
-}
-
-impl Default for Ginger {
-    fn default() -> Self {
-        Self::new()
+        Ginger
     }
 }
 
@@ -54,7 +45,7 @@ impl Partitioner for Ginger {
     fn greedy_scans(&self, graph: &Graph) -> Option<u64> {
         Some(
             (0..graph.num_vertices())
-                .filter(|&v| graph.in_degree(v) <= self.threshold)
+                .filter(|&v| graph.in_degree(v) <= DEFAULT_THRESHOLD)
                 .count() as u64,
         )
     }
@@ -111,7 +102,7 @@ impl Partitioner for Ginger {
         let mut overlap = vec![0f64; p];
         for v in 0..n as u32 {
             let in_deg = graph.in_degree(v);
-            if in_deg > self.threshold {
+            if in_deg > DEFAULT_THRESHOLD {
                 continue;
             }
             // Neighbor overlap against current homes.
@@ -155,7 +146,7 @@ impl Partitioner for Ginger {
         let edges = graph.edges();
         let assignment: Vec<u16> = crate::chunk::chunked_map(edges.len(), host_threads, |i| {
             let e = &edges[i];
-            if graph.in_degree(e.dst) > self.threshold {
+            if graph.in_degree(e.dst) > DEFAULT_THRESHOLD {
                 src_pick[e.src as usize]
             } else {
                 home[e.dst as usize]

@@ -16,24 +16,17 @@ use crate::traits::{Partitioner, StreamPartitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// Random-hash edge partitioner.
-#[derive(Debug, Clone)]
-pub struct RandomHash {
-    salt: u64,
-}
+#[derive(Debug, Clone, Default)]
+pub struct RandomHash;
+
+/// Fixed hash salt: partitioning must be a pure function of the graph for
+/// reproducibility.
+const SALT: u64 = 0x9a4e_9a4e_0001;
 
 impl RandomHash {
-    /// Default construction (fixed salt — partitioning must be a pure
-    /// function of the graph for reproducibility).
+    /// The partitioner (it has no parameters).
     pub fn new() -> Self {
-        RandomHash {
-            salt: 0x9a4e_9a4e_0001,
-        }
-    }
-}
-
-impl Default for RandomHash {
-    fn default() -> Self {
-        Self::new()
+        RandomHash
     }
 }
 
@@ -58,7 +51,7 @@ impl Partitioner for RandomHash {
         // Pure per-edge hash: fan out in fixed chunks (identical output at
         // any thread count).
         let assignment: Vec<u16> = chunked_map(edges.len(), host_threads, |i| {
-            let h = hash64(hash_combine(edges[i].key(), self.salt));
+            let h = hash64(hash_combine(edges[i].key(), SALT));
             weights.pick(h).0
         });
         PartitionAssignment::from_edge_machines_with_threads(
@@ -83,7 +76,7 @@ impl StreamPartitioner for RandomHash {
         let mut replica_mask = vec![0u64; n];
         let mut edges_per_machine = vec![0usize; weights.len()];
         for e in edges {
-            let h = hash64(hash_combine(e.key(), self.salt));
+            let h = hash64(hash_combine(e.key(), SALT));
             let m = weights.pick(h).0;
             replica_mask[e.src as usize] |= 1u64 << m;
             replica_mask[e.dst as usize] |= 1u64 << m;

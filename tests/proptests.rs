@@ -415,6 +415,50 @@ proptest! {
     }
 
     #[test]
+    fn migration_matches_rebuild(
+        g in arb_graph(),
+        w in arb_weights(),
+        kind_idx in 0usize..5,
+        raw_batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..100_000, 0u16..8), 1..60),
+            1..4,
+        ),
+    ) {
+        // Migrating any sequence of random batches (with duplicate edges
+        // and no-op moves included) must leave exactly the assignment a
+        // from-scratch build of the same per-edge machine vector gives, and
+        // each delta must record exactly the vertices whose replica mask
+        // changed, with their old and new masks and masters.
+        let mut a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w);
+        for raw in raw_batches {
+            let batch: Vec<(usize, u16)> = raw
+                .into_iter()
+                .map(|(e, m)| (e % g.num_edges(), m % w.len() as u16))
+                .collect();
+            let before = a.clone();
+            let delta = a.migrate_edges(&g, &batch);
+            let changed: Vec<u32> = g
+                .vertices()
+                .filter(|&v| before.replica_mask(v) != a.replica_mask(v))
+                .collect();
+            let recorded: Vec<u32> = delta.mask_changes.iter().map(|c| c.vertex).collect();
+            prop_assert_eq!(recorded, changed);
+            for c in &delta.mask_changes {
+                prop_assert_eq!(c.old_mask, before.replica_mask(c.vertex));
+                prop_assert_eq!(c.new_mask, a.replica_mask(c.vertex));
+                prop_assert_eq!(c.old_master, before.master(c.vertex));
+                prop_assert_eq!(c.new_master, a.master(c.vertex));
+            }
+        }
+        let rebuilt = hetgraph::partition::PartitionAssignment::from_edge_machines(
+            &g,
+            w.len(),
+            a.edge_machines().to_vec(),
+        );
+        prop_assert_eq!(&a, &rebuilt);
+    }
+
+    #[test]
     fn rebalanced_run_is_thread_count_invariant(
         g in arb_graph(),
         w in arb_weights(),
