@@ -7,7 +7,8 @@
 //! profiler, the evaluation harness, the CLI, and `Framework` all iterate
 //! [`AnyApp`] collections and call [`AnyApp::run`], which executes the
 //! right vertex program on the one superstep kernel and returns the
-//! simulated report.
+//! simulated report ([`AnyApp::trace`] also returns the run's
+//! re-priceable work record).
 //!
 //! **Registering a new app is a one-place change**: implement
 //! [`GasProgram`] for your vertex program and add a constructor on
@@ -25,7 +26,7 @@ use std::sync::Arc;
 
 use hetgraph_cluster::AppProfile;
 use hetgraph_core::VertexId;
-use hetgraph_engine::{GasProgram, RunTarget, SimEngine, SimReport};
+use hetgraph_engine::{EngineError, GasProgram, RunTarget, SimEngine, SimReport, WorkTrace};
 
 use crate::coloring::Coloring;
 use crate::connected_components::ConnectedComponents;
@@ -65,6 +66,18 @@ pub trait AppSpec: Send + Sync {
         target: RunTarget<'_, '_>,
         host_threads: usize,
     ) -> SimReport;
+
+    /// [`AppSpec::run`] that also records the run's per-superstep work
+    /// (see [`SimEngine::trace`]).
+    ///
+    /// # Errors
+    /// Whatever [`SimEngine::trace`] rejects.
+    fn trace(
+        &self,
+        engine: &SimEngine<'_>,
+        target: RunTarget<'_, '_>,
+        host_threads: usize,
+    ) -> Result<(SimReport, WorkTrace), EngineError>;
 }
 
 /// The one [`AppSpec`] implementation: a name, a profile, and a
@@ -98,6 +111,18 @@ where
     ) -> SimReport {
         let program = (self.program)(&target);
         engine.run(target, &program, host_threads).report
+    }
+
+    fn trace(
+        &self,
+        engine: &SimEngine<'_>,
+        target: RunTarget<'_, '_>,
+        host_threads: usize,
+    ) -> Result<(SimReport, WorkTrace), EngineError> {
+        let program = (self.program)(&target);
+        engine
+            .trace(target, &program, host_threads)
+            .map(|(out, trace)| (out.report, trace))
     }
 }
 
@@ -216,6 +241,23 @@ impl AnyApp {
         host_threads: usize,
     ) -> SimReport {
         self.0.run(engine, target.into(), host_threads)
+    }
+
+    /// [`AnyApp::run`] that also returns the run's [`WorkTrace`], which
+    /// [`SimEngine::price`] re-prices for any cluster of the same size —
+    /// exactly [`SimEngine::trace`] for the registered program.
+    ///
+    /// # Errors
+    /// [`EngineError::RebalancedTrace`] for a rebalanced target,
+    /// [`EngineError::ZeroThreads`], or
+    /// [`EngineError::MachineCountMismatch`] between view and cluster.
+    pub fn trace<'k, 'g: 'k>(
+        &self,
+        engine: &SimEngine<'_>,
+        target: impl Into<RunTarget<'k, 'g>>,
+        host_threads: usize,
+    ) -> Result<(SimReport, WorkTrace), EngineError> {
+        self.0.trace(engine, target.into(), host_threads)
     }
 }
 

@@ -3,7 +3,7 @@
 use hetgraph_apps::standard_apps;
 use hetgraph_cluster::{catalog, MachineSpec};
 use hetgraph_core::Graph;
-use hetgraph_profile::runner::profiling_set_time;
+use hetgraph_profile::runner::profiling_set_times;
 use hetgraph_profile::AccuracyReport;
 
 use crate::context::ExperimentContext;
@@ -48,13 +48,13 @@ pub fn fig2(ctx: &ExperimentContext) -> Vec<Fig2Point> {
         });
     }
     for app in standard_apps() {
-        let t_base = profiling_set_time(&machines[0], &app, std::slice::from_ref(&graph));
-        for m in &machines {
-            let t = profiling_set_time(m, &app, std::slice::from_ref(&graph));
+        // One traced run, priced on every machine; the first is the base.
+        let times = profiling_set_times(&machines, &app, std::slice::from_ref(&graph));
+        for (m, &t) in machines.iter().zip(&times) {
             points.push(Fig2Point {
                 series: app.name().to_string(),
                 machine: m.name.clone(),
-                speedup: t_base / t,
+                speedup: times[0] / t,
             });
         }
     }

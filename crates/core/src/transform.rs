@@ -1,10 +1,8 @@
-//! Graph transformations: vertex relabeling and edge sampling.
+//! Graph transformations: vertex relabeling.
 //!
 //! Used by tests that need to reshape graphs while preserving structure —
-//! e.g. checking that results survive a degree-sorted renumbering, or
-//! shrinking a graph by uniform edge sampling.
+//! e.g. checking that results survive a degree-sorted renumbering.
 
-use crate::rng::Xoshiro256;
 use crate::{Edge, EdgeList, Graph, VertexId};
 
 /// Relabel vertices by a permutation: vertex `v` becomes `perm[v]`.
@@ -51,23 +49,6 @@ pub fn degree_sort_permutation(graph: &Graph) -> Vec<VertexId> {
         perm[old as usize] = new_id as VertexId;
     }
     perm
-}
-
-/// Uniform edge sample: keep each edge independently with probability `p`
-/// (deterministic per seed). Vertex count is preserved.
-///
-/// # Panics
-/// Panics unless `p ∈ [0, 1]`.
-pub fn sample_edges(graph: &Graph, p: f64, seed: u64) -> Graph {
-    assert!((0.0..=1.0).contains(&p), "probability out of range");
-    let mut rng = Xoshiro256::new(seed);
-    let edges = graph
-        .edges()
-        .iter()
-        .filter(|_| rng.bernoulli(p))
-        .copied()
-        .collect();
-    Graph::from_edge_list(EdgeList::from_edges(graph.num_vertices(), edges))
 }
 
 #[cfg(test)]
@@ -139,15 +120,5 @@ mod tests {
             vec![Edge::new(0, 1), Edge::new(2, 3)],
         ));
         assert_eq!(degree_sort_permutation(&g), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn sample_edges_extremes() {
-        let g = diamond();
-        assert_eq!(sample_edges(&g, 1.0, 1).num_edges(), 4);
-        assert_eq!(sample_edges(&g, 0.0, 1).num_edges(), 0);
-        let half = sample_edges(&g, 0.5, 3);
-        assert!(half.num_edges() <= 4);
-        assert_eq!(half.num_vertices(), 4);
     }
 }

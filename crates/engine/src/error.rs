@@ -12,6 +12,17 @@ pub enum EngineError {
     },
     /// A host thread budget of zero was requested.
     ZeroThreads,
+    /// A rebalanced run was asked for a work trace: its migration charges
+    /// depend on the cluster, so its work cannot be re-priced.
+    RebalancedTrace,
+    /// A view or work trace spans a different number of machines than
+    /// the engine's cluster.
+    MachineCountMismatch {
+        /// Machines in the engine's cluster.
+        cluster: usize,
+        /// Machines the view or trace spans.
+        work: usize,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -26,6 +37,14 @@ impl std::fmt::Display for EngineError {
                  graph has {graph_edges}"
             ),
             EngineError::ZeroThreads => write!(f, "need at least one host thread"),
+            EngineError::RebalancedTrace => write!(
+                f,
+                "a rebalanced run cannot be traced: its migration charges depend on the cluster"
+            ),
+            EngineError::MachineCountMismatch { cluster, work } => write!(
+                f,
+                "machine count mismatch: the cluster has {cluster} machines, the work spans {work}"
+            ),
         }
     }
 }
@@ -45,5 +64,14 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("cover the graph") && s.contains("3") && s.contains("7"));
         assert!(EngineError::ZeroThreads.to_string().contains("thread"));
+        assert!(EngineError::RebalancedTrace
+            .to_string()
+            .contains("rebalanced"));
+        let m = EngineError::MachineCountMismatch {
+            cluster: 2,
+            work: 1,
+        }
+        .to_string();
+        assert!(m.contains("2 machines") && m.contains("spans 1"));
     }
 }

@@ -25,6 +25,12 @@
 //!   [`SimEngine::run`]`(target, program, host_threads)`. The
 //!   [`RunTarget`] argument picks the view: `&DistributedGraph`,
 //!   `&CompactDistGraph`, or [`RunTarget::rebalanced`].
+//!   [`SimEngine::trace`] runs the same kernel and also returns the
+//!   run's [`WorkTrace`]; [`SimEngine::price`] re-prices one for any
+//!   cluster of the same size.
+//! - `price` (crate-private) — the one pricing body (work → seconds,
+//!   energy, step records, sim-domain telemetry) both paths share, and
+//!   the [`WorkTrace`] record.
 //! - [`rebalance`] — [`RebalancePolicy`]: between-superstep migration
 //!   driven by the per-step straggler signals; [`GreedyRebalance`] is the
 //!   built-in amortizing policy.
@@ -40,6 +46,7 @@ pub mod analyze;
 pub mod compact_dist;
 pub mod distributed;
 pub mod error;
+mod price;
 pub mod program;
 pub mod rebalance;
 pub mod report;
@@ -49,6 +56,7 @@ pub use analyze::TraceAnalysis;
 pub use compact_dist::CompactDistGraph;
 pub use distributed::DistributedGraph;
 pub use error::EngineError;
+pub use price::WorkTrace;
 pub use program::{ActiveInit, Direction, GasProgram};
 pub use rebalance::{GreedyRebalance, MigrationEvent, RebalancePolicy, StepSignals};
 pub use report::{SimReport, StepRecord};

@@ -1,16 +1,19 @@
 //! The BSP superstep simulator: one kernel, any thread count.
 //!
 //! There is exactly **one** implementation of the gather→apply→scatter
-//! superstep loop in this crate and exactly **one** way into it:
-//! [`SimEngine::run`]`(target, program, host_threads)`. What a run
-//! executes over — the plain view, the compressed view, or the plain view
-//! held exclusively with a rebalance policy — is the [`RunTarget`]
-//! argument, never a method suffix, and the serial engine is the
-//! 1-thread degenerate case ([`scheduled`] runs jobs inline on the
-//! calling thread when it has one worker). Cost accounting — per-machine
-//! work attribution, [`NetworkModel`] barrier time, energy, and
-//! [`crate::report::StepRecord`] tracing — therefore lives in exactly one
-//! place per superstep.
+//! superstep loop in this crate and exactly **one** way to execute a
+//! program on it: [`SimEngine::run`]`(target, program, host_threads)`
+//! ([`SimEngine::trace`] is the same call, also recording each
+//! superstep's work). What a run executes over — the plain view, the
+//! compressed view, or the plain view held exclusively with a rebalance
+//! policy — is the [`RunTarget`] argument, never a method suffix, and the
+//! serial engine is the 1-thread degenerate case ([`scheduled`] runs jobs
+//! inline on the calling thread when it has one worker). Cost accounting
+//! — per-machine busy time, [`NetworkModel`] barrier time, energy, and
+//! [`crate::report::StepRecord`] tracing — lives in exactly one place,
+//! the crate-private pricing accumulator (`price.rs`), which the kernel
+//! feeds once per superstep and [`SimEngine::price`] feeds from a
+//! recorded [`WorkTrace`].
 //!
 //! **Determinism is exact and thread-count-independent.** Active vertices
 //! are split into fixed-size chunks (independent of the worker count),
@@ -67,16 +70,17 @@
 //! *simulated* cluster times it produces are independent of it.
 
 use hetgraph_cluster::{
-    AppProfile, Cluster, EnergyModel, EnergyReport, GraphShape, MachineSpec, NetworkModel,
-    PerturbationSchedule, WorkCounts, MIGRATION_BYTES_PER_EDGE,
+    AppProfile, Cluster, GraphShape, NetworkModel, PerturbationSchedule, WorkCounts,
+    MIGRATION_BYTES_PER_EDGE,
 };
-use hetgraph_core::metrics::{Counter, Gauge, Histogram};
-use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent, OFF};
+use hetgraph_core::obs::{Telemetry, TraceEvent, OFF};
 use hetgraph_core::par::{scheduled, Pool};
 use hetgraph_core::{FrontierSet, GraphMeta, VertexId};
 
 use crate::compact_dist::CompactDistGraph;
 use crate::distributed::DistributedGraph;
+use crate::error::EngineError;
+use crate::price::{PriceAcc, StepWork, WorkTrace};
 use crate::program::{ActiveInit, Direction, GasProgram};
 use crate::rebalance::{MigrationEvent, RebalancePolicy, StepSignals};
 use crate::report::SimReport;
@@ -396,7 +400,89 @@ impl<'a> SimEngine<'a> {
         program: &P,
         host_threads: usize,
     ) -> SimOutcome<P::VertexData> {
-        self.kernel(target.into(), program, host_threads)
+        self.kernel(target.into(), program, host_threads, None)
+    }
+
+    /// [`SimEngine::run`] that also records each superstep's work as a
+    /// [`WorkTrace`]: the same kernel, the same outcome, plus a record
+    /// [`SimEngine::price`] can re-price for any cluster with as many
+    /// machines — without re-running the program. The trace grows by one
+    /// entry per superstep, which is why `run` never builds one.
+    ///
+    /// # Errors
+    /// [`EngineError::RebalancedTrace`] for [`RunTarget::Rebalanced`] (its
+    /// migration charges depend on the cluster, so its work is not
+    /// re-priceable), [`EngineError::ZeroThreads`] for `host_threads == 0`,
+    /// and [`EngineError::MachineCountMismatch`] if the target's machine
+    /// count differs from the cluster's.
+    pub fn trace<'k, 'g: 'k, P: GasProgram>(
+        &self,
+        target: impl Into<RunTarget<'k, 'g>>,
+        program: &P,
+        host_threads: usize,
+    ) -> Result<(SimOutcome<P::VertexData>, WorkTrace), EngineError> {
+        let target = target.into();
+        if matches!(target, RunTarget::Rebalanced(..)) {
+            return Err(EngineError::RebalancedTrace);
+        }
+        if host_threads == 0 {
+            return Err(EngineError::ZeroThreads);
+        }
+        self.check_machines(target.num_machines())?;
+        let shape = GraphShape::of_meta(&target.meta());
+        let mut steps = Vec::new();
+        let outcome = self.kernel(target, program, host_threads, Some(&mut steps));
+        let trace = WorkTrace {
+            app: outcome.report.app.clone(),
+            profile: program.profile(),
+            shape,
+            converged: outcome.report.converged,
+            num_machines: self.cluster.len(),
+            steps,
+        };
+        Ok((outcome, trace))
+    }
+
+    /// Price a recorded [`WorkTrace`] on this engine's cluster, network,
+    /// perturbations and telemetry: the report [`SimEngine::run`] would
+    /// return here for the traced program and view, bit for bit, with the
+    /// same sim-domain events and metrics. Each superstep goes through
+    /// the kernel's own pricing body, so there is no second copy of the
+    /// arithmetic to drift.
+    ///
+    /// # Errors
+    /// [`EngineError::MachineCountMismatch`] if the trace was recorded
+    /// over a different number of machines.
+    pub fn price(&self, trace: &WorkTrace) -> Result<SimReport, EngineError> {
+        self.check_machines(trace.num_machines)?;
+        let mut acc = self.price_acc(trace.profile.clone(), trace.shape);
+        for (step, s) in trace.steps.iter().enumerate() {
+            acc.step(step, s.active, &s.step_work, &s.gather_work, &s.sync_counts);
+        }
+        Ok(acc.finish(trace.app.clone(), trace.converged))
+    }
+
+    /// A fresh pricing accumulator over this engine's cluster.
+    fn price_acc(&self, profile: AppProfile, shape: GraphShape) -> PriceAcc<'_> {
+        PriceAcc::new(
+            self.cluster.machines(),
+            &self.network,
+            self.perturbations,
+            self.telemetry,
+            profile,
+            shape,
+        )
+    }
+
+    fn check_machines(&self, work: usize) -> Result<(), EngineError> {
+        if work == self.cluster.len() {
+            Ok(())
+        } else {
+            Err(EngineError::MachineCountMismatch {
+                cluster: self.cluster.len(),
+                work,
+            })
+        }
     }
 
     /// [`SimEngine::run`] over a plain view. For
@@ -426,13 +512,16 @@ impl<'a> SimEngine<'a> {
     }
 
     /// **The superstep kernel** — the one implementation of the BSP loop
-    /// ([`SimEngine::run`] is its only caller; a guard test asserts the
-    /// loop exists exactly once in this crate).
+    /// ([`SimEngine::run`] and [`SimEngine::trace`] are its only callers;
+    /// a guard test asserts the loop exists exactly once in this crate).
+    /// With `record` given, each superstep's work is pushed to it after
+    /// pricing; `run` passes `None`, which costs one branch per superstep.
     fn kernel<P: GasProgram>(
         &self,
         mut target: RunTarget<'_, '_>,
         program: &P,
         host_threads: usize,
+        mut record: Option<&mut Vec<StepWork>>,
     ) -> SimOutcome<P::VertexData> {
         assert!(host_threads > 0, "need at least one host thread");
         let meta = target.meta();
@@ -447,7 +536,6 @@ impl<'a> SimEngine<'a> {
         profile.assert_valid();
         let shape = GraphShape::of_meta(&meta);
         let machines = self.cluster.machines();
-        let energy_model = EnergyModel::new(machines.to_vec());
 
         let mut data: Vec<P::VertexData> = (0..n as u32).map(|v| program.init(&meta, v)).collect();
         // The frontier lives as a sorted, deduplicated `Vec<u32>`; scatter
@@ -465,22 +553,13 @@ impl<'a> SimEngine<'a> {
             }
         };
 
-        let mut energy = EnergyReport::new(p);
-        let mut per_machine_busy = vec![0.0f64; p];
-        let mut total_work = vec![WorkCounts::zero(); p];
-        let mut makespan = 0.0f64;
-        let mut compute_total = 0.0f64;
-        let mut comm_total = 0.0f64;
-        let mut supersteps = 0usize;
         let mut converged = false;
-        let mut steps: Vec<crate::report::StepRecord> = Vec::new();
 
         // Buffers reused across supersteps (see module docs).
         let mut changed: Vec<u32> = Vec::new();
         let mut next_frontier = FrontierSet::new(n);
         let mut step_work = vec![WorkCounts::zero(); p];
         let mut sync_counts = vec![0u64; p];
-        let mut busy = vec![0.0f64; p];
         let gather_pool: Pool<GatherChunk<P::VertexData>> = Pool::new();
         let scatter_pool: Pool<ScatterChunk> = Pool::new();
         // Serial fast-path scratch: one set of per-chunk tallies plus a
@@ -512,11 +591,12 @@ impl<'a> SimEngine<'a> {
         // of `host_threads`.
         let telemetry = self.telemetry;
         let tracing = telemetry.tracing();
-        // Aggregated telemetry: `None` with metering off, so the
-        // per-superstep cost mirrors the event log's single branch.
-        let kernel_metrics = KernelMetrics::new(telemetry, p);
+        // Every cost accumulator — time, energy, step records, sim-domain
+        // events and metrics — lives in the one pricing body.
+        let mut acc = self.price_acc(profile, shape);
         // Snapshot of `step_work` taken between gather-merge and scatter,
-        // used to split each machine's busy time into per-phase spans.
+        // used to split each machine's busy time into per-phase spans
+        // (when tracing) and recorded per step (when `record` is given).
         let mut gather_work = vec![WorkCounts::zero(); p];
 
         for step in 0..program.max_supersteps() {
@@ -668,8 +748,10 @@ impl<'a> SimEngine<'a> {
                     gather_pool.put(c);
                 }
             }
-            if tracing {
+            if tracing || record.is_some() {
                 gather_work.copy_from_slice(&step_work);
+            }
+            if tracing {
                 let t = telemetry.now_us();
                 telemetry.record(TraceEvent::wall_span(
                     "gather_merge",
@@ -748,54 +830,15 @@ impl<'a> SimEngine<'a> {
             }
 
             // --- Timing, energy, bookkeeping: once, here, only here ---
-            // A perturbation schedule may override machine specs for this
-            // superstep (mid-run slowdown/recovery). With none active the
-            // base slice is used as-is — structurally the old path.
-            let perturbed = self.perturbations.and_then(|s| s.specs_at(step, machines));
-            let step_machines: &[MachineSpec] = perturbed.as_deref().unwrap_or(machines);
-            busy.clear();
-            busy.extend(
-                (0..p).map(|i| profile.time_seconds(&step_machines[i], &step_work[i], &shape)),
-            );
-            let step_compute = busy.iter().copied().fold(0.0f64, f64::max);
-            let step_comm = self.network.step_comm_s(step_machines, &sync_counts);
-            let step_wall = step_compute + step_comm;
-            for i in 0..p {
-                energy_model.account_step(&mut energy, i, busy[i], step_wall);
-                per_machine_busy[i] += busy[i];
-                total_work[i].add(step_work[i]);
-            }
-            if tracing {
-                emit_step_trace(
-                    telemetry,
-                    &EmitStep {
-                        machines: step_machines,
-                        profile: &profile,
-                        shape: &shape,
-                        step_work: &step_work,
-                        gather_work: &gather_work,
-                        busy: &busy,
-                        step_start_s: makespan,
-                        step_compute,
-                        step_comm,
-                        active: active_count,
-                    },
-                );
-                steps.push(crate::report::StepRecord {
-                    step,
+            let timing = acc.step(step, active_count, &step_work, &gather_work, &sync_counts);
+            if let Some(rec) = record.as_deref_mut() {
+                rec.push(StepWork {
                     active: active_count,
-                    busy_s: busy.clone(),
-                    comm_s: step_comm,
-                    wall_s: step_wall,
+                    step_work: step_work.clone(),
+                    gather_work: gather_work.clone(),
+                    sync_counts: sync_counts.clone(),
                 });
             }
-            if let Some(km) = &kernel_metrics {
-                km.observe_step(active_count, &busy, step_compute, step_comm);
-            }
-            makespan += step_wall;
-            compute_total += step_compute;
-            comm_total += step_comm;
-            supersteps += 1;
             // Hybrid extraction: rebuilds the sorted frontier and zeroes
             // only the bitmap words scatter actually touched.
             next_frontier.extract_into(&mut frontier);
@@ -810,14 +853,14 @@ impl<'a> SimEngine<'a> {
                         let signals = StepSignals {
                             step,
                             active: active_count,
-                            busy_s: &busy,
+                            busy_s: acc.busy(),
                             step_work: &step_work,
-                            step_compute_s: step_compute,
-                            step_comm_s: step_comm,
+                            step_compute_s: timing.compute,
+                            step_comm_s: timing.comm,
                         };
                         pol.plan(&signals, dist, machines, &self.network)
                     };
-                    if let Some(km) = &kernel_metrics {
+                    if let Some(km) = acc.metrics() {
                         // Trigger decisions: every consultation counts,
                         // batches only when the policy actually fired.
                         km.rebalance_plans.inc();
@@ -843,13 +886,14 @@ impl<'a> SimEngine<'a> {
                                 })
                                 .fold(0.0f64, f64::max);
                             let cost = transfer + self.network.barrier_latency_s;
-                            if let Some(km) = &kernel_metrics {
+                            if let Some(km) = acc.metrics() {
                                 km.migrated_edges.add(delta.edges_moved() as u64);
                                 km.migration_bytes.add(bytes as u64);
                                 km.batch_edges.observe(delta.edges_moved() as f64);
                                 km.migration_cost.observe(cost);
                             }
                             if tracing {
+                                let makespan = acc.makespan();
                                 for &(f, t, _) in &pairs {
                                     for lane in [f.0, t.0] {
                                         telemetry.record(TraceEvent::sim_span(
@@ -873,16 +917,8 @@ impl<'a> SimEngine<'a> {
                                     makespan,
                                     bytes,
                                 ));
-                                // Fold the migration into this step's
-                                // record so Σ step wall == makespan and
-                                // makespan == compute + comm both hold.
-                                if let Some(last) = steps.last_mut() {
-                                    last.comm_s += cost;
-                                    last.wall_s += cost;
-                                }
                             }
-                            makespan += cost;
-                            comm_total += cost;
+                            acc.charge_migration(cost);
                             pol.notify(MigrationEvent {
                                 step,
                                 edges_moved: delta.edges_moved(),
@@ -901,231 +937,9 @@ impl<'a> SimEngine<'a> {
 
         SimOutcome {
             data,
-            report: SimReport {
-                app: program.name().to_string(),
-                supersteps,
-                converged,
-                makespan_s: makespan,
-                compute_s: compute_total,
-                comm_s: comm_total,
-                per_machine_busy_s: per_machine_busy,
-                per_machine_work: total_work,
-                energy,
-                steps,
-            },
+            report: acc.finish(program.name().to_string(), converged),
         }
     }
-}
-
-/// Handles for the kernel's aggregated telemetry, registered once per run
-/// when the engine's [`Telemetry`] is metering. Everything here is
-/// sim-domain: observed only from the kernel's serial sections, from
-/// deterministic simulated quantities, so sim snapshots are byte-identical
-/// at any host thread count.
-struct KernelMetrics {
-    supersteps: Counter,
-    active_vertices: Counter,
-    makespan: Histogram,
-    comm: Histogram,
-    /// Per-machine busy-time histograms, indexed by machine.
-    busy: Vec<Histogram>,
-    /// Per-machine barrier-wait (slack) histograms, indexed by machine.
-    barrier_wait: Vec<Histogram>,
-    imbalance: Gauge,
-    straggler: Gauge,
-    rebalance_plans: Counter,
-    rebalance_batches: Counter,
-    migrated_edges: Counter,
-    migration_bytes: Counter,
-    batch_edges: Histogram,
-    migration_cost: Histogram,
-}
-
-impl KernelMetrics {
-    /// Register the kernel's metrics; `None` when metering is off, so
-    /// the hot loop pays exactly one `Option` check per superstep.
-    fn new(metrics: &Telemetry, p: usize) -> Option<Self> {
-        if !metrics.metering() {
-            return None;
-        }
-        let sim = TimeDomain::Sim;
-        Some(KernelMetrics {
-            supersteps: metrics.counter("engine/supersteps_total", sim),
-            active_vertices: metrics.counter("engine/active_vertices_total", sim),
-            makespan: metrics.histogram("engine/superstep_makespan_s", sim),
-            comm: metrics.histogram("engine/superstep_comm_s", sim),
-            busy: (0..p)
-                .map(|i| metrics.histogram(&format!("engine/machine/{i}/busy_s"), sim))
-                .collect(),
-            barrier_wait: (0..p)
-                .map(|i| metrics.histogram(&format!("engine/machine/{i}/barrier_wait_s"), sim))
-                .collect(),
-            imbalance: metrics.gauge("engine/imbalance/last", sim),
-            straggler: metrics.gauge("engine/straggler_machine/last", sim),
-            rebalance_plans: metrics.counter("engine/rebalance/plans_total", sim),
-            rebalance_batches: metrics.counter("engine/rebalance/batches_total", sim),
-            migrated_edges: metrics.counter("engine/rebalance/migrated_edges_total", sim),
-            migration_bytes: metrics.counter("engine/rebalance/migration_bytes_total", sim),
-            batch_edges: metrics.histogram("engine/rebalance/batch_edges", sim),
-            migration_cost: metrics.histogram("engine/rebalance/migration_cost_s", sim),
-        })
-    }
-
-    /// Fold one superstep's timing into the aggregates. Gauges use the
-    /// same formulas as [`emit_step_trace`] (and
-    /// [`crate::report::StepRecord::straggler`]), so trace, report, and
-    /// metrics views of a run agree exactly.
-    fn observe_step(&self, active: usize, busy: &[f64], step_compute: f64, step_comm: f64) {
-        self.supersteps.inc();
-        self.active_vertices.add(active as u64);
-        self.makespan.observe(step_compute + step_comm);
-        self.comm.observe(step_comm);
-        for (i, &b) in busy.iter().enumerate() {
-            self.busy[i].observe(b);
-            self.barrier_wait[i].observe(step_compute - b);
-        }
-        let mean_busy = busy.iter().sum::<f64>() / busy.len() as f64;
-        self.imbalance.set(if mean_busy > 0.0 {
-            step_compute / mean_busy
-        } else {
-            1.0
-        });
-        let straggler = busy.iter().position(|&b| b == step_compute).unwrap_or(0);
-        self.straggler.set(straggler as f64);
-    }
-}
-
-/// Inputs to [`emit_step_trace`]: one superstep's timing state, borrowed
-/// from the kernel's serial timing section.
-struct EmitStep<'s> {
-    machines: &'s [MachineSpec],
-    profile: &'s AppProfile,
-    shape: &'s GraphShape,
-    /// Total per-machine work for the superstep (gather + scatter).
-    step_work: &'s [WorkCounts],
-    /// Per-machine work snapshotted after the gather merge, before
-    /// scatter — the gather/apply share of `step_work`.
-    gather_work: &'s [WorkCounts],
-    busy: &'s [f64],
-    step_start_s: f64,
-    step_compute: f64,
-    step_comm: f64,
-    active: usize,
-}
-
-/// Emit one superstep's simulated-time trace: per-machine
-/// gather/apply/scatter spans, per-machine `barrier_wait` slack, the
-/// cluster-wide communication barrier, and the step counters.
-///
-/// Called only from the kernel's serial timing section, so event order is
-/// deterministic and independent of the host thread count. Machine `i`
-/// records on track `i`; cluster-wide events use track `P`.
-///
-/// The per-phase spans split `busy[i]` by re-costing each phase's work
-/// through the same performance model and normalizing so the three spans
-/// sum exactly to `busy[i]` (the model is not additive across phases —
-/// skew relief sees the whole step — so the split is proportional
-/// attribution, not three independent model evaluations).
-fn emit_step_trace(telemetry: &Telemetry, s: &EmitStep<'_>) {
-    let p = s.busy.len();
-    for i in 0..p {
-        let gw = s.gather_work[i];
-        let scatter_edges = s.step_work[i].edge_units - gw.edge_units;
-        let phase_costs = [
-            (
-                "gather",
-                WorkCounts {
-                    edge_units: gw.edge_units,
-                    vertex_units: 0.0,
-                },
-            ),
-            (
-                "apply",
-                WorkCounts {
-                    edge_units: 0.0,
-                    vertex_units: gw.vertex_units,
-                },
-            ),
-            (
-                "scatter",
-                WorkCounts {
-                    edge_units: scatter_edges,
-                    vertex_units: 0.0,
-                },
-            ),
-        ]
-        .map(|(name, w)| (name, s.profile.time_seconds(&s.machines[i], &w, s.shape)));
-        let total: f64 = phase_costs.iter().map(|(_, t)| t).sum();
-        if total > 0.0 && s.busy[i] > 0.0 {
-            let scale = s.busy[i] / total;
-            let mut cursor = s.step_start_s;
-            for (name, t) in phase_costs {
-                let dur = t * scale;
-                if dur > 0.0 {
-                    telemetry.record(TraceEvent::sim_span(
-                        name,
-                        "superstep",
-                        i as u32,
-                        cursor,
-                        dur,
-                    ));
-                }
-                cursor += dur;
-            }
-        }
-        // Barrier-wait attribution: how long machine i idles at the
-        // superstep barrier waiting for the straggler.
-        let slack = s.step_compute - s.busy[i];
-        if slack > 0.0 {
-            telemetry.record(TraceEvent::sim_span(
-                "barrier_wait",
-                "superstep",
-                i as u32,
-                s.step_start_s + s.busy[i],
-                slack,
-            ));
-        }
-    }
-    if s.step_comm > 0.0 {
-        telemetry.record(TraceEvent::sim_span(
-            "comm_barrier",
-            "superstep",
-            p as u32,
-            s.step_start_s + s.step_compute,
-            s.step_comm,
-        ));
-    }
-    telemetry.record(TraceEvent::sim_counter(
-        "active_vertices",
-        p as u32,
-        s.step_start_s,
-        s.active as f64,
-    ));
-    let mean_busy = s.busy.iter().sum::<f64>() / p as f64;
-    let imbalance = if mean_busy > 0.0 {
-        s.step_compute / mean_busy
-    } else {
-        1.0
-    };
-    telemetry.record(TraceEvent::sim_gauge(
-        "imbalance",
-        p as u32,
-        s.step_start_s,
-        imbalance,
-    ));
-    // The straggler is the machine that gates the barrier: the (lowest
-    // on ties) index whose busy time equals the step maximum.
-    let straggler = s
-        .busy
-        .iter()
-        .position(|&b| b == s.step_compute)
-        .unwrap_or(0);
-    telemetry.record(TraceEvent::sim_gauge(
-        "straggler_machine",
-        p as u32,
-        s.step_start_s,
-        straggler as f64,
-    ));
 }
 
 /// Charge one unit of scatter edge work per adjacency slot to its owning
@@ -1438,6 +1252,7 @@ fn scatter_chunk<P: GasProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetgraph_cluster::MachineSpec;
     use hetgraph_core::obs::Telemetry;
     use hetgraph_core::{Edge, EdgeList, Graph};
     use hetgraph_partition::{MachineWeights, PartitionAssignment, Partitioner, RandomHash};
@@ -1926,6 +1741,132 @@ mod tests {
             vec![("sim.rs".to_string(), 1)],
             "the superstep loop must exist exactly once, in sim.rs; found {hits:?}"
         );
+    }
+
+    /// The pricing-drift hazard must not return either: every call into
+    /// the performance model or the network barrier model in this crate
+    /// sits inside `PriceAcc`'s impl, the one pricing body both
+    /// `SimEngine::run` and `SimEngine::price` use.
+    #[test]
+    fn pricing_calls_exist_only_inside_price_acc() {
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        // Split so this test's own source doesn't count as a hit.
+        let calls = [concat!("time_seconds", "("), concat!("step_comm_s", "(")];
+        let impl_marker = concat!("impl<'e> PriceAcc", "<'e> {");
+        let mut inside = 0;
+        let mut outside = Vec::new();
+        for entry in std::fs::read_dir(&src).expect("read engine src/") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("read source file");
+            // The impl's byte span, by brace matching from its header.
+            let span = text.find(impl_marker).map(|start| {
+                let mut depth = 0usize;
+                let mut end = text.len();
+                for (i, c) in text[start..].char_indices() {
+                    match c {
+                        '{' => depth += 1,
+                        '}' => {
+                            depth -= 1;
+                            if depth == 0 {
+                                end = start + i;
+                                break;
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                start..end
+            });
+            for call in calls {
+                for (at, _) in text.match_indices(call) {
+                    if span.as_ref().is_some_and(|s| s.contains(&at)) {
+                        inside += 1;
+                    } else {
+                        let line = text[..at].lines().count();
+                        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+                        outside.push(format!("{file}:{line}"));
+                    }
+                }
+            }
+        }
+        assert!(
+            outside.is_empty(),
+            "pricing must live only in PriceAcc; found calls at {outside:?}"
+        );
+        // step's busy times, its barrier, and the trace's phase split.
+        assert_eq!(inside, 3, "the pricing calls moved; update this guard");
+    }
+
+    #[test]
+    fn price_of_trace_matches_run_on_either_cluster() {
+        let g = big_graph();
+        let case2 = Cluster::case2();
+        let swapped = Cluster::new(case2.machines().iter().rev().cloned().collect());
+        let a = partitioned(&g, &case2);
+        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let compact = CompactDistGraph::from_dist(&dist);
+        for threads in [1usize, 2] {
+            let (out, trace) = SimEngine::new(&case2)
+                .trace(&dist, &MinLabel, threads)
+                .expect("plain trace");
+            let run = SimEngine::new(&case2).run(&dist, &MinLabel, threads);
+            assert_eq!(out.data, run.data);
+            assert_eq!(out.report, run.report);
+            assert_eq!(SimEngine::new(&case2).price(&trace).unwrap(), run.report);
+            let (_, compact_trace) = SimEngine::new(&case2)
+                .trace(&compact, &MinLabel, threads)
+                .expect("compact trace");
+            assert_eq!(compact_trace, trace, "representation-independent work");
+            // Same P, other specs: pricing equals running there.
+            assert_eq!(
+                SimEngine::new(&swapped).price(&trace).unwrap(),
+                SimEngine::new(&swapped)
+                    .run(&dist, &MinLabel, threads)
+                    .report
+            );
+            // A perturbation schedule is the pricing engine's, per step.
+            let schedule = PerturbationSchedule::new().slowdown(1, 1, Some(3), 0.25);
+            let perturbed = SimEngine::new(&swapped).with_perturbations(&schedule);
+            let slowed = perturbed.run(&dist, &MinLabel, threads).report;
+            assert_eq!(perturbed.price(&trace).unwrap(), slowed);
+            assert_ne!(slowed, SimEngine::new(&swapped).price(&trace).unwrap());
+        }
+    }
+
+    #[test]
+    fn trace_and_price_reject_what_they_cannot_reproduce() {
+        let g = big_graph();
+        let cluster = Cluster::case2();
+        let a = partitioned(&g, &cluster);
+        let engine = SimEngine::new(&cluster);
+        let mut dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let mut policy = NeverRebalance;
+        let rebalanced = engine.trace(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 1);
+        assert!(matches!(rebalanced, Err(EngineError::RebalancedTrace)));
+        assert!(matches!(
+            engine.trace(&dist, &MinLabel, 0),
+            Err(EngineError::ZeroThreads)
+        ));
+        let one = Cluster::new(vec![cluster.machines()[0].clone()]);
+        assert!(matches!(
+            SimEngine::new(&one).trace(&dist, &MinLabel, 1),
+            Err(EngineError::MachineCountMismatch {
+                cluster: 1,
+                work: 2
+            })
+        ));
+        let (_, trace) = engine.trace(&dist, &MinLabel, 1).expect("plain trace");
+        assert_eq!(trace.num_machines, 2);
+        assert!(matches!(
+            SimEngine::new(&one).price(&trace),
+            Err(EngineError::MachineCountMismatch {
+                cluster: 1,
+                work: 2
+            })
+        ));
     }
 
     /// Policy that never plans anything — the rebalanced kernel must be

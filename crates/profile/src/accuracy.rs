@@ -22,7 +22,7 @@ use hetgraph_core::stats;
 use hetgraph_core::Graph;
 use hetgraph_gen::ProxySet;
 
-use crate::runner::{profiling_set_time, single_machine_time};
+use crate::runner::profiling_set_times;
 
 /// One (application, machine) accuracy sample.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -93,29 +93,28 @@ impl AccuracyReport {
         assert!(!real_graphs.is_empty(), "need at least one real graph");
         let proxy_graphs: Vec<Graph> = proxies.proxies().iter().map(|p| p.generate()).collect();
 
+        // The baseline first, then every compared machine: each (app,
+        // graph) runs once and is priced on all of them.
+        let all: Vec<MachineSpec> = std::iter::once(baseline).chain(machines).cloned().collect();
+        let base_threads = baseline.computing_threads() as f64;
         let mut rows = Vec::new();
         for app in apps {
-            let base_real: Vec<f64> = real_graphs
+            let real: Vec<Vec<f64>> = real_graphs
                 .iter()
-                .map(|g| single_machine_time(baseline, app, g))
+                .map(|g| profiling_set_times(&all, app, std::slice::from_ref(g)))
                 .collect();
-            let base_proxy = profiling_set_time(baseline, app, &proxy_graphs);
-            let base_threads = baseline.computing_threads() as f64;
-            for m in machines {
+            let proxy = profiling_set_times(&all, app, &proxy_graphs);
+            for (j, m) in machines.iter().enumerate() {
                 if m.name == baseline.name {
                     continue;
                 }
-                let per_graph: Vec<f64> = real_graphs
-                    .iter()
-                    .zip(&base_real)
-                    .map(|(g, &b)| b / single_machine_time(m, app, g))
-                    .collect();
+                let per_graph: Vec<f64> = real.iter().map(|t| t[0] / t[j + 1]).collect();
                 rows.push(AccuracyRow {
                     app: app.name().to_string(),
                     machine: m.name.clone(),
                     real_speedup: stats::geomean(&per_graph),
                     real_speedups_per_graph: per_graph,
-                    proxy_speedup: base_proxy / profiling_set_time(m, app, &proxy_graphs),
+                    proxy_speedup: proxy[0] / proxy[j + 1],
                     prior_speedup: m.computing_threads() as f64 / base_threads,
                 });
             }

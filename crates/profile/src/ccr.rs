@@ -10,12 +10,14 @@
 use std::collections::BTreeMap;
 
 use hetgraph_apps::AnyApp;
-use hetgraph_cluster::Cluster;
+use hetgraph_cluster::{Cluster, MachineSpec};
 use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent, OFF};
 use hetgraph_core::Graph;
+use hetgraph_engine::DistributedGraph;
 use hetgraph_gen::ProxySet;
+use hetgraph_partition::PartitionAssignment;
 
-use crate::runner::profiling_set_time;
+use crate::runner::{isolated, machine_times, sum_per_machine};
 
 /// A per-machine capability ratio vector for one application (slowest
 /// machine = 1.0).
@@ -112,18 +114,22 @@ impl CcrPool {
     ///
     /// 1. generate every proxy graph once;
     /// 2. group machines by type and profile one representative per group,
-    ///    each application on each proxy, on the machine in isolation;
+    ///    each application on each proxy, on the machine in isolation —
+    ///    each (application, proxy) runs once and its recorded work is
+    ///    priced per representative (see [`crate::runner`]), which is
+    ///    bit-identical to running it on each;
     /// 3. expand group times to all members and form CCRs (Eq. 1).
     pub fn profile(cluster: &Cluster, proxies: &ProxySet, apps: &[AnyApp]) -> Self {
         Self::profile_with_threads(cluster, proxies, apps, 1)
     }
 
     /// [`CcrPool::profile`] with a host thread budget: proxy graph
-    /// generation and the (application × machine group) measurement cells
-    /// fan out over [`hetgraph_core::par::scheduled`] workers. Every
-    /// measurement is a pure function of its cell, and results are merged
-    /// in deterministic cell order, so the pool is identical for any
-    /// thread count.
+    /// generation, the one-machine view builds and the (application ×
+    /// proxy) traced runs fan out over [`hetgraph_core::par::scheduled`]
+    /// workers. Every run is a pure function of its cell, and results are
+    /// merged in deterministic cell order — each group's times summed over
+    /// proxies in proxy order — so the pool is identical for any thread
+    /// count.
     ///
     /// # Panics
     /// Panics if `host_threads == 0`.
@@ -137,15 +143,16 @@ impl CcrPool {
     }
 
     /// [`CcrPool::profile_with_threads`] with observability. To the event
-    /// log: wall-clock spans for proxy-graph generation and for every CCR
-    /// estimation cell (application × machine group), recorded from the
-    /// workers (wall-domain only — their arrival order depends on
-    /// scheduling). To the metrics registry: deterministic cell/proxy
-    /// counters in the sim domain (they depend only on the cluster
-    /// composition and app list, so they belong in the byte-stable
-    /// snapshot) plus wall-clock histograms for proxy generation and per
-    /// measurement cell. The returned pool is identical with any
-    /// combination of the two halves.
+    /// log: wall-clock spans for proxy-graph generation and for every
+    /// traced run (application × proxy), recorded from the workers
+    /// (wall-domain only — their arrival order depends on scheduling),
+    /// plus one profiling-set-time gauge per (application × machine
+    /// group). To the metrics registry: deterministic counters in the sim
+    /// domain — proxies, and CCR estimates as (application × machine
+    /// group) cells; they depend only on the cluster composition and app
+    /// list, so they belong in the byte-stable snapshot — plus wall-clock
+    /// histograms for proxy generation and per traced run. The returned
+    /// pool is identical with any combination of the two halves.
     ///
     /// # Panics
     /// Panics if `host_threads == 0`.
@@ -173,7 +180,12 @@ impl CcrPool {
         }
         let groups = cluster.groups();
         let group_list: Vec<_> = groups.iter().collect();
-        let n_groups = group_list.len();
+        let reps: Vec<MachineSpec> = group_list
+            .iter()
+            .map(|(_, ids)| cluster.machine(ids[0]).clone())
+            .collect();
+        let n_groups = reps.len();
+        let n_proxies = graphs.len();
         let cell_wall = telemetry.histogram("profile/cell_wall_s", TimeDomain::Wall);
         if let Some(t0) = wall_gen0 {
             telemetry
@@ -186,40 +198,54 @@ impl CcrPool {
                 .histogram("profile/proxy_generation_wall_s", TimeDomain::Wall)
                 .observe(t0.elapsed().as_secs_f64());
         }
-        // One measurement cell per (application, machine group).
-        let cell_times: Vec<f64> =
-            hetgraph_core::par::scheduled(apps.len() * n_groups, host_threads, |k| {
-                let (ai, gi) = (k / n_groups, k % n_groups);
-                let rep = cluster.machine(group_list[gi].1[0]);
+        // One isolated view per proxy, shared by every application.
+        let assignments: Vec<PartitionAssignment> =
+            hetgraph_core::par::scheduled(n_proxies, host_threads, |i| isolated(&graphs[i]));
+        let views: Vec<DistributedGraph<'_>> =
+            hetgraph_core::par::scheduled(n_proxies, host_threads, |i| {
+                DistributedGraph::new(&graphs[i], &assignments[i])
+                    .expect("assignment must cover the graph")
+            });
+        // One traced run per (application, proxy), priced on every group
+        // representative.
+        let cell_times: Vec<Vec<f64>> =
+            hetgraph_core::par::scheduled(apps.len() * n_proxies, host_threads, |k| {
+                let (ai, pi) = (k / n_proxies, k % n_proxies);
                 let wall_t0 = cell_wall.is_live().then(std::time::Instant::now);
                 let t0 = telemetry.now_us();
-                let time = profiling_set_time(rep, &apps[ai], &graphs);
+                let times = machine_times(&reps, &apps[ai], &views[pi]);
                 if telemetry.tracing() {
                     let t1 = telemetry.now_us();
                     telemetry.record(TraceEvent::wall_span(
-                        format!("ccr/{}/{}", apps[ai].name(), group_list[gi].0),
+                        format!("ccr/{}/{}", apps[ai].name(), specs[pi].name),
                         "profile",
-                        gi as u32,
+                        pi as u32,
                         t0,
                         t1 - t0,
-                    ));
-                    telemetry.record(TraceEvent::wall_gauge(
-                        format!("proxy_set_time_s/{}", apps[ai].name()),
-                        gi as u32,
-                        t1,
-                        time,
                     ));
                 }
                 if let Some(t0) = wall_t0 {
                     cell_wall.observe(t0.elapsed().as_secs_f64());
                 }
-                time
+                times
             });
         let mut pool = CcrPool::new();
         for (ai, app) in apps.iter().enumerate() {
+            // Each group's profiling-set time, summed over proxies in
+            // proxy order.
+            let set_times =
+                sum_per_machine(n_groups, &cell_times[ai * n_proxies..(ai + 1) * n_proxies]);
             let mut group_time: BTreeMap<&str, f64> = BTreeMap::new();
             for (gi, (name, _)) in group_list.iter().enumerate() {
-                group_time.insert(name.as_str(), cell_times[ai * n_groups + gi]);
+                group_time.insert(name.as_str(), set_times[gi]);
+                if telemetry.tracing() {
+                    telemetry.record(TraceEvent::wall_gauge(
+                        format!("proxy_set_time_s/{}", app.name()),
+                        gi as u32,
+                        telemetry.now_us(),
+                        set_times[gi],
+                    ));
+                }
             }
             // Expand to the full machine list in cluster order.
             let times: Vec<f64> = cluster
@@ -340,13 +366,15 @@ mod tests {
         assert_eq!(plain, inst, "telemetry must not perturb the pool");
         let events = t.take_events();
         assert!(events.iter().any(|e| e.name == "proxy_generation"));
-        // One estimation span per (app × machine group); Case 2 has two
+        // One CCR estimate per (app × machine group); Case 2 has two
         // distinct machine types.
         let cells = (apps.len() * 2) as u64;
+        // One traced run — one span, one wall observation — per (app ×
+        // proxy): each run is priced for every group.
+        let traces = (apps.len() * proxies.proxies().len()) as u64;
         let spans = events.iter().filter(|e| e.name.starts_with("ccr/")).count();
-        assert_eq!(spans as u64, cells);
+        assert_eq!(spans as u64, traces);
         assert!(events.iter().all(|e| e.domain == TimeDomain::Wall));
-        // Each cell is observed once into the wall histogram.
         let snap = t.snapshot();
         assert_eq!(
             snap.counter_value("profile/measurement_cells_total"),
@@ -358,7 +386,7 @@ mod tests {
         );
         assert_eq!(
             snap.histogram("profile/cell_wall_s").unwrap().count(),
-            cells
+            traces
         );
         assert_eq!(
             snap.histogram("profile/proxy_generation_wall_s")

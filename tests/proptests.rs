@@ -568,3 +568,124 @@ proptest! {
         }
     }
 }
+
+/// Every registry program, including the opt-in f32 PageRank.
+fn registry_programs() -> Vec<AnyApp> {
+    let mut apps = full_apps();
+    apps.push(AnyApp::pagerank_f32());
+    apps
+}
+
+/// A report's serde bytes.
+fn report_json(report: &SimReport) -> String {
+    serde_json::to_string(report).expect("reports serialize")
+}
+
+/// What a live telemetry handle saw in the sim domain: the events, and
+/// the metrics snapshot.
+fn sim_telemetry(t: &Telemetry) -> (Vec<TraceEvent>, String) {
+    let events = t
+        .take_events()
+        .into_iter()
+        .filter(|e| e.domain == hetgraph::core::obs::TimeDomain::Sim)
+        .collect();
+    (events, t.snapshot_sim().to_json())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn price_of_trace_is_run(
+        g in arb_graph(),
+        w in arb_weights(),
+        kind_idx in 0usize..5,
+    ) {
+        // `price(trace(t).1) == trace(t).0 == run(t)`, as serde bytes, for
+        // every registry program over any partitioner's placement, on
+        // either representation, at 1/2/4 threads, with telemetry off and
+        // live — and a live handle sees the same sim-domain events and
+        // metrics from all three, even pricing a trace recorded with
+        // telemetry off.
+        let machines: Vec<_> = (0..w.len())
+            .map(|i| if i % 2 == 0 { catalog::xeon_s() } else { catalog::xeon_l() })
+            .collect();
+        let cluster = Cluster::new(machines);
+        let a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w);
+        let dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
+        let compact = hetgraph::engine::CompactDistGraph::from_dist(&dist);
+        for app in registry_programs() {
+            for threads in [1usize, 2, 4] {
+                for compact_view in [false, true] {
+                    let target = || -> RunTarget<'_, '_> {
+                        if compact_view { (&compact).into() } else { (&dist).into() }
+                    };
+                    let off = SimEngine::new(&cluster);
+                    let run = report_json(&app.run(&off, target(), threads));
+                    let (traced, trace) = app.trace(&off, target(), threads).expect("traces");
+                    prop_assert!(report_json(&traced) == run, "{}: trace", app);
+                    let priced = off.price(&trace).expect("prices");
+                    prop_assert!(report_json(&priced) == run, "{}: price", app);
+
+                    let (t_run, t_trace, t_price) =
+                        (Telemetry::live(), Telemetry::live(), Telemetry::live());
+                    let live_run = app.run(&SimEngine::new(&cluster).with_telemetry(&t_run), target(), threads);
+                    let (live_traced, live_trace) = app
+                        .trace(&SimEngine::new(&cluster).with_telemetry(&t_trace), target(), threads)
+                        .expect("traces");
+                    prop_assert!(live_trace == trace, "{}: work is telemetry-independent", app);
+                    // The trace recorded with telemetry off prices live.
+                    let live_priced = SimEngine::new(&cluster)
+                        .with_telemetry(&t_price)
+                        .price(&trace)
+                        .expect("prices");
+                    let live = report_json(&live_run);
+                    prop_assert!(report_json(&live_traced) == live, "{}: live trace", app);
+                    prop_assert!(report_json(&live_priced) == live, "{}: live price", app);
+                    let seen = sim_telemetry(&t_run);
+                    prop_assert!(seen == sim_telemetry(&t_trace), "{}: trace telemetry", app);
+                    prop_assert!(seen == sim_telemetry(&t_price), "{}: price telemetry", app);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trace_prices_on_any_cluster_of_its_size(g in arb_graph()) {
+        // The work a run does does not depend on the machine specs, so a
+        // trace recorded on one cluster, priced on another of the same
+        // size, is the other cluster's run: P = 1 across all eight Table I
+        // machines, and P = 2 for Case 2 against its specs swapped.
+        let table1 = catalog::table1();
+        let one = |m: &MachineSpec| Cluster::new(vec![m.clone()]);
+        let solo = RandomHash::new().partition(&g, &MachineWeights::uniform(1));
+        let solo_view = DistributedGraph::new(&g, &solo).expect("assignment covers graph");
+        let case2 = Cluster::case2();
+        let swapped = Cluster::new(case2.machines().iter().rev().cloned().collect());
+        let pair = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
+        let pair_view = DistributedGraph::new(&g, &pair).expect("assignment covers graph");
+        for app in registry_programs() {
+            let first = one(&table1[0]);
+            let (_, trace) = app.trace(&SimEngine::new(&first), &solo_view, 1).expect("traces");
+            for m in &table1 {
+                let cluster = one(m);
+                let engine = SimEngine::new(&cluster);
+                prop_assert!(
+                    report_json(&engine.price(&trace).expect("prices"))
+                        == report_json(&app.run(&engine, &solo_view, 1)),
+                    "{} on {}",
+                    app,
+                    m.name
+                );
+            }
+            let (_, trace) = app.trace(&SimEngine::new(&case2), &pair_view, 2).expect("traces");
+            let engine = SimEngine::new(&swapped);
+            prop_assert!(
+                report_json(&engine.price(&trace).expect("prices"))
+                    == report_json(&app.run(&engine, &pair_view, 2)),
+                "{} on swapped case 2",
+                app
+            );
+        }
+    }
+}
