@@ -116,6 +116,11 @@ pub fn scheduled_with<S, T: Send>(
 /// positive integer, otherwise [`std::thread::available_parallelism`]
 /// (falling back to 1 where the runtime cannot report it).
 ///
+/// Callers: the CLI and the experiment harness, where `--threads` is
+/// absent, and the R-MAT generator, which takes no thread argument and
+/// fans its attempt chunks out over this many workers (its edge stream
+/// is the same at any count).
+///
 /// # Panics
 /// Panics if `HETGRAPH_THREADS` is set but is not a positive integer —
 /// a mis-typed budget must not silently fall back to serial.

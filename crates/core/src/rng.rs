@@ -11,7 +11,10 @@
 //! - [`SplitMix64`] — tiny state, used for seeding and for cheap stateless
 //!   streams.
 //! - [`Xoshiro256`] (xoshiro256**) — the workhorse generator with strong
-//!   statistical quality and 2^256 − 1 period.
+//!   statistical quality and 2^256 − 1 period. Its state transition is
+//!   linear over GF(2), so [`Xoshiro256::jump`] can skip any number of
+//!   draws at a fixed cost, which lets a serial stream be cut into
+//!   independently generated pieces without changing a value.
 //!
 //! Plus [`hash64`], an avalanche (fmix64) hash used wherever PowerGraph
 //! would use a "random hash of an edge" — hashing is preferable to stateful
@@ -124,6 +127,42 @@ impl Xoshiro256 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
+    /// The polynomial `x^steps mod p(x)` that makes [`Xoshiro256::jump`]
+    /// advance the generator by `steps` draws, computed by
+    /// square-and-multiply over GF(2) in `O(log steps)` polynomial
+    /// products.
+    pub fn jump_polynomial(steps: u64) -> [u64; 4] {
+        let mut acc = [1, 0, 0, 0];
+        for bit in (0..u64::BITS - steps.leading_zeros()).rev() {
+            acc = gf2_mul_mod(&acc, &acc);
+            if (steps >> bit) & 1 == 1 {
+                acc = gf2_times_x(acc);
+            }
+        }
+        acc
+    }
+
+    /// Jump ahead: replace the state `s` with `r(T)·s`, where `T` is the
+    /// one-draw state transition and `r` is `poly` (coefficient of `x^i`
+    /// at bit `i % 64` of word `i / 64`), as in the reference `jump()`.
+    /// With `poly = jump_polynomial(k)` the generator ends exactly where
+    /// `k` calls to [`Xoshiro256::next_u64`] would have left it, at the
+    /// cost of 256 draws whatever `k` is.
+    pub fn jump(&mut self, poly: &[u64; 4]) {
+        let mut acc = [0u64; 4];
+        for &word in poly {
+            for bit in 0..64 {
+                if (word >> bit) & 1 == 1 {
+                    for (a, s) in acc.iter_mut().zip(self.s) {
+                        *a ^= s;
+                    }
+                }
+                self.next_u64();
+            }
+        }
+        self.s = acc;
+    }
+
     /// Uniform integer in `[0, bound)` using Lemire's multiply-shift
     /// rejection method (unbiased).
     ///
@@ -195,6 +234,48 @@ impl Xoshiro256 {
             Err(i) => i.min(cdf.len() - 1),
         }
     }
+}
+
+/// The characteristic polynomial `p(x)` of xoshiro256's GF(2)-linear
+/// state transition, coefficient of `x^i` at bit `i % 64` of word
+/// `i / 64`; the leading `x^256` term is implicit. By Cayley–Hamilton,
+/// `T^k = (x^k mod p)(T)`, which is what [`Xoshiro256::jump`] evaluates.
+const XOSHIRO_CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// `a·x mod p(x)` over GF(2).
+fn gf2_times_x(a: [u64; 4]) -> [u64; 4] {
+    let carry = a[3] >> 63;
+    let mut r = [
+        a[0] << 1,
+        (a[1] << 1) | (a[0] >> 63),
+        (a[2] << 1) | (a[1] >> 63),
+        (a[3] << 1) | (a[2] >> 63),
+    ];
+    if carry == 1 {
+        for (r, p) in r.iter_mut().zip(XOSHIRO_CHAR_POLY) {
+            *r ^= p;
+        }
+    }
+    r
+}
+
+/// `a·b mod p(x)` over GF(2), Horner-style over the bits of `a`.
+fn gf2_mul_mod(a: &[u64; 4], b: &[u64; 4]) -> [u64; 4] {
+    let mut acc = [0u64; 4];
+    for i in (0..256).rev() {
+        acc = gf2_times_x(acc);
+        if (a[i / 64] >> (i % 64)) & 1 == 1 {
+            for (r, b) in acc.iter_mut().zip(b) {
+                *r ^= b;
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -300,6 +381,106 @@ mod tests {
         assert_eq!(counts[1], 0, "zero-mass bucket must never be drawn");
         let p0 = counts[0] as f64 / n as f64;
         assert!((p0 - 0.1).abs() < 0.01, "p0 = {p0}");
+    }
+
+    /// Berlekamp–Massey over GF(2): the shortest LFSR generating `bits`,
+    /// as connection coefficients `c[0..=len]` with `c[0] = 1` and
+    /// `bits[n] = Σ_{i=1..=len} c[i]·bits[n−i]`.
+    fn berlekamp_massey(bits: &[u8]) -> Vec<u8> {
+        let mut c = vec![0u8; bits.len() + 1];
+        let mut b = c.clone();
+        c[0] = 1;
+        b[0] = 1;
+        let (mut len, mut m) = (0usize, 1usize);
+        for n in 0..bits.len() {
+            let d = (0..=len).fold(0, |d, i| d ^ (c[i] & bits[n - i]));
+            if d == 0 {
+                m += 1;
+                continue;
+            }
+            let prev = c.clone();
+            for i in m..c.len() {
+                c[i] ^= b[i - m];
+            }
+            if 2 * len <= n {
+                len = n + 1 - len;
+                b = prev;
+                m = 1;
+            } else {
+                m += 1;
+            }
+        }
+        c.truncate(len + 1);
+        c
+    }
+
+    #[test]
+    fn char_poly_rederived_by_berlekamp_massey() {
+        // Bit 0 of s[0] over more than 2·256 steps determines the minimal
+        // polynomial; xoshiro256's is irreducible of degree 256, so it is
+        // the characteristic polynomial (reversed connection polynomial).
+        let mut rng = Xoshiro256::new(2024);
+        let bits: Vec<u8> = (0..600)
+            .map(|_| {
+                let bit = (rng.s[0] & 1) as u8;
+                rng.next_u64();
+                bit
+            })
+            .collect();
+        let c = berlekamp_massey(&bits);
+        assert_eq!(c.len(), 257, "linear complexity must be 256");
+        let mut poly = [0u64; 4];
+        for j in 0..256 {
+            poly[j / 64] |= u64::from(c[256 - j]) << (j % 64);
+        }
+        assert_eq!(poly, XOSHIRO_CHAR_POLY);
+    }
+
+    #[test]
+    fn jump_polynomial_matches_single_steps() {
+        let mut pick = SplitMix64::new(36);
+        let random = (0..6).map(|_| pick.next_u64() % 100_001);
+        for (seed, k) in [0, 1, 2, 255, 256, 257]
+            .into_iter()
+            .chain(random)
+            .enumerate()
+        {
+            let mut stepped = Xoshiro256::new(seed as u64);
+            for _ in 0..k {
+                stepped.next_u64();
+            }
+            let mut jumped = Xoshiro256::new(seed as u64);
+            jumped.jump(&Xoshiro256::jump_polynomial(k));
+            assert_eq!(jumped, stepped, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn jump_polynomials_reproduce_reference_constants() {
+        // `JUMP` (2^128 draws) and `LONG_JUMP` (2^192 draws) from the
+        // public-domain xoshiro256** reference implementation.
+        const JUMP: [u64; 4] = [
+            0x180e_c6d3_3cfd_0aba,
+            0xd5a6_1266_f0c9_392c,
+            0xa958_2618_e03f_c9aa,
+            0x39ab_dc45_29b1_661c,
+        ];
+        const LONG_JUMP: [u64; 4] = [
+            0x76e1_5d3e_fefd_cbbf,
+            0xc500_4e44_1c52_2fb3,
+            0x7771_0069_854e_e241,
+            0x3910_9bb0_2acb_e635,
+        ];
+        // x^(2^e) is x squared e times.
+        let mut poly = [2, 0, 0, 0];
+        for e in 1..=192 {
+            poly = gf2_mul_mod(&poly, &poly);
+            match e {
+                128 => assert_eq!(poly, JUMP),
+                192 => assert_eq!(poly, LONG_JUMP),
+                _ => {}
+            }
+        }
     }
 
     #[test]

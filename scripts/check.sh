@@ -52,6 +52,11 @@ if [ "$fast" -eq 0 ]; then
     step cargo build --release --workspace --all-targets
 fi
 step cargo test -q --workspace
+# The R-MAT generator fans its attempt chunks out in waves of
+# default_host_threads(); an odd worker count makes waves end mid-way
+# through the chunk sequence, so the generator's tests cross chunk
+# boundaries through the public `generate` path.
+step env HETGRAPH_THREADS=3 cargo test -q -p hetgraph-gen
 # The benchmark is a workspace of its own (see BENCHMARK.json): its tests
 # run all five workloads at smoke size with every output check on, so an
 # API drift against benchmark/src/layers.rs or a broken output fails here
