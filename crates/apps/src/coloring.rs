@@ -150,14 +150,14 @@ impl GasProgram for Coloring {
 mod tests {
     use super::*;
     use hetgraph_cluster::Cluster;
-    use hetgraph_core::{Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList};
     use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{MachineWeights, Oblivious, Partitioner};
 
     fn run(g: &Graph) -> Vec<u32> {
         let cluster = Cluster::case2();
-        let a = Oblivious::new().partition(g, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
+        let a = Oblivious::new().partition(g, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(g, &a, 1).expect("assignment must cover the graph");
         let out = SimEngine::new(&cluster).run(&dist, &Coloring::new(), 1);
         assert!(out.report.converged, "coloring must converge");
         out.data

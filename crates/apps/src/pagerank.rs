@@ -243,14 +243,14 @@ mod tests {
     use super::*;
     use crate::reference::pagerank_ref;
     use hetgraph_cluster::Cluster;
-    use hetgraph_core::{Edge, EdgeList, Graph};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList, Graph};
     use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 
     fn run(g: &Graph, iters: usize) -> Vec<f64> {
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(g, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
+        let a = RandomHash::new().partition(g, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(g, &a, 1).expect("assignment must cover the graph");
         SimEngine::new(&cluster)
             .run(&dist, &PageRank::new(iters), 1)
             .data
@@ -300,8 +300,8 @@ mod tests {
         let edges = (0..n).map(|v| Edge::new(v, (v + 1) % n)).collect();
         let g = Graph::from_edge_list(EdgeList::from_edges(n, edges));
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let out = SimEngine::new(&cluster).run(&dist, &PageRank::with_tolerance(500, 1e-12), 1);
         assert!(out.report.converged);
         assert!(out.report.supersteps < 500);
@@ -323,8 +323,8 @@ mod tests {
         }
         let g = Graph::from_edge_list(EdgeList::from_edges(n, edges));
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let engine = SimEngine::new(&cluster);
         let f64_out = engine.run(&dist, &PageRank::new(25), 1);
         let f32_out = engine.run(&dist, &PageRank32::new(25), 1);

@@ -363,6 +363,7 @@ pub fn full_apps() -> Vec<AnyApp> {
 mod tests {
     use super::*;
     use hetgraph_cluster::Cluster;
+    use hetgraph_core::obs::OFF;
     use hetgraph_engine::{CompactDistGraph, DistributedGraph, GreedyRebalance};
     use hetgraph_gen::PowerLawConfig;
     use hetgraph_partition::{MachineWeights, PartitionAssignment, Partitioner, RandomHash};
@@ -413,8 +414,8 @@ mod tests {
         app.profile().assert_valid();
         let g = PowerLawConfig::new(800, 2.1).generate(3);
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment covers graph");
         let rep = app.run(&SimEngine::new(&cluster), &dist, 1);
         assert_eq!(rep.app, "pagerank_f32");
         assert!(rep.makespan_s > 0.0);
@@ -434,8 +435,8 @@ mod tests {
     fn all_six_run_on_a_power_law_graph() {
         let g = PowerLawConfig::new(800, 2.1).generate(3);
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment covers graph");
         let engine = SimEngine::new(&cluster);
         for app in full_apps() {
             let rep = app.run(&engine, &dist, 1);
@@ -476,12 +477,12 @@ mod tests {
         let g = PowerLawConfig::new(800, 2.1).generate(3);
         let cluster = Cluster::case2();
         let engine = SimEngine::new(&cluster);
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment covers graph");
         let compact = CompactDistGraph::from_dist(&dist);
         // A maximally skewed start so the greedy policy has something to
         // look at (whether it migrates here depends on amortization).
-        let skewed = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()]);
+        let skewed = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()], 1);
         let mut apps = full_apps();
         apps.push(AnyApp::pagerank_f32());
         for app in apps {
@@ -509,7 +510,8 @@ mod tests {
                 assert_eq!(view.assignment(), &a, "{app}/inert/{threads}");
 
                 let mut greedy = GreedyRebalance::new();
-                let mut view = DistributedGraph::new(&g, &skewed).expect("assignment covers graph");
+                let mut view =
+                    DistributedGraph::new(&g, &skewed, 1).expect("assignment covers graph");
                 let report = app.run(
                     &engine,
                     RunTarget::rebalanced(&mut view, &mut greedy),

@@ -125,14 +125,14 @@ mod tests {
     use super::*;
     use crate::reference::sssp_ref;
     use hetgraph_cluster::Cluster;
-    use hetgraph_core::{Edge, EdgeList, Graph};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList, Graph};
     use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 
     fn run(g: &Graph, source: VertexId) -> Vec<u32> {
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(g, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
+        let a = RandomHash::new().partition(g, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(g, &a, 1).expect("assignment must cover the graph");
         let out = SimEngine::new(&cluster).run(&dist, &Sssp::new(source), 1);
         assert!(out.report.converged);
         out.data

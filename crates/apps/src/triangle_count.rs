@@ -186,16 +186,17 @@ mod tests {
     use super::*;
     use crate::reference::triangle_count_ref;
     use hetgraph_cluster::Cluster;
-    use hetgraph_core::{Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList};
     use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{Ginger, MachineWeights, Partitioner};
 
     fn count(g: &Graph) -> u64 {
         let oriented = orient_by_degree(g);
         let cluster = Cluster::case2();
-        let a = Ginger::new().partition(&oriented, &MachineWeights::uniform(2));
+        let a = Ginger::new().partition(&oriented, &MachineWeights::uniform(2), 1, &OFF);
         let tc = TriangleCount::for_graph(&oriented);
-        let dist = DistributedGraph::new(&oriented, &a).expect("assignment must cover the graph");
+        let dist =
+            DistributedGraph::new(&oriented, &a, 1).expect("assignment must cover the graph");
         let out = SimEngine::new(&cluster).run(&dist, &tc, 1);
         TriangleCount::total(&out.data)
     }
@@ -289,9 +290,9 @@ mod tests {
         let work = |g: &Graph| {
             let o = orient_by_degree(g);
             let cluster = Cluster::case2();
-            let a = Ginger::new().partition(&o, &MachineWeights::uniform(2));
+            let a = Ginger::new().partition(&o, &MachineWeights::uniform(2), 1, &OFF);
             let tc = TriangleCount::for_graph(&o);
-            let dist = DistributedGraph::new(&o, &a).expect("assignment must cover the graph");
+            let dist = DistributedGraph::new(&o, &a, 1).expect("assignment must cover the graph");
             let rep = SimEngine::new(&cluster).run(&dist, &tc, 1).report;
             let total: f64 = rep.per_machine_work.iter().map(|w| w.edge_units).sum();
             total / o.num_edges().max(1) as f64
@@ -316,8 +317,8 @@ mod tests {
         let g2 = Graph::from_edge_list(EdgeList::from_edges(5, vec![Edge::new(0, 1)]));
         let tc = TriangleCount::for_graph(&g1);
         let cluster = Cluster::case2();
-        let a = Ginger::new().partition(&g2, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(&g2, &a).expect("assignment must cover the graph");
+        let a = Ginger::new().partition(&g2, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(&g2, &a, 1).expect("assignment must cover the graph");
         SimEngine::new(&cluster).run(&dist, &tc, 1);
     }
 }

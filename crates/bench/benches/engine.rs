@@ -16,10 +16,10 @@ use hetgraph_partition::{Hybrid, MachineWeights, Partitioner};
 fn bench_engine(c: &mut Criterion) {
     let graph = RmatConfig::natural(10_000, 80_000).generate(11);
     let cluster = Cluster::case2();
-    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
+    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2), 1, &OFF);
     // This group has always timed the O(edges) view build with the run.
     let view =
-        || DistributedGraph::new(&graph, &assignment).expect("assignment must cover the graph");
+        || DistributedGraph::new(&graph, &assignment, 1).expect("assignment must cover the graph");
 
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
@@ -64,8 +64,9 @@ fn bench_engine_telemetry(c: &mut Criterion) {
     // histogram updates per superstep and per machine).
     let graph = RmatConfig::natural(10_000, 80_000).generate(11);
     let cluster = Cluster::case2();
-    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
-    let dist = DistributedGraph::new(&graph, &assignment).expect("assignment must cover the graph");
+    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2), 1, &OFF);
+    let dist =
+        DistributedGraph::new(&graph, &assignment, 1).expect("assignment must cover the graph");
 
     let mut group = c.benchmark_group("engine_telemetry");
     group.sample_size(10);
@@ -97,8 +98,9 @@ fn bench_engine_threads(c: &mut Criterion) {
     let spec = &proxies.proxies()[0];
     let graph = spec.generate();
     let cluster = Cluster::case2();
-    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
-    let dist = DistributedGraph::new(&graph, &assignment).expect("assignment must cover the graph");
+    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2), 1, &OFF);
+    let dist =
+        DistributedGraph::new(&graph, &assignment, 1).expect("assignment must cover the graph");
     let engine = SimEngine::new(&cluster);
 
     let mut group = c.benchmark_group("engine_threads");

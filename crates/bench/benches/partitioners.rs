@@ -7,6 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
+use hetgraph_core::obs::OFF;
 use hetgraph_gen::{PowerLawConfig, RmatConfig};
 use hetgraph_partition::{MachineWeights, PartitionerKind};
 
@@ -21,10 +22,10 @@ fn bench_partitioners(c: &mut Criterion) {
     for kind in PartitionerKind::ALL {
         let p = kind.build();
         group.bench_with_input(BenchmarkId::new("uniform", kind.name()), &graph, |b, g| {
-            b.iter(|| black_box(p.partition(g, &uniform)));
+            b.iter(|| black_box(p.partition(g, &uniform, 1, &OFF)));
         });
         group.bench_with_input(BenchmarkId::new("ccr", kind.name()), &graph, |b, g| {
-            b.iter(|| black_box(p.partition(g, &weighted)));
+            b.iter(|| black_box(p.partition(g, &weighted, 1, &OFF)));
         });
     }
     group.finish();
@@ -43,7 +44,7 @@ fn bench_machine_counts(c: &mut Criterion) {
         for kind in [PartitionerKind::Oblivious, PartitionerKind::Ginger] {
             let partitioner = kind.build();
             group.bench_with_input(BenchmarkId::new(kind.name(), p), &graph, |b, g| {
-                b.iter(|| black_box(partitioner.partition(g, &weights)));
+                b.iter(|| black_box(partitioner.partition(g, &weights, 1, &OFF)));
             });
         }
     }
@@ -63,7 +64,7 @@ fn bench_partition_threads(c: &mut Criterion) {
         for kind in [PartitionerKind::RandomHash, PartitionerKind::Grid] {
             let partitioner = kind.build();
             group.bench_with_input(BenchmarkId::new(kind.name(), threads), &graph, |b, g| {
-                b.iter(|| black_box(partitioner.partition_with_threads(g, &weights, threads)));
+                b.iter(|| black_box(partitioner.partition(g, &weights, threads, &OFF)));
             });
         }
     }

@@ -14,7 +14,7 @@
 
 use hetgraph_apps::{standard_apps, AnyApp};
 use hetgraph_cluster::{catalog, Cluster};
-use hetgraph_core::stats;
+use hetgraph_core::{obs::OFF, stats};
 use hetgraph_gen::{ProxyGraph, ProxySet};
 use hetgraph_partition::{
     Hybrid, MachineWeights, PartitionMetrics, Partitioner, PartitionerKind, RandomHash,
@@ -107,8 +107,8 @@ pub fn partitioner_quality(ctx: &ExperimentContext) -> Vec<(String, String, f64,
     let mut rows = Vec::new();
     for (gname, graph) in ctx.natural_graphs_shared().iter() {
         for kind in PartitionerKind::ALL {
-            let a = kind.build().partition(graph, &weights);
-            let m = PartitionMetrics::compute(&a, &weights);
+            let a = kind.build().partition(graph, &weights, 1, &OFF);
+            let m = PartitionMetrics::compute(&a, &weights, 1);
             rows.push((
                 gname.clone(),
                 kind.name().to_string(),
@@ -145,7 +145,7 @@ pub fn hybrid_threshold(ctx: &ExperimentContext) -> Vec<(usize, f64)> {
     let weights = MachineWeights::uniform(4);
     let mut rows = Vec::new();
     for threshold in [0usize, 10, 30, 100, 300, 1000, usize::MAX] {
-        let a = Hybrid::with_threshold(threshold).partition(&graph, &weights);
+        let a = Hybrid::with_threshold(threshold).partition(&graph, &weights, 1, &OFF);
         rows.push((threshold, a.replication_factor()));
     }
     let table: Vec<Vec<String>> = rows
@@ -173,7 +173,7 @@ pub fn ccr_stability(ctx: &ExperimentContext) -> f64 {
     println!("== Ablation: CCR stability across proxy regenerations ==\n");
     let cluster = Cluster::case2();
     let apps = standard_apps();
-    let pool_a = CcrPool::profile(&cluster, &ProxySet::standard(ctx.scale), &apps);
+    let pool_a = CcrPool::profile(&cluster, &ProxySet::standard(ctx.scale), &apps, 1, &OFF);
     let alt: Vec<ProxyGraph> = ProxySet::standard(ctx.scale)
         .proxies()
         .iter()
@@ -186,7 +186,7 @@ pub fn ccr_stability(ctx: &ExperimentContext) -> f64 {
             )
         })
         .collect();
-    let pool_b = CcrPool::profile(&cluster, &ProxySet::from_proxies(alt), &apps);
+    let pool_b = CcrPool::profile(&cluster, &ProxySet::from_proxies(alt), &apps, 1, &OFF);
     let mut drifts = Vec::new();
     for app in apps {
         let a = pool_a.ccr(app.name()).expect("profiled").spread();
@@ -219,7 +219,7 @@ pub fn ccr_stability(ctx: &ExperimentContext) -> f64 {
 pub fn feedback_convergence(ctx: &ExperimentContext) -> Vec<(String, String, Option<usize>, f64)> {
     println!("== Ablation: migration epochs to balance, by initial weights ==\n");
     let cluster = Cluster::case2();
-    let pool = CcrPool::profile(&cluster, &ctx.proxies(), &standard_apps());
+    let pool = CcrPool::profile(&cluster, &ctx.proxies(), &standard_apps(), 1, &OFF);
     let graph = hetgraph_gen::NaturalGraph::Citation.generate(ctx.scale);
     let balancer = FeedbackBalancer::default();
     let mut rows = Vec::new();
@@ -274,12 +274,12 @@ pub fn frequency_sweep(ctx: &ExperimentContext) -> Vec<(f64, f64, f64)> {
     for freq in [2.5f64, 2.1, 1.8, 1.5, 1.2] {
         let tiny = catalog::tiny_arm().at_frequency(freq, format!("tiny_{freq}"));
         let cluster = Cluster::new(vec![tiny, catalog::xeon_l()]);
-        let pool = CcrPool::profile(&cluster, &ctx.proxies(), &[AnyApp::pagerank()]);
+        let pool = CcrPool::profile(&cluster, &ctx.proxies(), &[AnyApp::pagerank()], 1, &OFF);
         let engine = hetgraph_engine::SimEngine::new(&cluster);
         let pagerank = AnyApp::pagerank();
         let mk = |w: &MachineWeights| {
-            let a = RandomHash::new().partition(&graph, w);
-            let dist = hetgraph_engine::DistributedGraph::new(&graph, &a)
+            let a = RandomHash::new().partition(&graph, w, 1, &OFF);
+            let dist = hetgraph_engine::DistributedGraph::new(&graph, &a, 1)
                 .expect("assignment must cover the graph");
             pagerank.run(&engine, &dist, 1).makespan_s
         };

@@ -3,8 +3,8 @@
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::Cluster;
 use hetgraph_core::obs::{chrome_trace, Telemetry};
-use hetgraph_core::stats;
 use hetgraph_core::Graph;
+use hetgraph_core::{obs::OFF, stats};
 use hetgraph_engine::{DistributedGraph, SimEngine};
 use hetgraph_partition::{MachineWeights, PartitionAssignment, PartitionMetrics, PartitionerKind};
 use hetgraph_profile::{CcrPool, Policy};
@@ -37,7 +37,7 @@ pub struct CaseRow {
 /// Profile the cluster once (offline, as in Fig 7a) for this context's
 /// selected workloads.
 pub fn profile_pool(cluster: &Cluster, ctx: &ExperimentContext) -> CcrPool {
-    CcrPool::profile_with_threads(cluster, &ctx.proxies(), ctx.apps(), ctx.threads)
+    CcrPool::profile(cluster, &ctx.proxies(), ctx.apps(), ctx.threads, &OFF)
 }
 
 /// Execution accounting for one [`run_matrix`] call: how much work the
@@ -134,11 +134,10 @@ pub fn run_matrix_counted(
     let parts: Vec<(PartitionAssignment, PartitionMetrics)> =
         hetgraph_core::par::scheduled(jobs.len(), sweep_threads, |j| {
             let (gi, kind, weights) = &jobs[j];
-            let assignment =
-                kind.build()
-                    .partition_with_threads(&graphs[*gi].1, weights, engine_threads);
-            let metrics =
-                PartitionMetrics::compute_with_threads(&assignment, weights, engine_threads);
+            let assignment = kind
+                .build()
+                .partition(&graphs[*gi].1, weights, engine_threads, &OFF);
+            let metrics = PartitionMetrics::compute(&assignment, weights, engine_threads);
             (assignment, metrics)
         });
 
@@ -146,7 +145,7 @@ pub fn run_matrix_counted(
     // instead of one per cell.
     let dists: Vec<DistributedGraph<'_>> =
         hetgraph_core::par::scheduled(jobs.len(), sweep_threads, |j| {
-            DistributedGraph::new_with_threads(&graphs[jobs[j].0].1, &parts[j].0, engine_threads)
+            DistributedGraph::new(&graphs[jobs[j].0].1, &parts[j].0, engine_threads)
                 .expect("assignment must cover the graph")
         });
 
@@ -433,7 +432,7 @@ pub fn write_traces(ctx: &ExperimentContext) -> Vec<PathBuf> {
         // One handle per case: each trace file drains the event log,
         // while the metrics aggregate over the whole case.
         let telemetry = Telemetry::new(ctx.trace_dir.is_some(), ctx.metrics_dir.is_some());
-        let pool = CcrPool::profile_instrumented(
+        let pool = CcrPool::profile(
             &cluster,
             &ctx.proxies(),
             ctx.apps(),
@@ -449,10 +448,10 @@ pub fn write_traces(ctx: &ExperimentContext) -> Vec<PathBuf> {
         }
         for app in ctx.apps() {
             let weights = Policy::CcrGuided.weights(&cluster, &pool, app.name());
-            let assignment =
-                kind.build()
-                    .partition_instrumented(graph, &weights, ctx.threads, &telemetry);
-            let dist = DistributedGraph::new_with_threads(graph, &assignment, ctx.threads)
+            let assignment = kind
+                .build()
+                .partition(graph, &weights, ctx.threads, &telemetry);
+            let dist = DistributedGraph::new(graph, &assignment, ctx.threads)
                 .expect("assignment must cover the graph");
             let engine = SimEngine::new(&cluster).with_telemetry(&telemetry);
             app.run(&engine, &dist, ctx.threads);

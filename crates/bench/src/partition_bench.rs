@@ -17,6 +17,7 @@
 
 use std::time::Instant;
 
+use hetgraph_core::obs::OFF;
 use hetgraph_gen::PowerLawConfig;
 use hetgraph_partition::{MachineWeights, PartitionerKind};
 use serde::Value;
@@ -82,7 +83,7 @@ pub fn partition(ctx: &ExperimentContext) -> PartitionBench {
             let mut wall_s = f64::INFINITY;
             for _ in 0..reps_tp {
                 let t = Instant::now();
-                let a = partitioner.partition(&tp_graph, &weights);
+                let a = partitioner.partition(&tp_graph, &weights, 1, &OFF);
                 wall_s = wall_s.min(t.elapsed().as_secs_f64());
                 std::hint::black_box(&a);
             }

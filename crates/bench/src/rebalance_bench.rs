@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use hetgraph_apps::{AnyApp, PageRank};
 use hetgraph_cluster::{Cluster, PerturbationSchedule};
+use hetgraph_core::obs::OFF;
 use hetgraph_engine::{DistributedGraph, GreedyRebalance, RunTarget, SimEngine};
 use hetgraph_gen::{PowerLawConfig, ProxySet};
 use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
@@ -135,15 +136,16 @@ pub fn rebalance(ctx: &ExperimentContext) -> RebalanceBench {
     // the fixture scale, so the weights are identical across scales),
     // then weight the partitioner by the measured CCRs.
     let proxy_scale = 640u32.max(scale);
-    let pool = CcrPool::profile_with_threads(
+    let pool = CcrPool::profile(
         &cluster,
         &ProxySet::standard(proxy_scale),
         std::slice::from_ref(&app),
         ctx.threads,
+        &OFF,
     );
     let weights = MachineWeights::from_ccr(pool.ccr(app.name()).expect("just profiled").ratios());
-    let assignment = RandomHash::new().partition(&graph, &weights);
-    let dist = DistributedGraph::new_with_threads(&graph, &assignment, ctx.threads)
+    let assignment = RandomHash::new().partition(&graph, &weights, 1, &OFF);
+    let dist = DistributedGraph::new(&graph, &assignment, ctx.threads)
         .expect("assignment must cover the graph");
     // Slow the machine the static placement leans on hardest: that is
     // where a mid-run throttle hurts a pinned placement the most.

@@ -44,6 +44,7 @@ use std::time::Instant;
 
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::Cluster;
+use hetgraph_core::obs::OFF;
 use hetgraph_engine::{CompactDistGraph, DistributedGraph, SimEngine, SimReport};
 use hetgraph_gen::{GraphSpec, NaturalGraph, StreamingGenerator};
 use hetgraph_partition::{MachineWeights, PartitionerKind};
@@ -209,11 +210,11 @@ pub fn scale(ctx: &ExperimentContext) -> ScaleBench {
     let t = Instant::now();
     let assignment = PartitionerKind::Oblivious
         .build()
-        .partition(&graph, &weights);
+        .partition(&graph, &weights, 1, &OFF);
     let p_part = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let dist = DistributedGraph::new_with_threads(&graph, &assignment, ctx.threads)
+    let dist = DistributedGraph::new(&graph, &assignment, ctx.threads)
         .expect("assignment must cover the graph");
     let p_build = t.elapsed().as_secs_f64();
 
@@ -338,8 +339,8 @@ fn fixture_comparison(
     let weights = MachineWeights::uniform(cluster.len());
     let assignment = PartitionerKind::Oblivious
         .build()
-        .partition(&graph, &weights);
-    let dist = DistributedGraph::new_with_threads(&graph, &assignment, ctx.threads)
+        .partition(&graph, &weights, 1, &OFF);
+    let dist = DistributedGraph::new(&graph, &assignment, ctx.threads)
         .expect("assignment must cover the graph");
     let compact = CompactDistGraph::from_dist(&dist);
     let mut plain_s = f64::INFINITY;

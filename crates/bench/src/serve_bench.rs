@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use hetgraph_apps::Sssp;
 use hetgraph_cluster::Cluster;
-use hetgraph_core::VertexId;
+use hetgraph_core::{obs::OFF, VertexId};
 use hetgraph_engine::{DistributedGraph, SimEngine};
 use hetgraph_gen::PowerLawConfig;
 use hetgraph_partition::{MachineWeights, PartitionerKind};
@@ -136,8 +136,10 @@ pub fn serve(ctx: &ExperimentContext) -> ServeBench {
     // immediately instead of amortizing a profiling pass (the CLI's
     // `hetgraph serve` makes the same trade).
     let weights = MachineWeights::from_thread_counts(&cluster);
-    let assignment = PartitionerKind::Hybrid.build().partition(&graph, &weights);
-    let dist = DistributedGraph::new_with_threads(&graph, &assignment, ctx.threads)
+    let assignment = PartitionerKind::Hybrid
+        .build()
+        .partition(&graph, &weights, 1, &OFF);
+    let dist = DistributedGraph::new(&graph, &assignment, ctx.threads)
         .expect("assignment must cover the graph");
 
     let load = LoadGenConfig::standard(42, requests, MEAN_INTERARRIVAL_S);

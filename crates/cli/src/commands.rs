@@ -7,7 +7,7 @@ use hetgraph_apps::{AnyApp, AppRegistry};
 use hetgraph_cluster::Cluster;
 use hetgraph_core::degree::DegreeHistogram;
 use hetgraph_core::obs::Telemetry;
-use hetgraph_core::{io, Graph};
+use hetgraph_core::{io, obs::OFF, Graph};
 use hetgraph_gen::{
     fit_alpha, BarabasiAlbertConfig, GnmConfig, NaturalGraph, PowerLawConfig, ProxySet, RmatConfig,
     SmallWorldConfig, StreamingGenerator,
@@ -359,8 +359,8 @@ pub fn partition(args: &[String]) -> Result<(), CliError> {
         "algorithm", "rf", "mirrors", "max_nl", "balance_err"
     );
     for kind in kinds {
-        let a = kind.build().partition_with_threads(&g, &weights, threads);
-        let m = PartitionMetrics::compute_with_threads(&a, &weights, threads);
+        let a = kind.build().partition(&g, &weights, threads, &OFF);
+        let m = PartitionMetrics::compute(&a, &weights, threads);
         println!(
             "{:10} {:>8.3} {:>10} {:>12.3} {:>13.3}",
             kind.name(),
@@ -384,7 +384,7 @@ pub fn profile(args: &[String]) -> Result<(), CliError> {
         "profiling {} machines with the standard proxy set at 1/{scale} scale...\n",
         cluster.len()
     );
-    let pool = CcrPool::profile_with_threads(&cluster, &ProxySet::standard(scale), &apps, threads);
+    let pool = CcrPool::profile(&cluster, &ProxySet::standard(scale), &apps, threads, &OFF);
     let prior = PriorWorkEstimator::new().estimate(&cluster);
     println!("{:24} CCR per machine (slowest = 1.0)", "app");
     for set in pool.iter() {
@@ -449,7 +449,7 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
     let scale = parse_scale(&flags, 640)?;
     // Only the CCR-guided policy reads the pool: profile just this app.
     let pool = if policy == Policy::CcrGuided {
-        CcrPool::profile_instrumented(
+        CcrPool::profile(
             &cluster,
             &ProxySet::standard(scale),
             std::slice::from_ref(&app),
@@ -499,9 +499,7 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
             )
         } else {
             let g = load_graph(input)?;
-            let assignment = kind
-                .build()
-                .partition_instrumented(&g, &weights, threads, &telemetry);
+            let assignment = kind.build().partition(&g, &weights, threads, &telemetry);
             hetgraph_engine::CompactDistGraph::from_edge_stream(
                 g.num_vertices(),
                 &assignment,
@@ -519,10 +517,8 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
             ));
         }
         g = load_graph(input)?;
-        assignment = kind
-            .build()
-            .partition_instrumented(&g, &weights, threads, &telemetry);
-        plain_dist = hetgraph_engine::DistributedGraph::new_with_threads(&g, &assignment, threads)
+        assignment = kind.build().partition(&g, &weights, threads, &telemetry);
+        plain_dist = hetgraph_engine::DistributedGraph::new(&g, &assignment, threads)
             .expect("assignment must cover the graph");
         match rebalance {
             None => hetgraph_engine::RunTarget::Plain(&plain_dist),
@@ -788,8 +784,8 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
     let weights = MachineWeights::from_thread_counts(&cluster);
     let assignment = kind
         .build()
-        .partition_instrumented(&graph, &weights, threads, &telemetry);
-    let dist = hetgraph_engine::DistributedGraph::new_with_threads(&graph, &assignment, threads)
+        .partition(&graph, &weights, threads, &telemetry);
+    let dist = hetgraph_engine::DistributedGraph::new(&graph, &assignment, threads)
         .map_err(|e| CliError(format!("cannot build distributed graph: {e}")))?;
 
     let mut load = hetgraph_serve::LoadGenConfig::standard(
@@ -1606,5 +1602,27 @@ mod tests {
         let text = std::fs::read_to_string(&trace).unwrap();
         let analysis = hetgraph_engine::TraceAnalysis::from_jsonl(&text).unwrap();
         assert!(!analysis.render(3, None).is_empty());
+    }
+
+    #[test]
+    fn lying_binary_header_is_an_error_not_a_panic() {
+        // A `.hgb` header claiming 2^61 edges with no payload behind them.
+        let path = tmp("lying_header.hgb");
+        let mut bytes = b"HETGRAF1".to_vec();
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = simulate(&argv(&["--input", &path, "--policy", "default"])).unwrap_err();
+        assert!(err.0.contains("cannot load"), "{err:?}");
+        assert!(err.0.contains("truncated at edge 0"), "{err:?}");
+    }
+
+    #[test]
+    fn deeply_nested_report_input_is_an_error_not_an_abort() {
+        let trace = tmp("deep_trace.jsonl");
+        std::fs::write(&trace, "[".repeat(1_000_000)).unwrap();
+        let err = report(&argv(&["--trace", &trace])).unwrap_err();
+        assert!(err.0.contains("cannot analyze"), "{err:?}");
+        assert!(err.0.contains("recursion limit exceeded"), "{err:?}");
     }
 }

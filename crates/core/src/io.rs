@@ -10,7 +10,7 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::{CoreError, Edge, EdgeList, Graph};
+use crate::{shard::DEFAULT_SHARD_EDGES, CoreError, Edge, EdgeList, Graph};
 
 const BINARY_MAGIC: &[u8; 8] = b"HETGRAF1";
 
@@ -116,8 +116,9 @@ pub fn read_binary<R: Read>(reader: R) -> Result<EdgeList, CoreError> {
     let n = u32::from_le_bytes(buf4);
     r.read_exact(&mut buf8)
         .map_err(|_| CoreError::BadBinaryFormat("truncated edge count".into()))?;
-    let m = u64::from_le_bytes(buf8) as usize;
-    let mut edges = Vec::with_capacity(m);
+    let m = u64::from_le_bytes(buf8);
+    // Untrusted count: a lying header costs one default shard's buffer.
+    let mut edges = Vec::with_capacity(m.min(DEFAULT_SHARD_EDGES as u64) as usize);
     let mut pair = [0u8; 8];
     for i in 0..m {
         r.read_exact(&mut pair)
@@ -233,6 +234,20 @@ mod tests {
             read_binary(buf.as_slice()),
             Err(CoreError::BadBinaryFormat(_))
         ));
+    }
+
+    #[test]
+    fn binary_lying_edge_count_is_a_typed_error_not_a_panic() {
+        // A header claiming 2^61 edges with no payload behind it must cost
+        // a bounded buffer, then fail as truncated.
+        let mut buf = Vec::new();
+        write_binary(&mut buf, &sample_graph()).unwrap();
+        buf.truncate(20);
+        buf[12..20].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        match read_binary(buf.as_slice()) {
+            Err(CoreError::BadBinaryFormat(msg)) => assert!(msg.contains("edge 0"), "{msg}"),
+            other => panic!("expected a typed error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -913,6 +913,9 @@ mod tests {
         // float formatting).
         assert_eq!(back.to_json(), json);
         assert!(MetricsSnapshot::from_json("{}").is_err());
+        // Hostile nesting is a parse error, not a stack overflow.
+        let deep = MetricsSnapshot::from_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(deep.contains("recursion limit exceeded"), "{deep}");
         // A missing or mistyped field is an error naming the field and
         // the metric, never a silent zero.
         let parse_one = |section: &str, fields: &str| {

@@ -98,7 +98,8 @@ pub fn read_shard_header<R: Read>(r: &mut R) -> Result<ShardHeader, CoreError> {
 pub fn read_shard<R: Read>(reader: R) -> Result<(ShardHeader, Vec<Edge>), CoreError> {
     let mut r = BufReader::new(reader);
     let header = read_shard_header(&mut r)?;
-    let mut edges = Vec::with_capacity(header.num_edges as usize);
+    // Untrusted count: a lying header costs one default shard's buffer.
+    let mut edges = Vec::with_capacity(header.num_edges.min(DEFAULT_SHARD_EDGES as u64) as usize);
     let mut pair = [0u8; 8];
     for i in 0..header.num_edges {
         r.read_exact(&mut pair)
@@ -238,10 +239,14 @@ impl ShardSet {
                 }
                 Some(_) => {}
             }
-            let expected = 24 + 8 * header.num_edges;
-            if file_len != expected {
+            // Checked: a lying edge count must not wrap into a match.
+            let expected = header
+                .num_edges
+                .checked_mul(8)
+                .and_then(|b| b.checked_add(24));
+            if expected != Some(file_len) {
                 return Err(CoreError::BadBinaryFormat(format!(
-                    "shard {index} is {file_len} bytes, expected {expected} for {} edges",
+                    "shard {index} is {file_len} bytes, not 24 + 8 × {} for its declared edges",
                     header.num_edges
                 )));
             }
@@ -450,6 +455,33 @@ mod tests {
             Err(CoreError::BadBinaryFormat(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A header declaring 2^61 + 1 edges over a 1-edge payload: `8 * m`
+    /// wraps to 8, so an unchecked size test would accept the file and the
+    /// reader would then try to allocate 2^61 edges.
+    #[test]
+    fn lying_edge_count_is_a_typed_error_not_a_panic() {
+        let lie = (1u64 << 61) + 1;
+        let mut bytes = Vec::new();
+        write_shard(&mut bytes, 4, 0, &[Edge::new(0, 1)]).unwrap();
+        bytes[16..24].copy_from_slice(&lie.to_le_bytes());
+        let dir = temp_dir("lying_count");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(shard_file_name(0)), &bytes).unwrap();
+        match ShardSet::open(&dir) {
+            Err(CoreError::BadBinaryFormat(msg)) => {
+                assert!(msg.contains("declared edges"), "{msg}")
+            }
+            other => panic!("expected a typed error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        // Read directly, the same header costs a bounded buffer and ends
+        // at the truncation error.
+        match read_shard(bytes.as_slice()) {
+            Err(CoreError::BadBinaryFormat(msg)) => assert!(msg.contains("edge 1"), "{msg}"),
+            other => panic!("expected a typed error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -328,14 +328,14 @@ mod tests {
             Edge::new(1, 0),
         ];
         let g = Graph::from_edge_list(EdgeList::from_edges(6, edges));
-        let a = PartitionAssignment::from_edge_machines(&g, 3, vec![0, 1, 2, 0, 1, 2]);
+        let a = PartitionAssignment::from_edge_machines(&g, 3, vec![0, 1, 2, 0, 1, 2], 1);
         (g, a)
     }
 
     #[test]
     fn from_dist_matches_plain_view() {
         let (g, a) = fixture();
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let c = CompactDistGraph::from_dist(&dist);
         assert_eq!(c.num_vertices(), g.num_vertices());
         assert_eq!(c.num_edges(), g.num_edges());
@@ -365,7 +365,7 @@ mod tests {
     #[test]
     fn stream_build_equals_dist_build() {
         let (g, a) = fixture();
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let from_dist = CompactDistGraph::from_dist(&dist);
         let edges: Vec<Edge> = g.edges().to_vec();
         let from_stream =
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn machine_counts_match_lanes() {
         let (g, a) = fixture();
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let c = CompactDistGraph::from_dist(&dist);
         let (out, inn) = c.machine_counts().expect("3 machines is under the cap");
         let p = 3usize;
@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn meta_exposes_degrees() {
         let (g, a) = fixture();
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let c = CompactDistGraph::from_dist(&dist);
         let m = c.meta();
         let gm = g.meta();
@@ -435,7 +435,7 @@ mod tests {
     #[test]
     fn resident_bytes_counts_every_lane() {
         let (g, a) = fixture();
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let c = CompactDistGraph::from_dist(&dist);
         // At minimum: one varint byte per edge per direction, two lane
         // bytes per edge per direction, plus the per-vertex structure.

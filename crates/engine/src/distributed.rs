@@ -49,16 +49,7 @@ pub struct DistributedGraph<'a> {
 }
 
 impl<'a> DistributedGraph<'a> {
-    /// Build the aligned ownership arrays.
-    ///
-    /// # Errors
-    /// Returns [`EngineError::AssignmentMismatch`] if the assignment does
-    /// not cover exactly this graph's edges.
-    pub fn new(graph: &'a Graph, assignment: &'a PartitionAssignment) -> Result<Self, EngineError> {
-        Self::new_with_threads(graph, assignment, 1)
-    }
-
-    /// [`DistributedGraph::new`] with a host thread budget.
+    /// Build the aligned ownership arrays with a host thread budget.
     ///
     /// With one thread, a single fused edge pass fills both direction
     /// arrays at once (one sweep over the edge list instead of two full
@@ -72,7 +63,7 @@ impl<'a> DistributedGraph<'a> {
     ///
     /// # Panics
     /// Panics if `host_threads == 0`.
-    pub fn new_with_threads(
+    pub fn new(
         graph: &'a Graph,
         assignment: &'a PartitionAssignment,
         host_threads: usize,
@@ -103,6 +94,17 @@ impl<'a> DistributedGraph<'a> {
             in_row_counts: OnceLock::new(),
             edge_slots: OnceLock::new(),
         })
+    }
+
+    /// For `benchmark/src/layers.rs` only; deleted by the ruler's next API
+    /// follow-up.
+    #[doc(hidden)]
+    pub fn new_with_threads(
+        graph: &'a Graph,
+        assignment: &'a PartitionAssignment,
+        host_threads: usize,
+    ) -> Result<Self, EngineError> {
+        Self::new(graph, assignment, host_threads)
     }
 
     /// Per-vertex per-machine adjacency-slot counts for the (out, in) CSR
@@ -382,8 +384,8 @@ mod tests {
     #[test]
     fn out_slots_carry_edge_machines() {
         let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms);
-        let d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
+        let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let got: Vec<_> = d.out_neighbors_owned(0).collect();
         assert_eq!(got, vec![(1, MachineId(0)), (2, MachineId(1))]);
     }
@@ -391,8 +393,8 @@ mod tests {
     #[test]
     fn in_slots_carry_edge_machines() {
         let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms);
-        let d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
+        let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         // In-neighbors of 2: from edges e1 (0, m1), e2 (1, m0), e3 (3, m1).
         let mut got: Vec<_> = d.in_neighbors_owned(2).collect();
         got.sort();
@@ -406,8 +408,8 @@ mod tests {
     fn ownership_consistent_between_directions() {
         // The same edge must report the same machine from both endpoints.
         let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms);
-        let d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
+        let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         // Edge (1,2) seen from 1's out list and 2's in list.
         let from_out = d
             .out_neighbors_owned(1)
@@ -428,8 +430,8 @@ mod tests {
             2,
             vec![Edge::new(0, 1), Edge::new(0, 1)],
         ));
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 1]);
-        let d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 1], 1);
+        let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let machines: Vec<_> = d.out_neighbors_owned(0).map(|(_, m)| m.0).collect();
         assert_eq!(machines.len(), 2);
         let mut sorted = machines.clone();
@@ -442,11 +444,11 @@ mod tests {
         // The fused single-pass build (1 thread) and the per-direction
         // parallel build (2+ threads) must produce identical slot arrays.
         let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms);
-        let serial = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
+        let serial = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         for threads in [2, 4] {
-            let par = DistributedGraph::new_with_threads(&g, &a, threads)
-                .expect("assignment must cover the graph");
+            let par =
+                DistributedGraph::new(&g, &a, threads).expect("assignment must cover the graph");
             assert_eq!(serial.out_slot_machine, par.out_slot_machine);
             assert_eq!(serial.in_slot_machine, par.in_slot_machine);
         }
@@ -455,8 +457,8 @@ mod tests {
     #[test]
     fn adjacency_slices_match_owned_iterators() {
         let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms);
-        let d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
+        let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         for v in g.vertices() {
             let from_iter: Vec<_> = d.out_neighbors_owned(v).collect();
             let (ts, mach) = d.out_adj(v);
@@ -480,8 +482,8 @@ mod tests {
     #[test]
     fn machine_counts_match_slot_lanes() {
         let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms);
-        let d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
+        let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let (out, inn) = d.machine_counts().expect("2 machines is under the cap");
         let p = 2usize;
         for v in g.vertices() {
@@ -508,8 +510,8 @@ mod tests {
     #[test]
     fn machine_counts_absent_above_machine_cap() {
         let (g, _) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 9, vec![0, 1, 2, 8]);
-        let d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 9, vec![0, 1, 2, 8], 1);
+        let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         assert!(d.machine_counts().is_none(), "9 machines exceeds the cap");
     }
 
@@ -517,8 +519,8 @@ mod tests {
     fn mismatched_assignment_is_a_typed_error() {
         let (g, _) = setup();
         let smaller = Graph::from_edge_list(EdgeList::from_edges(2, vec![Edge::new(0, 1)]));
-        let a = PartitionAssignment::from_edge_machines(&smaller, 2, vec![0]);
-        match DistributedGraph::new(&g, &a) {
+        let a = PartitionAssignment::from_edge_machines(&smaller, 2, vec![0], 1);
+        match DistributedGraph::new(&g, &a, 1) {
             Err(EngineError::AssignmentMismatch {
                 assignment_edges,
                 graph_edges,
@@ -533,17 +535,22 @@ mod tests {
     #[test]
     fn migrate_patches_slot_lanes_like_a_fresh_build() {
         let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms);
-        let mut d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
+        let mut d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let delta = d.migrate_edges(&[(1, 0), (3, 0)]);
         assert_eq!(delta.edges_moved(), 2);
         // The caller's assignment is untouched (copy-on-write)...
         assert_eq!(a.edge_machines(), &[0, 1, 0, 1]);
         // ...and the view equals a fresh build of the migrated machines.
-        let migrated =
-            PartitionAssignment::from_edge_machines(&g, 2, d.assignment().edge_machines().to_vec());
+        let migrated = PartitionAssignment::from_edge_machines(
+            &g,
+            2,
+            d.assignment().edge_machines().to_vec(),
+            1,
+        );
         assert_eq!(d.assignment(), &migrated);
-        let fresh = DistributedGraph::new(&g, &migrated).expect("assignment must cover the graph");
+        let fresh =
+            DistributedGraph::new(&g, &migrated, 1).expect("assignment must cover the graph");
         assert_eq!(d.out_slot_machine, fresh.out_slot_machine);
         assert_eq!(d.in_slot_machine, fresh.in_slot_machine);
     }
@@ -551,23 +558,28 @@ mod tests {
     #[test]
     fn migrate_patches_row_counts_in_place() {
         let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms);
-        let mut d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
+        let mut d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         // Materialize the row tables BEFORE migrating so the patch path
         // (not a rebuild) is what produces the final counts.
         d.machine_counts().expect("under the machine cap");
         let _ = d.migrate_edges(&[(0, 1), (2, 1)]);
-        let migrated =
-            PartitionAssignment::from_edge_machines(&g, 2, d.assignment().edge_machines().to_vec());
-        let fresh = DistributedGraph::new(&g, &migrated).expect("assignment must cover the graph");
+        let migrated = PartitionAssignment::from_edge_machines(
+            &g,
+            2,
+            d.assignment().edge_machines().to_vec(),
+            1,
+        );
+        let fresh =
+            DistributedGraph::new(&g, &migrated, 1).expect("assignment must cover the graph");
         assert_eq!(d.machine_counts(), fresh.machine_counts());
     }
 
     #[test]
     fn empty_migration_batch_changes_nothing() {
         let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms.clone());
-        let mut d = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let a = PartitionAssignment::from_edge_machines(&g, 2, ms.clone(), 1);
+        let mut d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let delta = d.migrate_edges(&[(0, 0)]);
         assert!(delta.is_empty());
         // No clone happened: still borrowing the caller's assignment.

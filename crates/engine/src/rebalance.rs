@@ -344,7 +344,7 @@ mod tests {
             ],
         ));
         // Everything on machine 0; machine 1 idle.
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 0]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 0], 1);
         (g, a)
     }
 
@@ -360,7 +360,7 @@ mod tests {
     #[test]
     fn skewed_step_plans_moves_to_the_idle_machine() {
         let (g, a) = skewed_setup();
-        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let machines = vec![catalog::xeon_s(), catalog::xeon_l()];
         let mut p = GreedyRebalance::new();
         let busy = [2.0, 0.5];
@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn balanced_step_produces_no_plan() {
         let (g, a) = skewed_setup();
-        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let machines = vec![catalog::xeon_s(), catalog::xeon_l()];
         let mut p = GreedyRebalance::new();
         let busy = [1.0, 1.0];
@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn cooldown_suppresses_back_to_back_plans() {
         let (g, a) = skewed_setup();
-        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let machines = vec![catalog::xeon_s(), catalog::xeon_l()];
         let mut p = GreedyRebalance::new().with_cooldown(5);
         p.notify(MigrationEvent {

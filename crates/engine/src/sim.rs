@@ -1344,7 +1344,7 @@ mod tests {
     }
 
     fn partitioned(g: &Graph, cluster: &Cluster) -> PartitionAssignment {
-        RandomHash::new().partition(g, &MachineWeights::uniform(cluster.len()))
+        RandomHash::new().partition(g, &MachineWeights::uniform(cluster.len()), 1, &OFF)
     }
 
     /// Build the view of `a` over `g` and run [`MinLabel`] on it.
@@ -1354,8 +1354,7 @@ mod tests {
         a: &PartitionAssignment,
         threads: usize,
     ) -> SimOutcome<u32> {
-        let dist = DistributedGraph::new_with_threads(g, a, threads)
-            .expect("assignment must cover the graph");
+        let dist = DistributedGraph::new(g, a, threads).expect("assignment must cover the graph");
         engine.run(&dist, &MinLabel, threads)
     }
 
@@ -1375,7 +1374,7 @@ mod tests {
         let c2 = Cluster::case2();
         let c3 = Cluster::case3();
         let r1 = run_min_label(&SimEngine::new(&c2), &g, &partitioned(&g, &c2), 1);
-        let a_skewed = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 1]);
+        let a_skewed = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 1], 1);
         let r2 = run_min_label(&SimEngine::new(&c3), &g, &a_skewed, 1);
         assert_eq!(r1.data, r2.data, "results must not depend on placement");
     }
@@ -1412,7 +1411,7 @@ mod tests {
         for g in [two_components(), big_graph()] {
             let cluster = Cluster::case3();
             let a = partitioned(&g, &cluster);
-            let dist = DistributedGraph::new(&g, &a).unwrap();
+            let dist = DistributedGraph::new(&g, &a, 1).unwrap();
             let compact = crate::CompactDistGraph::from_dist(&dist);
             let engine = SimEngine::new(&cluster);
             let plain = engine.run(&dist, &MinLabel, 1);
@@ -1449,7 +1448,7 @@ mod tests {
         let g = two_components();
         let cluster = Cluster::case2();
         // All edges on machine 1: machine 0 must see zero edge work.
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![1, 1, 1, 1]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![1, 1, 1, 1], 1);
         let out = run_min_label(&SimEngine::new(&cluster), &g, &a, 1);
         assert_eq!(out.report.per_machine_work[0].edge_units, 0.0);
         assert!(out.report.per_machine_work[1].edge_units > 0.0);
@@ -1464,8 +1463,8 @@ mod tests {
         let g = Graph::from_edge_list(EdgeList::from_edges(n, edges));
         let cluster = Cluster::case2(); // m0 slow, m1 fast
         let m = g.num_edges();
-        let slow = PartitionAssignment::from_edge_machines(&g, 2, vec![0; m]);
-        let fast = PartitionAssignment::from_edge_machines(&g, 2, vec![1; m]);
+        let slow = PartitionAssignment::from_edge_machines(&g, 2, vec![0; m], 1);
+        let fast = PartitionAssignment::from_edge_machines(&g, 2, vec![1; m], 1);
         let engine = SimEngine::new(&cluster);
         let t_slow = run_min_label(&engine, &g, &slow, 1).report.makespan_s;
         let t_fast = run_min_label(&engine, &g, &fast, 1).report.makespan_s;
@@ -1590,7 +1589,7 @@ mod tests {
     fn empty_graph_converges_immediately() {
         let g = Graph::from_edge_list(EdgeList::new(0));
         let cluster = Cluster::case2();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![], 1);
         let out = run_min_label(&SimEngine::new(&cluster), &g, &a, 1);
         assert!(out.report.converged);
         assert_eq!(out.report.supersteps, 0);
@@ -1602,7 +1601,7 @@ mod tests {
     fn cluster_mismatch_panics() {
         let g = two_components();
         let cluster = Cluster::case2(); // 2 machines
-        let a = PartitionAssignment::from_edge_machines(&g, 3, vec![0, 1, 2, 0]);
+        let a = PartitionAssignment::from_edge_machines(&g, 3, vec![0, 1, 2, 0], 1);
         run_min_label(&SimEngine::new(&cluster), &g, &a, 1);
     }
 
@@ -1610,7 +1609,7 @@ mod tests {
     fn parallel_matches_serial_data_and_report_exactly() {
         let g = big_graph();
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
         let engine = SimEngine::new(&cluster);
         let seq = run_min_label(&engine, &g, &a, 1);
         for threads in [1, 2, 4] {
@@ -1626,7 +1625,7 @@ mod tests {
     fn parallel_work_attribution_matches() {
         let g = big_graph();
         let cluster = Cluster::case3();
-        let a = RandomHash::new().partition(&g, &MachineWeights::from_ccr(&[1.0, 4.0]));
+        let a = RandomHash::new().partition(&g, &MachineWeights::from_ccr(&[1.0, 4.0]), 1, &OFF);
         let engine = SimEngine::new(&cluster);
         let seq = run_min_label(&engine, &g, &a, 1).report;
         let par = run_min_label(&engine, &g, &a, 3).report;
@@ -1647,7 +1646,7 @@ mod tests {
     fn parallel_is_deterministic_across_runs() {
         let g = big_graph();
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
         let engine = SimEngine::new(&cluster);
         let r1 = run_min_label(&engine, &g, &a, 4);
         let r2 = run_min_label(&engine, &g, &a, 4);
@@ -1659,9 +1658,9 @@ mod tests {
     fn shared_view_matches_fresh_view() {
         let g = big_graph();
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
         let engine = SimEngine::new(&cluster);
-        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let direct = run_min_label(&engine, &g, &a, 2);
         let shared = engine.run(&dist, &MinLabel, 2);
         assert_eq!(direct.data, shared.data);
@@ -1671,34 +1670,11 @@ mod tests {
         assert_eq!(serial.data, shared.data);
     }
 
-    /// `benchmark/src/layers.rs` still enters through the two hidden
-    /// forwards; pin them to [`SimEngine::run`] so the benchmark measures
-    /// the path every other test exercises.
-    #[test]
-    fn hidden_forwards_return_exactly_runs_outcome() {
-        let g = big_graph();
-        let cluster = Cluster::case3();
-        let a = partitioned(&g, &cluster);
-        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
-        let compact = crate::CompactDistGraph::from_dist(&dist);
-        let engine = SimEngine::new(&cluster);
-        for threads in [1, 2] {
-            let run = engine.run(&dist, &MinLabel, threads);
-            let forward = engine.run_on_with_threads(&dist, &MinLabel, threads);
-            assert_eq!(forward.data, run.data, "plain data at {threads}");
-            assert_eq!(forward.report, run.report, "plain report at {threads}");
-            let run = engine.run(&compact, &MinLabel, threads);
-            let forward = engine.run_compact_on_with_threads(&compact, &MinLabel, threads);
-            assert_eq!(forward.data, run.data, "compact data at {threads}");
-            assert_eq!(forward.report, run.report, "compact report at {threads}");
-        }
-    }
-
     #[test]
     fn empty_graph_parallel() {
         let g = Graph::from_edge_list(EdgeList::new(0));
         let cluster = Cluster::case2();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![], 1);
         let out = run_min_label(&SimEngine::new(&cluster), &g, &a, 2);
         assert!(out.report.converged);
         assert_eq!(out.report.supersteps, 0);
@@ -1709,7 +1685,7 @@ mod tests {
     fn zero_threads_rejected() {
         let g = big_graph();
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
         run_min_label(&SimEngine::new(&cluster), &g, &a, 0);
     }
 
@@ -1806,7 +1782,7 @@ mod tests {
         let case2 = Cluster::case2();
         let swapped = Cluster::new(case2.machines().iter().rev().cloned().collect());
         let a = partitioned(&g, &case2);
-        let dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let compact = CompactDistGraph::from_dist(&dist);
         for threads in [1usize, 2] {
             let (out, trace) = SimEngine::new(&case2)
@@ -1842,7 +1818,7 @@ mod tests {
         let cluster = Cluster::case2();
         let a = partitioned(&g, &cluster);
         let engine = SimEngine::new(&cluster);
-        let mut dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let mut dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let mut policy = NeverRebalance;
         let rebalanced = engine.trace(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 1);
         assert!(matches!(rebalanced, Err(EngineError::RebalancedTrace)));
@@ -1936,7 +1912,7 @@ mod tests {
         let a = partitioned(&g, &cluster);
         let engine = SimEngine::new(&cluster);
         let static_out = run_min_label(&engine, &g, &a, 2);
-        let mut dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let mut dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let mut policy = NeverRebalance;
         let rebal = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 2);
         assert_eq!(static_out.data, rebal.data);
@@ -1950,10 +1926,10 @@ mod tests {
         let g = big_graph();
         let cluster = Cluster::case2();
         // Everything starts on machine 0, so every planned move is real.
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()], 1);
         let engine = SimEngine::new(&cluster);
         let static_out = run_min_label(&engine, &g, &a, 2);
-        let mut dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let mut dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let mut policy = MoveSome::new(1_000);
         let rebal = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 2);
         // Placement never changes answers, only time.
@@ -1986,11 +1962,12 @@ mod tests {
     fn rebalanced_run_is_thread_count_invariant() {
         let g = big_graph();
         let cluster = Cluster::case2();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()], 1);
         let engine = SimEngine::new(&cluster);
         let mut reports = Vec::new();
         for threads in [1usize, 2, 4] {
-            let mut dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+            let mut dist =
+                DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
             let mut policy = MoveSome::new(2_500);
             let out = engine.run(
                 RunTarget::rebalanced(&mut dist, &mut policy),
@@ -2007,10 +1984,10 @@ mod tests {
     fn rebalanced_trace_tallies_and_marks_migrations() {
         let g = big_graph();
         let cluster = Cluster::case2();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()], 1);
         let rec = Telemetry::new(true, false);
         let engine = SimEngine::new(&cluster).with_telemetry(&rec);
-        let mut dist = DistributedGraph::new(&g, &a).expect("assignment must cover the graph");
+        let mut dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let mut policy = MoveSome::new(1_000);
         let out = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 2);
         // The per-step records absorb the migration surcharge, so the

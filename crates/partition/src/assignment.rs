@@ -3,7 +3,7 @@
 
 use crate::delta::{AssignmentDelta, EdgeMove, MaskChange};
 use hetgraph_core::rng::hash64;
-use hetgraph_core::{Graph, MachineId, VertexId};
+use hetgraph_core::{Edge, Graph, MachineId, VertexId};
 
 /// A complete vertex-cut partition of a graph across `num_machines`
 /// machines.
@@ -25,57 +25,42 @@ pub struct PartitionAssignment {
 }
 
 impl PartitionAssignment {
-    /// Build the full assignment from a per-edge machine vector.
-    ///
-    /// # Panics
-    /// Panics if lengths mismatch, `num_machines` is 0 or > 64, or any
-    /// edge's machine is out of range.
-    pub fn from_edge_machines(graph: &Graph, num_machines: usize, edge_machine: Vec<u16>) -> Self {
-        Self::from_edge_machines_with_threads(graph, num_machines, edge_machine, 1)
-    }
-
-    /// [`PartitionAssignment::from_edge_machines`] with a host thread
-    /// budget: the per-vertex master-selection pass fans out in
+    /// Build the full assignment from a per-edge machine vector. The
+    /// per-vertex master-selection pass fans out over `threads` in
     /// index-deterministic chunks (identical structure at any thread
-    /// count). The replica-mask accumulation stays serial — it is two ORs
+    /// count); the replica-mask accumulation stays serial — it is two ORs
     /// per edge against vertex-indexed state.
     ///
     /// # Panics
     /// Panics if lengths mismatch, `num_machines` is 0 or > 64,
-    /// `host_threads == 0`, or any edge's machine is out of range.
-    pub fn from_edge_machines_with_threads(
+    /// `threads == 0`, or any edge's machine is out of range.
+    pub fn from_edge_machines(
         graph: &Graph,
         num_machines: usize,
         edge_machine: Vec<u16>,
-        host_threads: usize,
+        threads: usize,
     ) -> Self {
         assert!(num_machines >= 1, "need at least one machine");
         crate::weights::assert_bitmask_capacity(num_machines);
-        assert!(host_threads > 0, "need at least one host thread");
+        assert!(threads > 0, "need at least one host thread");
         assert_eq!(
             edge_machine.len(),
             graph.num_edges(),
             "one machine per edge, in graph edge order"
         );
-
-        let n = graph.num_vertices() as usize;
-        let mut replica_mask = vec![0u64; n];
-        let mut edges_per_machine = vec![0usize; num_machines];
-        for (e, &m) in graph.edges().iter().zip(&edge_machine) {
-            assert!(
-                (m as usize) < num_machines,
-                "edge assigned to machine {m} out of range"
-            );
-            replica_mask[e.src as usize] |= 1u64 << m;
-            replica_mask[e.dst as usize] |= 1u64 << m;
-            edges_per_machine[m as usize] += 1;
-        }
+        let placed = graph
+            .edges()
+            .iter()
+            .copied()
+            .zip(edge_machine.iter().copied());
+        let (replica_mask, edges_per_machine) =
+            tally(graph.num_vertices() as usize, num_machines, placed);
         Self::from_parts(
             num_machines,
             edge_machine,
             replica_mask,
             edges_per_machine,
-            host_threads,
+            threads,
         )
     }
 
@@ -191,14 +176,14 @@ impl PartitionAssignment {
 
     /// Total mirrors: `Σ_v max(replicas(v) − 1, 0)`.
     pub fn total_mirrors(&self) -> u64 {
-        self.replication_summary_with_threads(1).2
+        self.replication_summary(1).2
     }
 
     /// Replication factor: average replicas per vertex *that has edges*
     /// (PowerGraph's λ). 1.0 is the ideal (no vertex split across
     /// machines); `num_machines` is the worst case.
     pub fn replication_factor(&self) -> f64 {
-        let (total, covered, _) = self.replication_summary_with_threads(1);
+        let (total, covered, _) = self.replication_summary(1);
         if covered == 0 {
             1.0
         } else {
@@ -206,16 +191,16 @@ impl PartitionAssignment {
         }
     }
 
-    /// One pass over the replica masks, fanned out over `host_threads` in
+    /// One pass over the replica masks, fanned out over `threads` in
     /// index-deterministic chunks: `(total replicas over covered vertices,
     /// covered vertex count, total mirrors)`. Integer partial sums make
     /// the reduction exact — and therefore identical — at any thread
     /// count.
     ///
     /// # Panics
-    /// Panics if `host_threads == 0`.
-    pub fn replication_summary_with_threads(&self, host_threads: usize) -> (u64, u64, u64) {
-        assert!(host_threads > 0, "need at least one host thread");
+    /// Panics if `threads == 0`.
+    pub fn replication_summary(&self, threads: usize) -> (u64, u64, u64) {
+        assert!(threads > 0, "need at least one host thread");
         let reduce_range = |masks: &[u64]| {
             let mut total = 0u64;
             let mut covered = 0u64;
@@ -231,11 +216,11 @@ impl PartitionAssignment {
             (total, covered, mirrors)
         };
         let n = self.replica_mask.len();
-        if host_threads == 1 || n <= crate::chunk::CHUNK {
+        if threads == 1 || n <= crate::chunk::CHUNK {
             return reduce_range(&self.replica_mask);
         }
         let tasks = n.div_ceil(crate::chunk::CHUNK);
-        let partials = hetgraph_core::par::scheduled(tasks, host_threads, |t| {
+        let partials = hetgraph_core::par::scheduled(tasks, threads, |t| {
             let lo = t * crate::chunk::CHUNK;
             let hi = (lo + crate::chunk::CHUNK).min(n);
             reduce_range(&self.replica_mask[lo..hi])
@@ -350,6 +335,27 @@ impl PartitionAssignment {
     }
 }
 
+/// Replica masks over `n` vertices and per-machine edge counts of
+/// `(edge, machine)` placements. Panics on a machine `>= num_machines`.
+pub(crate) fn tally(
+    n: usize,
+    num_machines: usize,
+    placed: impl Iterator<Item = (Edge, u16)>,
+) -> (Vec<u64>, Vec<usize>) {
+    let mut replica_mask = vec![0u64; n];
+    let mut edges_per_machine = vec![0usize; num_machines];
+    for (e, m) in placed {
+        assert!(
+            (m as usize) < num_machines,
+            "edge assigned to machine {m} out of range"
+        );
+        replica_mask[e.src as usize] |= 1u64 << m;
+        replica_mask[e.dst as usize] |= 1u64 << m;
+        edges_per_machine[m as usize] += 1;
+    }
+    (replica_mask, edges_per_machine)
+}
+
 /// The deterministic master pick for vertex `v` given its replica mask: a
 /// hash-based choice among the replicas, or among all machines for
 /// isolated vertices. Pure in `(v, mask, num_machines)`, so re-picking
@@ -400,7 +406,7 @@ mod tests {
     fn replicas_follow_edge_placement() {
         let g = graph();
         // e0,e1 -> m0; e2,e3 -> m1
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1], 1);
         assert_eq!(a.replica_count(0), 2); // edges on both machines
         assert_eq!(a.replica_count(1), 1);
         assert_eq!(a.replica_count(2), 2);
@@ -412,7 +418,7 @@ mod tests {
     #[test]
     fn master_is_one_of_the_replicas() {
         let g = graph();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1], 1);
         for v in 0..4u32 {
             assert!(
                 a.has_replica(v, a.master(v)),
@@ -426,7 +432,7 @@ mod tests {
     #[test]
     fn mirrors_and_replication_factor() {
         let g = graph();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1], 1);
         // v0 and v2 are split -> 2 mirrors total.
         assert_eq!(a.total_mirrors(), 2);
         // RF over covered vertices: (2+1+2+1)/4 = 1.5
@@ -436,7 +442,7 @@ mod tests {
     #[test]
     fn single_machine_has_no_mirrors() {
         let g = graph();
-        let a = PartitionAssignment::from_edge_machines(&g, 1, vec![0, 0, 0, 0]);
+        let a = PartitionAssignment::from_edge_machines(&g, 1, vec![0, 0, 0, 0], 1);
         assert_eq!(a.total_mirrors(), 0);
         assert!((a.replication_factor() - 1.0).abs() < 1e-12);
     }
@@ -444,7 +450,7 @@ mod tests {
     #[test]
     fn edge_shares_sum_to_one() {
         let g = graph();
-        let a = PartitionAssignment::from_edge_machines(&g, 3, vec![0, 1, 2, 0]);
+        let a = PartitionAssignment::from_edge_machines(&g, 3, vec![0, 1, 2, 0], 1);
         let s: f64 = a.edge_shares().iter().sum();
         assert!((s - 1.0).abs() < 1e-12);
         assert!((a.edge_shares()[0] - 0.5).abs() < 1e-12);
@@ -454,21 +460,21 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn invalid_machine_panics() {
         let g = graph();
-        PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 5, 1]);
+        PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 5, 1], 1);
     }
 
     #[test]
     #[should_panic(expected = "one machine per edge")]
     fn wrong_length_panics() {
         let g = graph();
-        PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0]);
+        PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0], 1);
     }
 
     #[test]
     #[should_panic(expected = "bitmask capacity")]
     fn over_capacity_machine_count_panics() {
         let g = graph();
-        PartitionAssignment::from_edge_machines(&g, 65, vec![0; g.num_edges()]);
+        PartitionAssignment::from_edge_machines(&g, 65, vec![0; g.num_edges()], 1);
     }
 
     #[test]
@@ -481,17 +487,17 @@ mod tests {
     #[test]
     fn migrate_matches_from_scratch_rebuild() {
         let g = graph();
-        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
+        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1], 1);
         let delta = a.migrate_edges(&g, &[(0, 1), (2, 0)]);
         assert_eq!(delta.edges_moved(), 2);
-        let rebuilt = PartitionAssignment::from_edge_machines(&g, 2, a.edge_machines().to_vec());
+        let rebuilt = PartitionAssignment::from_edge_machines(&g, 2, a.edge_machines().to_vec(), 1);
         assert_eq!(a, rebuilt);
     }
 
     #[test]
     fn migrate_skips_noops() {
         let g = graph();
-        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
+        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1], 1);
         let snapshot = a.clone();
         let delta = a.migrate_edges(&g, &[(0, 0), (3, 1)]);
         assert!(delta.is_empty());
@@ -503,7 +509,7 @@ mod tests {
     fn migrate_records_mask_and_master_changes() {
         let g = graph();
         // All edges on m0: every covered vertex has mask 0b01.
-        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 0]);
+        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 0], 1);
         // Move e1 (1->2) to m1: v1 and v2 gain a replica on m1.
         let delta = a.migrate_edges(&g, &[(1, 1)]);
         assert_eq!(delta.moves.len(), 1);
@@ -522,11 +528,11 @@ mod tests {
     #[test]
     fn migrate_last_entry_wins_for_duplicate_edges() {
         let g = graph();
-        let mut a = PartitionAssignment::from_edge_machines(&g, 3, vec![0, 0, 0, 0]);
+        let mut a = PartitionAssignment::from_edge_machines(&g, 3, vec![0, 0, 0, 0], 1);
         let delta = a.migrate_edges(&g, &[(0, 1), (0, 2)]);
         assert_eq!(delta.edges_moved(), 2); // two intermediate moves
         assert_eq!(a.edge_machine(0), MachineId(2));
-        let rebuilt = PartitionAssignment::from_edge_machines(&g, 3, a.edge_machines().to_vec());
+        let rebuilt = PartitionAssignment::from_edge_machines(&g, 3, a.edge_machines().to_vec(), 1);
         assert_eq!(a, rebuilt);
     }
 
@@ -534,14 +540,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn migrate_rejects_out_of_range_machine() {
         let g = graph();
-        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
+        let mut a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1], 1);
         a.migrate_edges(&g, &[(0, 7)]);
     }
 
     #[test]
     fn empty_graph_replication_factor_is_one() {
         let g = Graph::from_edge_list(EdgeList::new(3));
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![]);
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![], 1);
         assert_eq!(a.replication_factor(), 1.0);
         assert_eq!(a.edge_shares(), vec![0.0, 0.0]);
     }

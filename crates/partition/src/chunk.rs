@@ -6,7 +6,7 @@
 //! width is a constant — *not* derived from the thread budget — and the
 //! chunks are concatenated in index order, so the output vector is
 //! byte-identical at any thread count (the crate-wide determinism
-//! contract, see [`crate::Partitioner::partition_with_threads`]).
+//! contract, see [`crate::Partitioner::partition`]).
 
 use hetgraph_core::par;
 

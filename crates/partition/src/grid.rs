@@ -16,11 +16,11 @@
 //! partitioners.
 
 use hetgraph_core::rng::{hash64, hash_combine};
-use hetgraph_core::{Edge, Graph, MachineId};
+use hetgraph_core::{obs::Telemetry, Edge, Graph, MachineId};
 
 use crate::assignment::PartitionAssignment;
 use crate::chunk::chunked_map;
-use crate::traits::{Partitioner, StreamPartitioner};
+use crate::traits::{observed, Partitioner, StreamPartitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// Constrained grid partitioner.
@@ -77,55 +77,52 @@ fn mask_machines(mask: u64) -> impl Iterator<Item = MachineId> {
     })
 }
 
+/// Per-vertex constraint masks via the weighted home hash (the
+/// heterogeneity-aware "each shard has its weight" step), hashed once per
+/// vertex instead of once per edge endpoint. The home hash is per
+/// *vertex*, so the O(V) table is computable before the first edge
+/// arrives — the stream entry needs no second pass. Pure per vertex, so
+/// the chunked fan-out keeps the table byte-identical at any thread count.
+fn vertex_masks(weights: &MachineWeights, n: usize, threads: usize) -> Vec<u64> {
+    let p = weights.len();
+    assert_bitmask_capacity(p);
+    let (r, c) = grid_dims(p);
+    let constraints: Vec<u64> = (0..p).map(|m| constraint_set(m, p, r, c)).collect();
+    chunked_map(n, threads, |v| {
+        constraints[weights
+            .pick(hash64(hash_combine(v as u64, 0x6772_6964)))
+            .index()]
+    })
+}
+
 impl Partitioner for Grid {
     fn name(&self) -> &'static str {
         "grid"
     }
 
-    fn partition(&self, graph: &Graph, weights: &MachineWeights) -> PartitionAssignment {
-        self.partition_with_threads(graph, weights, 1)
-    }
-
-    fn partition_with_threads(
+    fn partition(
         &self,
         graph: &Graph,
         weights: &MachineWeights,
-        host_threads: usize,
+        threads: usize,
+        telemetry: &Telemetry,
     ) -> PartitionAssignment {
-        assert!(host_threads > 0, "need at least one host thread");
-        let p = weights.len();
-        assert_bitmask_capacity(p);
-        let ws = weights.as_slice();
-        let (r, c) = grid_dims(p);
-
-        // Precompute every machine's constraint set.
-        let constraints: Vec<u64> = (0..p).map(|m| constraint_set(m, p, r, c)).collect();
-
-        // Per-vertex constraint masks via the weighted home hash (the
-        // heterogeneity-aware "each shard has its weight" step), hashed
-        // once per vertex instead of once per edge endpoint. Pure per
-        // vertex, so the chunked fan-out keeps the table byte-identical
-        // at any thread count.
-        let n = graph.num_vertices() as usize;
-        let vertex_mask: Vec<u64> = chunked_map(n, host_threads, |v| {
-            constraints[weights
-                .pick(hash64(hash_combine(v as u64, 0x6772_6964)))
-                .index()]
-        });
-
-        let (assignment, replica_mask, edges_per_machine) = place(
-            ws,
-            &vertex_mask,
-            graph.edges().iter().copied(),
-            graph.num_edges(),
-        );
-        PartitionAssignment::from_parts(
-            p,
-            assignment,
-            replica_mask,
-            edges_per_machine,
-            host_threads,
-        )
+        observed(self, graph, threads, telemetry, || {
+            let vertex_mask = vertex_masks(weights, graph.num_vertices() as usize, threads);
+            let (assignment, replica_mask, edges_per_machine) = place(
+                weights.as_slice(),
+                &vertex_mask,
+                graph.edges().iter().copied(),
+                graph.num_edges(),
+            );
+            PartitionAssignment::from_parts(
+                weights.len(),
+                assignment,
+                replica_mask,
+                edges_per_machine,
+                threads,
+            )
+        })
     }
 }
 
@@ -136,23 +133,10 @@ impl StreamPartitioner for Grid {
         weights: &MachineWeights,
         edges: &mut dyn Iterator<Item = Edge>,
     ) -> PartitionAssignment {
-        let p = weights.len();
-        assert_bitmask_capacity(p);
-        let (r, c) = grid_dims(p);
-        let constraints: Vec<u64> = (0..p).map(|m| constraint_set(m, p, r, c)).collect();
-        // The home hash is per *vertex*, so the O(V) constraint table is
-        // computable before the first edge arrives — the stream needs no
-        // second pass.
-        let n = num_vertices as usize;
-        let vertex_mask: Vec<u64> = (0..n)
-            .map(|v| {
-                constraints[weights
-                    .pick(hash64(hash_combine(v as u64, 0x6772_6964)))
-                    .index()]
-            })
-            .collect();
+        let vertex_mask = vertex_masks(weights, num_vertices as usize, 1);
         let (assignment, replica_mask, edges_per_machine) =
             place(weights.as_slice(), &vertex_mask, edges, 0);
+        let p = weights.len();
         PartitionAssignment::from_parts(p, assignment, replica_mask, edges_per_machine, 1)
     }
 }
@@ -217,7 +201,7 @@ fn place(
 mod tests {
     use super::*;
     use crate::random_hash::RandomHash;
-    use hetgraph_core::{Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList};
 
     fn skewed_graph() -> Graph {
         let n = 3_000u32;
@@ -255,7 +239,7 @@ mod tests {
     #[test]
     fn replication_bounded_by_row_plus_column() {
         let g = skewed_graph();
-        let a = Grid::new().partition(&g, &MachineWeights::uniform(9));
+        let a = Grid::new().partition(&g, &MachineWeights::uniform(9), 1, &OFF);
         // In a 3x3 grid a vertex can replicate on at most row+col = 5 machines.
         for v in g.vertices() {
             assert!(
@@ -270,8 +254,8 @@ mod tests {
     fn lower_replication_than_random_on_many_machines() {
         let g = skewed_graph();
         let w = MachineWeights::uniform(16);
-        let grid = Grid::new().partition(&g, &w);
-        let random = RandomHash::new().partition(&g, &w);
+        let grid = Grid::new().partition(&g, &w, 1, &OFF);
+        let random = RandomHash::new().partition(&g, &w, 1, &OFF);
         assert!(
             grid.replication_factor() < random.replication_factor(),
             "grid {} !< random {}",
@@ -284,7 +268,7 @@ mod tests {
     fn weighted_loads_track_ccr_approximately() {
         let g = skewed_graph();
         let w = MachineWeights::from_ccr(&[1.0, 3.0]);
-        let a = Grid::new().partition(&g, &w);
+        let a = Grid::new().partition(&g, &w, 1, &OFF);
         let shares = a.edge_shares();
         assert!(
             shares[1] > 0.6,
@@ -296,7 +280,7 @@ mod tests {
     #[test]
     fn uniform_balances() {
         let g = skewed_graph();
-        let a = Grid::new().partition(&g, &MachineWeights::uniform(4));
+        let a = Grid::new().partition(&g, &MachineWeights::uniform(4), 1, &OFF);
         for &s in &a.edge_shares() {
             assert!((s - 0.25).abs() < 0.06, "share {s}");
         }
@@ -306,7 +290,10 @@ mod tests {
     fn deterministic() {
         let g = skewed_graph();
         let w = MachineWeights::uniform(9);
-        assert_eq!(Grid::new().partition(&g, &w), Grid::new().partition(&g, &w));
+        assert_eq!(
+            Grid::new().partition(&g, &w, 1, &OFF),
+            Grid::new().partition(&g, &w, 1, &OFF)
+        );
     }
 
     #[test]
@@ -317,7 +304,7 @@ mod tests {
             MachineWeights::uniform(9),
             MachineWeights::from_ccr(&[1.0, 3.0]),
         ] {
-            let from_graph = Grid::new().partition(&g, &weights);
+            let from_graph = Grid::new().partition(&g, &weights, 1, &OFF);
             let from_stream = Grid::new().partition_stream(
                 g.num_vertices(),
                 &weights,
@@ -330,7 +317,7 @@ mod tests {
     #[test]
     fn works_on_two_machines() {
         let g = skewed_graph();
-        let a = Grid::new().partition(&g, &MachineWeights::uniform(2));
+        let a = Grid::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
         let total: usize = a.edges_per_machine().iter().sum();
         assert_eq!(total, g.num_edges());
     }

@@ -16,11 +16,11 @@
 //! threshold table.
 
 use hetgraph_core::rng::{hash64, hash_combine};
-use hetgraph_core::Graph;
+use hetgraph_core::{obs::Telemetry, Graph};
 
 use crate::assignment::PartitionAssignment;
 use crate::chunk::chunked_map;
-use crate::traits::Partitioner;
+use crate::traits::{observed, Partitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// Default high-degree threshold (PowerLyra's default).
@@ -84,39 +84,32 @@ impl Partitioner for Hybrid {
         "hybrid"
     }
 
-    fn partition(&self, graph: &Graph, weights: &MachineWeights) -> PartitionAssignment {
-        self.partition_with_threads(graph, weights, 1)
-    }
-
-    fn partition_with_threads(
+    fn partition(
         &self,
         graph: &Graph,
         weights: &MachineWeights,
-        host_threads: usize,
+        threads: usize,
+        telemetry: &Telemetry,
     ) -> PartitionAssignment {
-        assert!(host_threads > 0, "need at least one host thread");
-        assert_bitmask_capacity(weights.len());
-        let n = graph.num_vertices() as usize;
-        let src_pick = pick_table(weights, n, SOURCE_SALT, host_threads);
-        let dst_pick = pick_table(weights, n, TARGET_SALT, host_threads);
-        let edges = graph.edges();
-        let assignment: Vec<u16> = chunked_map(edges.len(), host_threads, |i| {
-            let e = &edges[i];
-            // Phase 1 + 2 fused: the in-degree is available from the
-            // already-built in-CSR, which is exactly the information
-            // the streaming system has after its first pass.
-            if graph.in_degree(e.dst) > self.threshold {
-                src_pick[e.src as usize]
-            } else {
-                dst_pick[e.dst as usize]
-            }
-        });
-        PartitionAssignment::from_edge_machines_with_threads(
-            graph,
-            weights.len(),
-            assignment,
-            host_threads,
-        )
+        observed(self, graph, threads, telemetry, || {
+            assert_bitmask_capacity(weights.len());
+            let n = graph.num_vertices() as usize;
+            let src_pick = pick_table(weights, n, SOURCE_SALT, threads);
+            let dst_pick = pick_table(weights, n, TARGET_SALT, threads);
+            let edges = graph.edges();
+            let assignment: Vec<u16> = chunked_map(edges.len(), threads, |i| {
+                let e = &edges[i];
+                // Phase 1 + 2 fused: the in-degree is available from the
+                // already-built in-CSR, which is exactly the information
+                // the streaming system has after its first pass.
+                if graph.in_degree(e.dst) > self.threshold {
+                    src_pick[e.src as usize]
+                } else {
+                    dst_pick[e.dst as usize]
+                }
+            });
+            PartitionAssignment::from_edge_machines(graph, weights.len(), assignment, threads)
+        })
     }
 }
 
@@ -124,7 +117,7 @@ impl Partitioner for Hybrid {
 mod tests {
     use super::*;
     use crate::random_hash::RandomHash;
-    use hetgraph_core::{Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList};
 
     /// Many low-degree vertices (each with a handful of in-edges) plus one
     /// mega-hub — the regime where mixed cuts beat pure vertex cuts.
@@ -144,7 +137,7 @@ mod tests {
     #[test]
     fn low_degree_vertices_have_no_in_edge_split() {
         let g = hub_graph();
-        let a = Hybrid::new().partition(&g, &MachineWeights::uniform(4));
+        let a = Hybrid::new().partition(&g, &MachineWeights::uniform(4), 1, &OFF);
         // Every low-degree vertex's in-edges are on one machine: the
         // machine hashed from the target. So for each edge to a low-degree
         // target, the assignment equals the target's hash-pick.
@@ -163,7 +156,7 @@ mod tests {
     #[test]
     fn hub_in_edges_spread_by_source() {
         let g = hub_graph();
-        let a = Hybrid::new().partition(&g, &MachineWeights::uniform(4));
+        let a = Hybrid::new().partition(&g, &MachineWeights::uniform(4), 1, &OFF);
         // Hub 0 has ~4k in-edges; they must be spread across machines.
         let mut machines = std::collections::HashSet::new();
         for (i, e) in g.edges().iter().enumerate() {
@@ -178,8 +171,8 @@ mod tests {
     fn lower_replication_than_random_on_low_degree_graph() {
         let g = hub_graph();
         let w = MachineWeights::uniform(8);
-        let hybrid = Hybrid::new().partition(&g, &w);
-        let random = RandomHash::new().partition(&g, &w);
+        let hybrid = Hybrid::new().partition(&g, &w, 1, &OFF);
+        let random = RandomHash::new().partition(&g, &w, 1, &OFF);
         assert!(
             hybrid.replication_factor() < random.replication_factor(),
             "hybrid {} !< random {}",
@@ -192,7 +185,7 @@ mod tests {
     fn weighted_assignment_tracks_ccr() {
         let g = hub_graph();
         let w = MachineWeights::from_ccr(&[1.0, 3.0]);
-        let a = Hybrid::new().partition(&g, &w);
+        let a = Hybrid::new().partition(&g, &w, 1, &OFF);
         let shares = a.edge_shares();
         assert!(
             (shares[1] - 0.75).abs() < 0.08,
@@ -205,7 +198,7 @@ mod tests {
     fn threshold_zero_degenerates_to_source_hash() {
         let g = hub_graph();
         let w = MachineWeights::uniform(3);
-        let a = Hybrid::with_threshold(0).partition(&g, &w);
+        let a = Hybrid::with_threshold(0).partition(&g, &w, 1, &OFF);
         for (i, e) in g.edges().iter().enumerate() {
             assert_eq!(a.edge_machines()[i], vertex_pick(&w, e.src, SOURCE_SALT));
         }
@@ -215,7 +208,7 @@ mod tests {
     fn huge_threshold_degenerates_to_target_hash() {
         let g = hub_graph();
         let w = MachineWeights::uniform(3);
-        let a = Hybrid::with_threshold(usize::MAX).partition(&g, &w);
+        let a = Hybrid::with_threshold(usize::MAX).partition(&g, &w, 1, &OFF);
         for (i, e) in g.edges().iter().enumerate() {
             assert_eq!(a.edge_machines()[i], vertex_pick(&w, e.dst, TARGET_SALT));
         }
@@ -226,8 +219,8 @@ mod tests {
         let g = hub_graph();
         let w = MachineWeights::uniform(4);
         assert_eq!(
-            Hybrid::new().partition(&g, &w),
-            Hybrid::new().partition(&g, &w)
+            Hybrid::new().partition(&g, &w, 1, &OFF),
+            Hybrid::new().partition(&g, &w, 1, &OFF)
         );
     }
 }

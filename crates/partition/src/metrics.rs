@@ -21,33 +21,24 @@ pub struct PartitionMetrics {
 }
 
 impl PartitionMetrics {
-    /// Compute metrics for `assignment` against `weights`.
-    ///
-    /// # Panics
-    /// Panics if machine counts mismatch.
-    pub fn compute(assignment: &PartitionAssignment, weights: &MachineWeights) -> Self {
-        Self::compute_with_threads(assignment, weights, 1)
-    }
-
-    /// [`PartitionMetrics::compute`] with a host thread budget: the
+    /// Compute metrics for `assignment` against `weights`. The
     /// replica-mask reduction (the only O(vertices) pass here) fans out
-    /// over index-deterministic chunks with integer partial sums, so the
-    /// metrics are identical at any thread count.
+    /// over `threads` in index-deterministic chunks with integer partial
+    /// sums, so the metrics are identical at any thread count.
     ///
     /// # Panics
-    /// Panics if machine counts mismatch or `host_threads == 0`.
-    pub fn compute_with_threads(
+    /// Panics if machine counts mismatch or `threads == 0`.
+    pub fn compute(
         assignment: &PartitionAssignment,
         weights: &MachineWeights,
-        host_threads: usize,
+        threads: usize,
     ) -> Self {
         assert_eq!(
             assignment.num_machines(),
             weights.len(),
             "assignment and weights must cover the same machines"
         );
-        let (total_replicas, covered, _) =
-            assignment.replication_summary_with_threads(host_threads);
+        let (total_replicas, covered, _) = assignment.replication_summary(threads);
         let edges_per_machine = assignment.edges_per_machine();
         let total_edges: usize = edges_per_machine.iter().sum();
         let shares: Vec<f64> = if total_edges == 0 {
@@ -77,6 +68,17 @@ impl PartitionMetrics {
             max_normalized_load: max_norm,
             weighted_balance_error: max_err,
         }
+    }
+
+    /// For `benchmark/src/layers.rs` only; deleted by the ruler's next API
+    /// follow-up.
+    #[doc(hidden)]
+    pub fn compute_with_threads(
+        assignment: &PartitionAssignment,
+        weights: &MachineWeights,
+        threads: usize,
+    ) -> Self {
+        Self::compute(assignment, weights, threads)
     }
 }
 
@@ -113,8 +115,8 @@ mod tests {
     #[test]
     fn perfect_uniform_split() {
         let g = graph();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
-        let m = PartitionMetrics::compute(&a, &MachineWeights::uniform(2));
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1], 1);
+        let m = PartitionMetrics::compute(&a, &MachineWeights::uniform(2), 1);
         assert!((m.max_normalized_load - 1.0).abs() < 1e-12);
         assert!(m.weighted_balance_error < 1e-12);
     }
@@ -122,8 +124,8 @@ mod tests {
     #[test]
     fn skewed_split_detected() {
         let g = graph();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 1]);
-        let m = PartitionMetrics::compute(&a, &MachineWeights::uniform(2));
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 1], 1);
+        let m = PartitionMetrics::compute(&a, &MachineWeights::uniform(2), 1);
         // Machine 0 has 75% of edges at a 50% target -> normalized load 1.5.
         assert!((m.max_normalized_load - 1.5).abs() < 1e-12);
         assert!((m.weighted_balance_error - 0.5).abs() < 1e-12);
@@ -133,16 +135,16 @@ mod tests {
     fn weighted_target_changes_interpretation() {
         let g = graph();
         // 75/25 split is PERFECT for a 3:1 weight vector.
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 1]);
-        let m = PartitionMetrics::compute(&a, &MachineWeights::new(&[3.0, 1.0]));
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 0, 1], 1);
+        let m = PartitionMetrics::compute(&a, &MachineWeights::new(&[3.0, 1.0]), 1);
         assert!(m.weighted_balance_error < 1e-9);
     }
 
     #[test]
     fn display_is_compact() {
         let g = graph();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
-        let m = PartitionMetrics::compute(&a, &MachineWeights::uniform(2));
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1], 1);
+        let m = PartitionMetrics::compute(&a, &MachineWeights::uniform(2), 1);
         let s = m.to_string();
         assert!(s.contains("rf=") && s.contains("mirrors="));
     }
@@ -151,7 +153,7 @@ mod tests {
     #[should_panic(expected = "same machines")]
     fn mismatched_machines_panic() {
         let g = graph();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1]);
-        PartitionMetrics::compute(&a, &MachineWeights::uniform(3));
+        let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 0, 1, 1], 1);
+        PartitionMetrics::compute(&a, &MachineWeights::uniform(3), 1);
     }
 }

@@ -21,10 +21,10 @@
 use std::collections::VecDeque;
 
 use hetgraph_core::rng::hash64;
-use hetgraph_core::{Edge, Graph};
+use hetgraph_core::{obs::Telemetry, Edge, Graph};
 
 use crate::assignment::PartitionAssignment;
-use crate::traits::{Partitioner, StreamPartitioner};
+use crate::traits::{observed, Partitioner, StreamPartitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// `f64::max` restricted to non-NaN inputs: the bare compare-select maps
@@ -71,13 +71,21 @@ impl Partitioner for Oblivious {
         Some(graph.num_edges() as u64)
     }
 
-    fn partition(&self, graph: &Graph, weights: &MachineWeights) -> PartitionAssignment {
-        self.stream_impl(
-            graph.num_vertices() as usize,
-            weights,
-            graph.edges().iter().copied(),
-            graph.num_edges(),
-        )
+    fn partition(
+        &self,
+        graph: &Graph,
+        weights: &MachineWeights,
+        threads: usize,
+        telemetry: &Telemetry,
+    ) -> PartitionAssignment {
+        observed(self, graph, threads, telemetry, || {
+            self.stream_impl(
+                graph.num_vertices() as usize,
+                weights,
+                graph.edges().iter().copied(),
+                graph.num_edges(),
+            )
+        })
     }
 }
 
@@ -445,7 +453,7 @@ impl Oblivious {
 mod tests {
     use super::*;
     use crate::random_hash::RandomHash;
-    use hetgraph_core::{Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList};
 
     fn skewed_graph() -> Graph {
         let n = 3_000u32;
@@ -465,8 +473,8 @@ mod tests {
         // The whole point of the greedy heuristic.
         let g = skewed_graph();
         let w = MachineWeights::uniform(4);
-        let greedy = Oblivious::new().partition(&g, &w);
-        let random = RandomHash::new().partition(&g, &w);
+        let greedy = Oblivious::new().partition(&g, &w, 1, &OFF);
+        let random = RandomHash::new().partition(&g, &w, 1, &OFF);
         assert!(
             greedy.replication_factor() < random.replication_factor(),
             "greedy {} !< random {}",
@@ -478,7 +486,7 @@ mod tests {
     #[test]
     fn uniform_weights_balance_loads() {
         let g = skewed_graph();
-        let a = Oblivious::new().partition(&g, &MachineWeights::uniform(4));
+        let a = Oblivious::new().partition(&g, &MachineWeights::uniform(4), 1, &OFF);
         for &s in &a.edge_shares() {
             assert!((s - 0.25).abs() < 0.05, "share {s}");
         }
@@ -488,7 +496,7 @@ mod tests {
     fn weighted_loads_track_ccr_approximately() {
         let g = skewed_graph();
         let w = MachineWeights::from_ccr(&[1.0, 3.0]);
-        let a = Oblivious::new().partition(&g, &w);
+        let a = Oblivious::new().partition(&g, &w, 1, &OFF);
         let shares = a.edge_shares();
         // The paper notes the heuristic does not guarantee exact CCR
         // balance; allow a loose band around 0.75.
@@ -505,15 +513,15 @@ mod tests {
         let g = skewed_graph();
         let w = MachineWeights::uniform(3);
         assert_eq!(
-            Oblivious::new().partition(&g, &w),
-            Oblivious::new().partition(&g, &w)
+            Oblivious::new().partition(&g, &w, 1, &OFF),
+            Oblivious::new().partition(&g, &w, 1, &OFF)
         );
     }
 
     #[test]
     fn all_edges_assigned() {
         let g = skewed_graph();
-        let a = Oblivious::new().partition(&g, &MachineWeights::uniform(5));
+        let a = Oblivious::new().partition(&g, &MachineWeights::uniform(5), 1, &OFF);
         assert_eq!(a.edge_machines().len(), g.num_edges());
     }
 
@@ -528,7 +536,7 @@ mod tests {
             MachineWeights::uniform(17), // u32 replica-mask monomorphization
             MachineWeights::from_ccr(&[1.0, 3.0]),
         ] {
-            let from_graph = Oblivious::new().partition(&g, &weights);
+            let from_graph = Oblivious::new().partition(&g, &weights, 1, &OFF);
             let from_stream = Oblivious::new().partition_stream(
                 g.num_vertices(),
                 &weights,
@@ -547,7 +555,7 @@ mod tests {
             vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(0, 1)],
         ));
         let w = MachineWeights::uniform(4);
-        let a = Oblivious::new().partition(&g, &w);
+        let a = Oblivious::new().partition(&g, &w, 1, &OFF);
         let b = Oblivious::new().partition_stream(4, &w, &mut g.edges().iter().copied());
         assert_eq!(a, b);
         let empty = Oblivious::new().partition_stream(4, &w, &mut std::iter::empty());
@@ -563,7 +571,7 @@ mod tests {
             4,
             vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(0, 1)],
         ));
-        let a = Oblivious::new().partition(&g, &MachineWeights::uniform(4));
+        let a = Oblivious::new().partition(&g, &MachineWeights::uniform(4), 1, &OFF);
         // Both (0,1) edges must colocate.
         assert_eq!(a.edge_machines()[0], a.edge_machines()[2]);
     }

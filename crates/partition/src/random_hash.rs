@@ -8,11 +8,11 @@
 //! [`MachineWeights::pick`].
 
 use hetgraph_core::rng::{hash64, hash_combine};
-use hetgraph_core::{Edge, Graph};
+use hetgraph_core::{obs::Telemetry, Edge, Graph};
 
-use crate::assignment::PartitionAssignment;
+use crate::assignment::{tally, PartitionAssignment};
 use crate::chunk::chunked_map;
-use crate::traits::{Partitioner, StreamPartitioner};
+use crate::traits::{observed, Partitioner, StreamPartitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// Random-hash edge partitioner.
@@ -35,31 +35,24 @@ impl Partitioner for RandomHash {
         "random"
     }
 
-    fn partition(&self, graph: &Graph, weights: &MachineWeights) -> PartitionAssignment {
-        self.partition_with_threads(graph, weights, 1)
-    }
-
-    fn partition_with_threads(
+    fn partition(
         &self,
         graph: &Graph,
         weights: &MachineWeights,
-        host_threads: usize,
+        threads: usize,
+        telemetry: &Telemetry,
     ) -> PartitionAssignment {
-        assert!(host_threads > 0, "need at least one host thread");
-        assert_bitmask_capacity(weights.len());
-        let edges = graph.edges();
-        // Pure per-edge hash: fan out in fixed chunks (identical output at
-        // any thread count).
-        let assignment: Vec<u16> = chunked_map(edges.len(), host_threads, |i| {
-            let h = hash64(hash_combine(edges[i].key(), SALT));
-            weights.pick(h).0
-        });
-        PartitionAssignment::from_edge_machines_with_threads(
-            graph,
-            weights.len(),
-            assignment,
-            host_threads,
-        )
+        observed(self, graph, threads, telemetry, || {
+            assert_bitmask_capacity(weights.len());
+            let edges = graph.edges();
+            // Pure per-edge hash: fan out in fixed chunks (identical output
+            // at any thread count).
+            let assignment: Vec<u16> = chunked_map(edges.len(), threads, |i| {
+                let h = hash64(hash_combine(edges[i].key(), SALT));
+                weights.pick(h).0
+            });
+            PartitionAssignment::from_edge_machines(graph, weights.len(), assignment, threads)
+        })
     }
 }
 
@@ -71,18 +64,13 @@ impl StreamPartitioner for RandomHash {
         edges: &mut dyn Iterator<Item = Edge>,
     ) -> PartitionAssignment {
         assert_bitmask_capacity(weights.len());
-        let n = num_vertices as usize;
         let mut assignment: Vec<u16> = Vec::new();
-        let mut replica_mask = vec![0u64; n];
-        let mut edges_per_machine = vec![0usize; weights.len()];
-        for e in edges {
-            let h = hash64(hash_combine(e.key(), SALT));
-            let m = weights.pick(h).0;
-            replica_mask[e.src as usize] |= 1u64 << m;
-            replica_mask[e.dst as usize] |= 1u64 << m;
-            edges_per_machine[m as usize] += 1;
+        let placed = edges.map(|e| {
+            let m = weights.pick(hash64(hash_combine(e.key(), SALT))).0;
             assignment.push(m);
-        }
+            (e, m)
+        });
+        let (replica_mask, edges_per_machine) = tally(num_vertices as usize, weights.len(), placed);
         PartitionAssignment::from_parts(
             weights.len(),
             assignment,
@@ -96,7 +84,7 @@ impl StreamPartitioner for RandomHash {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgraph_core::{Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList};
 
     fn power_law_like_graph() -> Graph {
         // A hub + noise: deterministic, enough edges for statistics.
@@ -112,7 +100,7 @@ mod tests {
     #[test]
     fn uniform_weights_balance_edges() {
         let g = power_law_like_graph();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(4));
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(4), 1, &OFF);
         let shares = a.edge_shares();
         for s in shares {
             assert!((s - 0.25).abs() < 0.03, "share {s} far from uniform");
@@ -123,7 +111,7 @@ mod tests {
     fn weighted_assignment_follows_ccr() {
         let g = power_law_like_graph();
         let w = MachineWeights::from_ccr(&[1.0, 3.0]);
-        let a = RandomHash::new().partition(&g, &w);
+        let a = RandomHash::new().partition(&g, &w, 1, &OFF);
         let shares = a.edge_shares();
         assert!((shares[0] - 0.25).abs() < 0.03, "share {}", shares[0]);
         assert!((shares[1] - 0.75).abs() < 0.03, "share {}", shares[1]);
@@ -133,15 +121,15 @@ mod tests {
     fn deterministic() {
         let g = power_law_like_graph();
         let w = MachineWeights::uniform(3);
-        let a = RandomHash::new().partition(&g, &w);
-        let b = RandomHash::new().partition(&g, &w);
+        let a = RandomHash::new().partition(&g, &w, 1, &OFF);
+        let b = RandomHash::new().partition(&g, &w, 1, &OFF);
         assert_eq!(a, b);
     }
 
     #[test]
     fn every_edge_assigned_exactly_once() {
         let g = power_law_like_graph();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(5));
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(5), 1, &OFF);
         assert_eq!(a.edge_machines().len(), g.num_edges());
         let total: usize = a.edges_per_machine().iter().sum();
         assert_eq!(total, g.num_edges());
@@ -154,7 +142,7 @@ mod tests {
             MachineWeights::uniform(4),
             MachineWeights::from_ccr(&[1.0, 3.0]),
         ] {
-            let from_graph = RandomHash::new().partition(&g, &weights);
+            let from_graph = RandomHash::new().partition(&g, &weights, 1, &OFF);
             let from_stream = RandomHash::new().partition_stream(
                 g.num_vertices(),
                 &weights,
@@ -167,7 +155,7 @@ mod tests {
     #[test]
     fn single_machine_trivial() {
         let g = power_law_like_graph();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(1));
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(1), 1, &OFF);
         assert_eq!(a.edges_per_machine()[0], g.num_edges());
         assert_eq!(a.total_mirrors(), 0);
     }

@@ -1,6 +1,6 @@
 //! The partitioner interface.
 
-use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent};
+use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent, OFF};
 use hetgraph_core::{Edge, Graph};
 
 use crate::assignment::PartitionAssignment;
@@ -10,37 +10,10 @@ use crate::weights::MachineWeights;
 ///
 /// Implementations must be deterministic: the same `(graph, weights)` pair
 /// always yields the same assignment (experiment reproducibility depends on
-/// this).
+/// this), at any thread count and with telemetry on or off.
 pub trait Partitioner {
     /// Human-readable algorithm name (used in figures and reports).
     fn name(&self) -> &'static str;
-
-    /// Partition `graph` across `weights.len()` machines, distributing
-    /// edges proportionally to the weights (uniform weights = the original
-    /// homogeneous algorithm).
-    fn partition(&self, graph: &Graph, weights: &MachineWeights) -> PartitionAssignment;
-
-    /// [`Partitioner::partition`] with a host thread budget.
-    ///
-    /// The determinism contract extends across thread counts: the returned
-    /// assignment must be byte-identical at any `host_threads`, so the
-    /// experiment harness may hand whatever budget is left over to the
-    /// partitioner without perturbing results. Inherently sequential
-    /// partitioners (history-based greedy scorers) default to ignoring the
-    /// budget; embarrassingly parallel ones (hash-based) override this
-    /// with index-deterministic chunked fan-out.
-    ///
-    /// # Panics
-    /// Panics if `host_threads == 0`.
-    fn partition_with_threads(
-        &self,
-        graph: &Graph,
-        weights: &MachineWeights,
-        host_threads: usize,
-    ) -> PartitionAssignment {
-        assert!(host_threads > 0, "need at least one host thread");
-        self.partition(graph, weights)
-    }
 
     /// Greedy scoring scans this partitioner performs on `graph`: the
     /// number of candidate-machine scans its streaming greedy loop runs
@@ -50,86 +23,119 @@ pub trait Partitioner {
         None
     }
 
-    /// [`Partitioner::partition_with_threads`] wrapped in observability.
-    /// To the event log: a wall-clock span plus edge-throughput (and,
-    /// where the algorithm has one, greedy-scan) counters. To the metrics
-    /// registry: per-algorithm edge and greedy-scan counters (sim domain —
-    /// both are deterministic properties of the input, so they belong in
-    /// the byte-stable snapshot), plus a wall-clock duration histogram and
-    /// an edge-throughput gauge (wall domain — host-dependent). With both
-    /// halves off this is exactly `partition_with_threads`; the
-    /// assignment is identical with any combination.
+    /// Partition `graph` across `weights.len()` machines, distributing
+    /// edges proportionally to the weights (uniform weights = the original
+    /// homogeneous algorithm), with `threads` host threads.
+    ///
+    /// The determinism contract extends across thread counts: the returned
+    /// assignment is byte-identical at any `threads`, so a harness may hand
+    /// whatever budget is left over to the partitioner without perturbing
+    /// results. Inherently sequential partitioners (history-based greedy
+    /// scorers) ignore the budget; embarrassingly parallel ones (hash-based)
+    /// use index-deterministic chunked fan-out.
+    ///
+    /// With `telemetry` on, the call is observed: to the event log, a
+    /// wall-clock span plus edge-throughput (and, where the algorithm has
+    /// one, greedy-scan) counters; to the metrics registry, per-algorithm
+    /// edge and greedy-scan counters (sim domain: deterministic, so they
+    /// belong in the byte-stable snapshot), plus a wall-clock duration
+    /// histogram and an edge-throughput gauge (wall domain). Pass [`OFF`]
+    /// for none; the assignment is identical either way.
     ///
     /// # Panics
-    /// Panics if `host_threads == 0`.
-    fn partition_instrumented(
+    /// Panics if `threads == 0`.
+    fn partition(
         &self,
         graph: &Graph,
         weights: &MachineWeights,
-        host_threads: usize,
+        threads: usize,
         telemetry: &Telemetry,
+    ) -> PartitionAssignment;
+
+    /// For `benchmark/src/layers.rs` only; deleted by the ruler's next API
+    /// follow-up.
+    #[doc(hidden)]
+    fn partition_with_threads(
+        &self,
+        graph: &Graph,
+        weights: &MachineWeights,
+        threads: usize,
     ) -> PartitionAssignment {
-        if !telemetry.tracing() && !telemetry.metering() {
-            return self.partition_with_threads(graph, weights, host_threads);
-        }
-        let wall_t0 = std::time::Instant::now();
-        let t0 = telemetry.now_us();
-        let assignment = self.partition_with_threads(graph, weights, host_threads);
-        let t1 = telemetry.now_us();
-        let wall_s = wall_t0.elapsed().as_secs_f64();
-        let name = self.name();
-        let scans = self.greedy_scans(graph);
-        if telemetry.tracing() {
-            telemetry.record(TraceEvent::wall_span(
-                format!("partition/{name}"),
-                "partition",
-                0,
-                t0,
-                t1 - t0,
-            ));
-            let edges = graph.num_edges() as f64;
-            telemetry.record(TraceEvent::wall_counter("partition_edges", 0, t1, edges));
-            let dur_s = (t1 - t0) / 1e6;
-            if dur_s > 0.0 {
-                telemetry.record(TraceEvent::wall_counter(
-                    "partition_edges_per_sec",
-                    0,
-                    t1,
-                    edges / dur_s,
-                ));
-            }
-            if let Some(scans) = scans {
-                telemetry.record(TraceEvent::wall_counter(
-                    "partition_greedy_scans",
-                    0,
-                    t1,
-                    scans as f64,
-                ));
-            }
-        }
-        if telemetry.metering() {
-            telemetry
-                .counter(&format!("partition/{name}/edges_total"), TimeDomain::Sim)
-                .add(graph.num_edges() as u64);
-            if let Some(scans) = scans {
-                telemetry
-                    .counter(
-                        &format!("partition/{name}/greedy_scans_total"),
-                        TimeDomain::Sim,
-                    )
-                    .add(scans);
-            }
-            telemetry
-                .histogram(&format!("partition/{name}/wall_s"), TimeDomain::Wall)
-                .observe(wall_s);
-            if wall_s > 0.0 {
-                telemetry
-                    .gauge(&format!("partition/{name}/edges_per_sec"), TimeDomain::Wall)
-                    .set(graph.num_edges() as f64 / wall_s);
-            }
-        }
-        assignment
+        self.partition(graph, weights, threads, &OFF)
     }
+}
+
+/// The one wrapper every [`Partitioner::partition`] runs its `body` through:
+/// exactly `body()` with both telemetry halves off, else observed as that
+/// method describes. Panics if `threads == 0`.
+pub(crate) fn observed<P: Partitioner + ?Sized>(
+    p: &P,
+    graph: &Graph,
+    threads: usize,
+    telemetry: &Telemetry,
+    body: impl FnOnce() -> PartitionAssignment,
+) -> PartitionAssignment {
+    assert!(threads > 0, "need at least one host thread");
+    if !telemetry.tracing() && !telemetry.metering() {
+        return body();
+    }
+    let wall_t0 = std::time::Instant::now();
+    let t0 = telemetry.now_us();
+    let assignment = body();
+    let t1 = telemetry.now_us();
+    let wall_s = wall_t0.elapsed().as_secs_f64();
+    let name = p.name();
+    let scans = p.greedy_scans(graph);
+    if telemetry.tracing() {
+        telemetry.record(TraceEvent::wall_span(
+            format!("partition/{name}"),
+            "partition",
+            0,
+            t0,
+            t1 - t0,
+        ));
+        let edges = graph.num_edges() as f64;
+        telemetry.record(TraceEvent::wall_counter("partition_edges", 0, t1, edges));
+        let dur_s = (t1 - t0) / 1e6;
+        if dur_s > 0.0 {
+            telemetry.record(TraceEvent::wall_counter(
+                "partition_edges_per_sec",
+                0,
+                t1,
+                edges / dur_s,
+            ));
+        }
+        if let Some(scans) = scans {
+            telemetry.record(TraceEvent::wall_counter(
+                "partition_greedy_scans",
+                0,
+                t1,
+                scans as f64,
+            ));
+        }
+    }
+    if telemetry.metering() {
+        telemetry
+            .counter(&format!("partition/{name}/edges_total"), TimeDomain::Sim)
+            .add(graph.num_edges() as u64);
+        if let Some(scans) = scans {
+            telemetry
+                .counter(
+                    &format!("partition/{name}/greedy_scans_total"),
+                    TimeDomain::Sim,
+                )
+                .add(scans);
+        }
+        telemetry
+            .histogram(&format!("partition/{name}/wall_s"), TimeDomain::Wall)
+            .observe(wall_s);
+        if wall_s > 0.0 {
+            telemetry
+                .gauge(&format!("partition/{name}/edges_per_sec"), TimeDomain::Wall)
+                .set(graph.num_edges() as f64 / wall_s);
+        }
+    }
+    assignment
 }
 
 /// A partitioner that can consume an edge *stream* — one pass, in edge
@@ -248,9 +254,11 @@ mod tests {
         assert_eq!(PartitionerKind::Hybrid.to_string(), "hybrid");
     }
 
+    /// Every kind routes `partition` through the one `observed` wrapper:
+    /// with telemetry on, each emits the span and counters, and the
+    /// assignment is the one the off path returns.
     #[test]
-    fn partition_instrumented_matches_plain_and_emits_telemetry() {
-        use hetgraph_core::obs::OFF;
+    fn every_kind_is_observed_and_unperturbed_by_telemetry() {
         use hetgraph_core::{Edge, EdgeList};
         let n = 200u32;
         let edges: Vec<Edge> = (0..n).map(|v| Edge::new(v, (v * 7 + 1) % n)).collect();
@@ -258,11 +266,9 @@ mod tests {
         let w = crate::MachineWeights::uniform(4);
         for kind in PartitionerKind::ALL {
             let p = kind.build();
-            let plain = p.partition_with_threads(&g, &w, 1);
-            let off = p.partition_instrumented(&g, &w, 1, &OFF);
-            assert_eq!(plain.edge_machines(), off.edge_machines(), "{kind}");
+            let plain = p.partition(&g, &w, 1, &OFF);
             let t = Telemetry::live();
-            let inst = p.partition_instrumented(&g, &w, 1, &t);
+            let inst = p.partition(&g, &w, 1, &t);
             assert_eq!(plain.edge_machines(), inst.edge_machines(), "{kind}");
             let events = t.take_events();
             assert!(

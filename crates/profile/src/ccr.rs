@@ -119,55 +119,40 @@ impl CcrPool {
     ///    priced per representative (see [`crate::runner`]), which is
     ///    bit-identical to running it on each;
     /// 3. expand group times to all members and form CCRs (Eq. 1).
-    pub fn profile(cluster: &Cluster, proxies: &ProxySet, apps: &[AnyApp]) -> Self {
-        Self::profile_with_threads(cluster, proxies, apps, 1)
-    }
-
-    /// [`CcrPool::profile`] with a host thread budget: proxy graph
-    /// generation, the one-machine view builds and the (application ×
-    /// proxy) traced runs fan out over [`hetgraph_core::par::scheduled`]
-    /// workers. Every run is a pure function of its cell, and results are
-    /// merged in deterministic cell order — each group's times summed over
-    /// proxies in proxy order — so the pool is identical for any thread
-    /// count.
     ///
-    /// # Panics
-    /// Panics if `host_threads == 0`.
-    pub fn profile_with_threads(
-        cluster: &Cluster,
-        proxies: &ProxySet,
-        apps: &[AnyApp],
-        host_threads: usize,
-    ) -> Self {
-        Self::profile_instrumented(cluster, proxies, apps, host_threads, &OFF)
-    }
-
-    /// [`CcrPool::profile_with_threads`] with observability. To the event
-    /// log: wall-clock spans for proxy-graph generation and for every
-    /// traced run (application × proxy), recorded from the workers
-    /// (wall-domain only — their arrival order depends on scheduling),
-    /// plus one profiling-set-time gauge per (application × machine
-    /// group). To the metrics registry: deterministic counters in the sim
-    /// domain — proxies, and CCR estimates as (application × machine
-    /// group) cells; they depend only on the cluster composition and app
-    /// list, so they belong in the byte-stable snapshot — plus wall-clock
-    /// histograms for proxy generation and per traced run. The returned
+    /// Proxy graph generation, the one-machine view builds and the
+    /// (application × proxy) traced runs fan out over `threads`
+    /// [`hetgraph_core::par::scheduled`] workers. Every run is a pure
+    /// function of its cell, and results are merged in deterministic cell
+    /// order — each group's times summed over proxies in proxy order — so
+    /// the pool is identical for any thread count.
+    ///
+    /// With `telemetry` on, to the event log: wall-clock spans for
+    /// proxy-graph generation and for every traced run (application ×
+    /// proxy), recorded from the workers (wall-domain only — their arrival
+    /// order depends on scheduling), plus one profiling-set-time gauge per
+    /// (application × machine group). To the metrics registry:
+    /// deterministic counters in the sim domain — proxies, and CCR
+    /// estimates as (application × machine group) cells; they depend only
+    /// on the cluster composition and app list, so they belong in the
+    /// byte-stable snapshot — plus wall-clock histograms for proxy
+    /// generation and per traced run. Pass [`OFF`] for none; the returned
     /// pool is identical with any combination of the two halves.
     ///
     /// # Panics
-    /// Panics if `host_threads == 0`.
-    pub fn profile_instrumented(
+    /// Panics if `threads == 0`.
+    pub fn profile(
         cluster: &Cluster,
         proxies: &ProxySet,
         apps: &[AnyApp],
-        host_threads: usize,
+        threads: usize,
         telemetry: &Telemetry,
     ) -> Self {
         let specs = proxies.proxies();
         let t_gen0 = telemetry.now_us();
         let wall_gen0 = telemetry.metering().then(std::time::Instant::now);
         let graphs: Vec<Graph> =
-            hetgraph_core::par::scheduled(specs.len(), host_threads, |i| specs[i].generate());
+            hetgraph_core::par::scheduled(specs.len(), threads, |i| specs[i].generate());
         if telemetry.tracing() {
             let t = telemetry.now_us();
             telemetry.record(TraceEvent::wall_span(
@@ -200,16 +185,16 @@ impl CcrPool {
         }
         // One isolated view per proxy, shared by every application.
         let assignments: Vec<PartitionAssignment> =
-            hetgraph_core::par::scheduled(n_proxies, host_threads, |i| isolated(&graphs[i]));
+            hetgraph_core::par::scheduled(n_proxies, threads, |i| isolated(&graphs[i]));
         let views: Vec<DistributedGraph<'_>> =
-            hetgraph_core::par::scheduled(n_proxies, host_threads, |i| {
-                DistributedGraph::new(&graphs[i], &assignments[i])
+            hetgraph_core::par::scheduled(n_proxies, threads, |i| {
+                DistributedGraph::new(&graphs[i], &assignments[i], 1)
                     .expect("assignment must cover the graph")
             });
         // One traced run per (application, proxy), priced on every group
         // representative.
         let cell_times: Vec<Vec<f64>> =
-            hetgraph_core::par::scheduled(apps.len() * n_proxies, host_threads, |k| {
+            hetgraph_core::par::scheduled(apps.len() * n_proxies, threads, |k| {
                 let (ai, pi) = (k / n_proxies, k % n_proxies);
                 let wall_t0 = cell_wall.is_live().then(std::time::Instant::now);
                 let t0 = telemetry.now_us();
@@ -256,6 +241,18 @@ impl CcrPool {
             pool.insert(CcrSet::from_times(app.name(), &times));
         }
         pool
+    }
+
+    /// For `benchmark/src/layers.rs` only; deleted by the ruler's next API
+    /// follow-up.
+    #[doc(hidden)]
+    pub fn profile_with_threads(
+        cluster: &Cluster,
+        proxies: &ProxySet,
+        apps: &[AnyApp],
+        threads: usize,
+    ) -> Self {
+        Self::profile(cluster, proxies, apps, threads, &OFF)
     }
 
     /// Insert or replace a CCR set (keyed by its application name).
@@ -313,7 +310,13 @@ mod tests {
     #[test]
     fn pool_profile_covers_all_apps_and_machines() {
         let cluster = Cluster::case2();
-        let pool = CcrPool::profile(&cluster, &ProxySet::standard(6400), &standard_apps());
+        let pool = CcrPool::profile(
+            &cluster,
+            &ProxySet::standard(6400),
+            &standard_apps(),
+            1,
+            &OFF,
+        );
         assert_eq!(pool.len(), 4);
         for app in standard_apps() {
             let set = pool.ccr(app.name()).expect("app profiled");
@@ -336,33 +339,37 @@ mod tests {
             catalog::xeon_l(),
             catalog::xeon_s(), // second member of the xeon_s group
         ]);
-        let pool = CcrPool::profile(&cluster, &ProxySet::standard(6400), &[AnyApp::pagerank()]);
+        let pool = CcrPool::profile(
+            &cluster,
+            &ProxySet::standard(6400),
+            &[AnyApp::pagerank()],
+            1,
+            &OFF,
+        );
         let r = pool.ccr("pagerank").unwrap().ratios();
         assert_eq!(r[0], r[2], "same-type machines share the profiled CCR");
         assert!(r[1] > r[0]);
     }
 
     #[test]
-    fn profile_with_threads_matches_serial_exactly() {
+    fn profile_matches_serial_exactly_at_any_thread_count() {
         let cluster = Cluster::case3();
         let proxies = ProxySet::standard(6400);
-        let serial = CcrPool::profile(&cluster, &proxies, &standard_apps());
+        let serial = CcrPool::profile(&cluster, &proxies, &standard_apps(), 1, &OFF);
         for threads in [2, 4] {
-            let par = CcrPool::profile_with_threads(&cluster, &proxies, &standard_apps(), threads);
+            let par = CcrPool::profile(&cluster, &proxies, &standard_apps(), threads, &OFF);
             assert_eq!(par, serial, "{threads} threads");
         }
     }
 
     #[test]
-    fn profile_instrumented_matches_and_emits_telemetry() {
+    fn profile_with_telemetry_matches_and_emits_it() {
         let cluster = Cluster::case2();
         let proxies = ProxySet::standard(6400);
         let apps = standard_apps();
-        let plain = CcrPool::profile_with_threads(&cluster, &proxies, &apps, 2);
-        let off = CcrPool::profile_instrumented(&cluster, &proxies, &apps, 2, &OFF);
-        assert_eq!(plain, off);
+        let plain = CcrPool::profile(&cluster, &proxies, &apps, 2, &OFF);
         let t = Telemetry::live();
-        let inst = CcrPool::profile_instrumented(&cluster, &proxies, &apps, 2, &t);
+        let inst = CcrPool::profile(&cluster, &proxies, &apps, 2, &t);
         assert_eq!(plain, inst, "telemetry must not perturb the pool");
         let events = t.take_events();
         assert!(events.iter().any(|e| e.name == "proxy_generation"));

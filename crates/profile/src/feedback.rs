@@ -16,7 +16,7 @@
 
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::Cluster;
-use hetgraph_core::Graph;
+use hetgraph_core::{obs::OFF, Graph};
 use hetgraph_engine::{DistributedGraph, SimEngine};
 use hetgraph_partition::{MachineWeights, Partitioner};
 
@@ -83,9 +83,9 @@ impl FeedbackBalancer {
         let mut weights = initial;
         let mut history = Vec::with_capacity(self.epochs);
         for epoch in 0..self.epochs {
-            let assignment = partitioner.partition(graph, &weights);
-            let dist =
-                DistributedGraph::new(graph, &assignment).expect("assignment must cover the graph");
+            let assignment = partitioner.partition(graph, &weights, 1, &OFF);
+            let dist = DistributedGraph::new(graph, &assignment, 1)
+                .expect("assignment must cover the graph");
             let report = app.run(&engine, &dist, 1);
             let busy = &report.per_machine_busy_s;
             let mean = busy.iter().sum::<f64>() / busy.len() as f64;
@@ -164,7 +164,13 @@ mod tests {
         // The paper's argument: a good static estimate makes dynamic
         // migration unnecessary.
         let (cluster, graph) = setup();
-        let pool = CcrPool::profile(&cluster, &ProxySet::standard(3200), &[AnyApp::pagerank()]);
+        let pool = CcrPool::profile(
+            &cluster,
+            &ProxySet::standard(3200),
+            &[AnyApp::pagerank()],
+            1,
+            &OFF,
+        );
         let ccr_weights =
             MachineWeights::from_ccr(pool.ccr("pagerank").expect("profiled").ratios());
         let balancer = FeedbackBalancer::default();

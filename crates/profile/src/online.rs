@@ -11,7 +11,7 @@
 
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::Cluster;
-use hetgraph_core::stats;
+use hetgraph_core::{obs::OFF, stats};
 use hetgraph_gen::ProxySet;
 
 use crate::ccr::CcrPool;
@@ -80,7 +80,7 @@ impl CcrMaintainer {
         proxies: &ProxySet,
         apps: &[AnyApp],
     ) -> RefreshOutcome {
-        let fresh = CcrPool::profile(cluster, proxies, apps);
+        let fresh = CcrPool::profile(cluster, proxies, apps, 1, &OFF);
         let mut drift = Vec::new();
         let mut must_refresh = false;
         for set in fresh.iter() {
@@ -122,7 +122,7 @@ mod tests {
     fn unchanged_cluster_does_not_refresh() {
         let cluster = Cluster::case2();
         let proxies = ProxySet::standard(6400);
-        let mut pool = CcrPool::profile(&cluster, &proxies, &standard_apps());
+        let mut pool = CcrPool::profile(&cluster, &proxies, &standard_apps(), 1, &OFF);
         let before = pool.clone();
         let outcome =
             CcrMaintainer::default().maintain(&mut pool, &cluster, &proxies, &standard_apps());
@@ -138,7 +138,7 @@ mod tests {
         // Profile on case 2, then the tiny ARM node replaces the Xeon S
         // (case 3): CCRs nearly double and the maintainer must notice.
         let proxies = ProxySet::standard(6400);
-        let mut pool = CcrPool::profile(&Cluster::case2(), &proxies, &standard_apps());
+        let mut pool = CcrPool::profile(&Cluster::case2(), &proxies, &standard_apps(), 1, &OFF);
         let old_spread = pool.ccr("pagerank").unwrap().spread();
         let outcome = CcrMaintainer::default().maintain(
             &mut pool,
@@ -155,7 +155,7 @@ mod tests {
     fn new_application_is_added() {
         let cluster = Cluster::case2();
         let proxies = ProxySet::standard(6400);
-        let mut pool = CcrPool::profile(&cluster, &proxies, &[AnyApp::pagerank()]);
+        let mut pool = CcrPool::profile(&cluster, &proxies, &[AnyApp::pagerank()], 1, &OFF);
         assert!(pool.ccr("coloring").is_none());
         let outcome = CcrMaintainer::default().maintain(
             &mut pool,
@@ -170,7 +170,8 @@ mod tests {
     #[test]
     fn cluster_resize_is_treated_as_drift() {
         let proxies = ProxySet::standard(6400);
-        let mut pool = CcrPool::profile(&Cluster::case2(), &proxies, &[AnyApp::pagerank()]);
+        let mut pool =
+            CcrPool::profile(&Cluster::case2(), &proxies, &[AnyApp::pagerank()], 1, &OFF);
         let three = Cluster::new(vec![
             catalog::xeon_s(),
             catalog::xeon_l(),

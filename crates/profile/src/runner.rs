@@ -18,7 +18,7 @@
 
 use hetgraph_apps::AnyApp;
 use hetgraph_cluster::{Cluster, MachineSpec};
-use hetgraph_core::Graph;
+use hetgraph_core::{obs::OFF, Graph};
 use hetgraph_engine::{DistributedGraph, SimEngine};
 use hetgraph_partition::{MachineWeights, PartitionAssignment, Partitioner, RandomHash};
 
@@ -43,7 +43,7 @@ pub fn profiling_set_times(machines: &[MachineSpec], app: &AnyApp, graphs: &[Gra
         .map(|g| {
             let assignment = isolated(g);
             let dist =
-                DistributedGraph::new(g, &assignment).expect("assignment must cover the graph");
+                DistributedGraph::new(g, &assignment, 1).expect("assignment must cover the graph");
             machine_times(machines, app, &dist)
         })
         .collect();
@@ -52,7 +52,7 @@ pub fn profiling_set_times(machines: &[MachineSpec], app: &AnyApp, graphs: &[Gra
 
 /// The one-machine placement every profiling run uses.
 pub(crate) fn isolated(graph: &Graph) -> PartitionAssignment {
-    RandomHash::new().partition(graph, &MachineWeights::uniform(1))
+    RandomHash::new().partition(graph, &MachineWeights::uniform(1), 1, &OFF)
 }
 
 /// Simulated seconds of `app` over the one-machine view `dist` on each of
@@ -148,7 +148,7 @@ mod tests {
                         .iter()
                         .map(|g| {
                             let a = isolated(g);
-                            let dist = DistributedGraph::new(g, &a)
+                            let dist = DistributedGraph::new(g, &a, 1)
                                 .expect("assignment must cover the graph");
                             app.run(&SimEngine::new(&cluster), &dist, 1).makespan_s
                         })

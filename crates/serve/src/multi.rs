@@ -346,7 +346,7 @@ impl<const W: usize> GasProgram for PprLanes<W> {
 mod tests {
     use super::*;
     use hetgraph_cluster::Cluster;
-    use hetgraph_core::{Edge, EdgeList, Graph};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList, Graph};
     use hetgraph_engine::{DistributedGraph, SimEngine};
     use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 
@@ -367,8 +367,8 @@ mod tests {
 
     fn run<P: GasProgram>(g: &Graph, p: &P) -> Vec<P::VertexData> {
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(g, &MachineWeights::uniform(2));
-        let dist = DistributedGraph::new(g, &a).expect("assignment must cover the graph");
+        let a = RandomHash::new().partition(g, &MachineWeights::uniform(2), 1, &OFF);
+        let dist = DistributedGraph::new(g, &a, 1).expect("assignment must cover the graph");
         SimEngine::new(&cluster).run(&dist, p, 1).data
     }
 

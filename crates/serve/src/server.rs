@@ -486,14 +486,14 @@ mod tests {
     }
 
     fn partition(g: &Graph) -> hetgraph_partition::PartitionAssignment {
-        RandomHash::new().partition(g, &MachineWeights::uniform(2))
+        RandomHash::new().partition(g, &MachineWeights::uniform(2), 1, &OFF)
     }
 
     #[test]
     fn serves_every_request_when_budget_allows() {
         let (g, cluster) = fixture();
         let a = partition(&g);
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let stream = LoadGenConfig::standard(5, 60, 0.05).generate(g.num_vertices());
         let mut cfg = ServeConfig::standard(2);
         cfg.queue_budget = 1000;
@@ -514,7 +514,7 @@ mod tests {
     fn report_is_identical_at_any_thread_count() {
         let (g, cluster) = fixture();
         let a = partition(&g);
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let stream = LoadGenConfig::standard(7, 80, 0.02).generate(g.num_vertices());
         let run = |threads: usize| {
             let mut cfg = ServeConfig::standard(2);
@@ -534,7 +534,7 @@ mod tests {
     fn waves_are_class_pure_and_capped() {
         let (g, cluster) = fixture();
         let a = partition(&g);
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         // Dense arrivals force batching.
         let stream = LoadGenConfig::standard(3, 120, 0.001).generate(g.num_vertices());
         let mut cfg = ServeConfig::standard(2);
@@ -550,7 +550,7 @@ mod tests {
     fn sheds_surface_under_a_tiny_budget() {
         let (g, cluster) = fixture();
         let a = partition(&g);
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let stream = LoadGenConfig::standard(9, 200, 0.0001).generate(g.num_vertices());
         let mut cfg = ServeConfig::standard(2);
         cfg.queue_budget = 2;
@@ -572,7 +572,7 @@ mod tests {
         let g = Graph::from_edge_list(EdgeList::from_edges(n, edges));
         let cluster = Cluster::case2();
         let a = partition(&g);
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let stream = vec![
             Request {
                 id: 0,
@@ -599,7 +599,7 @@ mod tests {
     fn serve_one(kind: QueryKind, cfg: &ServeConfig) -> ServeReport {
         let (g, cluster) = fixture();
         let a = partition(&g);
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let request = Request {
             id: 7,
             tenant: 0,
@@ -649,7 +649,7 @@ mod tests {
         // last vertex in range is a valid query.
         let (g, cluster) = fixture();
         let a = partition(&g);
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let n = g.num_vertices();
         let stream: Vec<Request> = (0..MAX_LANES as u32)
             .map(|i| Request {
@@ -671,7 +671,7 @@ mod tests {
     fn trace_and_metrics_capture_the_serving_run() {
         let (g, cluster) = fixture();
         let a = partition(&g);
-        let dist = DistributedGraph::new(&g, &a).unwrap();
+        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
         let stream = LoadGenConfig::standard(1, 40, 0.01).generate(g.num_vertices());
         let telemetry = Telemetry::live();
         let server = Server::new(&cluster).with_telemetry(&telemetry);

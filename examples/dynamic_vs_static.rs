@@ -23,7 +23,13 @@ fn main() {
         graph.num_edges(),
     );
 
-    let pool = CcrPool::profile(&cluster, &ProxySet::standard(640), &standard_apps());
+    let pool = CcrPool::profile(
+        &cluster,
+        &ProxySet::standard(640),
+        &standard_apps(),
+        1,
+        &OFF,
+    );
     let app = AnyApp::pagerank();
     let balancer = FeedbackBalancer::default();
 

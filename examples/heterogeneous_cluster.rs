@@ -19,7 +19,13 @@ fn main() {
     );
 
     // Offline profiling (one representative per machine type).
-    let pool = CcrPool::profile(&cluster, &ProxySet::standard(640), &standard_apps());
+    let pool = CcrPool::profile(
+        &cluster,
+        &ProxySet::standard(640),
+        &standard_apps(),
+        1,
+        &OFF,
+    );
 
     // Prior work's view of the same cluster: thread counts only. It cannot
     // see the frequency difference at all.
@@ -51,10 +57,12 @@ fn main() {
         let ccr = pool.ccr(app.name()).expect("profiled");
         for kind in PartitionerKind::ALL {
             let partitioner = kind.build();
-            let uniform = partitioner.partition(&graph, &MachineWeights::uniform(cluster.len()));
-            let weighted = partitioner.partition(&graph, &MachineWeights::from_ccr(ccr.ratios()));
+            let uniform =
+                partitioner.partition(&graph, &MachineWeights::uniform(cluster.len()), 1, &OFF);
+            let weighted =
+                partitioner.partition(&graph, &MachineWeights::from_ccr(ccr.ratios()), 1, &OFF);
             let time = |assignment| {
-                let dist = DistributedGraph::new(&graph, assignment).expect("covers the graph");
+                let dist = DistributedGraph::new(&graph, assignment, 1).expect("covers the graph");
                 app.run(&engine, &dist, 1).makespan_s
             };
             let t_default = time(&uniform);
@@ -72,8 +80,9 @@ fn main() {
 
     // Bonus: the actual algorithm outputs are real, not mocked — count the
     // connected components the engine just computed.
-    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(cluster.len()));
-    let dist = DistributedGraph::new(&graph, &assignment).expect("covers the graph");
+    let assignment =
+        Hybrid::new().partition(&graph, &MachineWeights::uniform(cluster.len()), 1, &OFF);
+    let dist = DistributedGraph::new(&graph, &assignment, 1).expect("covers the graph");
     let outcome = engine.run(&dist, &ConnectedComponents::new(), 1);
     let sizes = ConnectedComponents::component_sizes(&outcome.data);
     println!(

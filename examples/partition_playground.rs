@@ -37,8 +37,8 @@ fn main() {
         );
         for (gname, graph) in &graphs {
             for kind in PartitionerKind::ALL {
-                let assignment = kind.build().partition(graph, &weights);
-                let m = PartitionMetrics::compute(&assignment, &weights);
+                let assignment = kind.build().partition(graph, &weights, 1, &OFF);
+                let m = PartitionMetrics::compute(&assignment, &weights, 1);
                 println!(
                     "{:18} {:10} {:>6.2} {:>10} {:>12.3} {:>12.3}",
                     gname,

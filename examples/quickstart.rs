@@ -27,7 +27,7 @@ fn main() {
     //    proxies to laptop size; the CCRs barely move (see the
     //    `ablation::proxy_size` experiment).
     let proxies = ProxySet::standard(320); // 10k-vertex proxies
-    let pool = CcrPool::profile(&cluster, &proxies, &standard_apps());
+    let pool = CcrPool::profile(&cluster, &proxies, &standard_apps(), 1, &OFF);
     for set in pool.iter() {
         println!("profiled CCR[{:22}] = 1 : {:.2}", set.app(), set.spread());
     }
@@ -63,8 +63,8 @@ fn main() {
         // track the target weights tightly — the cleanest first look at the
         // three policies. Try `Hybrid::new()` or `Ginger::new()` for the
         // lower-replication mixed cuts.
-        let assignment = RandomHash::new().partition(&graph, &weights);
-        let dist = DistributedGraph::new(&graph, &assignment).expect("covers the graph");
+        let assignment = RandomHash::new().partition(&graph, &weights, 1, &OFF);
+        let dist = DistributedGraph::new(&graph, &assignment, 1).expect("covers the graph");
         let outcome = engine.run(&dist, &ConnectedComponents::new(), 1);
         let t = outcome.report.makespan_s;
         let base = *baseline.get_or_insert(t);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the hetgraph workspace. Run before every commit:
 #
-#   scripts/check.sh            # full gate (build, tests, fmt, clippy, rustdoc)
+#   scripts/check.sh            # full gate (build, tests, benchmark tests + clippy, fmt, clippy, rustdoc)
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
 #   scripts/check.sh --ci       # GitHub Actions ::group:: annotations
 #
@@ -62,6 +62,9 @@ step env HETGRAPH_THREADS=3 cargo test -q -p hetgraph-gen
 # API drift against benchmark/src/layers.rs or a broken output fails here
 # instead of in the benchmark run.
 step cargo test --offline -q --manifest-path benchmark/Cargo.toml
+# The workspace clippy step below does not reach the benchmark's own
+# workspace; lint it here so the ruler holds the same bar.
+step cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 # cargo fmt --all would also reformat the third_party/ offline stand-ins,
 # which track upstream layout; gate only this repo's own sources. Collect

@@ -18,7 +18,7 @@
 
 use hetgraph_apps::{full_apps, AnyApp};
 use hetgraph_cluster::Cluster;
-use hetgraph_core::Graph;
+use hetgraph_core::{obs::OFF, Graph};
 use hetgraph_engine::{DistributedGraph, SimEngine, SimReport};
 use hetgraph_gen::ProxySet;
 use hetgraph_partition::{MachineWeights, PartitionMetrics, PartitionerKind};
@@ -52,7 +52,7 @@ impl Framework {
     /// Panics if `proxy_scale == 0`.
     pub fn deploy(cluster: Cluster, proxy_scale: u32) -> Self {
         let proxies = ProxySet::standard(proxy_scale);
-        let pool = CcrPool::profile(&cluster, &proxies, &full_apps());
+        let pool = CcrPool::profile(&cluster, &proxies, &full_apps(), 1, &OFF);
         Framework {
             cluster,
             proxies,
@@ -119,12 +119,12 @@ impl Framework {
     /// the result is identical at any budget.
     pub fn submit(&self, graph: &Graph, app: &AnyApp) -> JobResult {
         let weights = self.weights_for(app);
-        let assignment =
-            self.partitioner
-                .build()
-                .partition_with_threads(graph, &weights, self.threads);
-        let partition = PartitionMetrics::compute_with_threads(&assignment, &weights, self.threads);
-        let dist = DistributedGraph::new_with_threads(graph, &assignment, self.threads)
+        let assignment = self
+            .partitioner
+            .build()
+            .partition(graph, &weights, self.threads, &OFF);
+        let partition = PartitionMetrics::compute(&assignment, &weights, self.threads);
+        let dist = DistributedGraph::new(graph, &assignment, self.threads)
             .expect("assignment must cover the graph");
         let engine = SimEngine::new(&self.cluster);
         let report = app.run(&engine, &dist, self.threads);

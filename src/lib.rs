@@ -32,15 +32,15 @@
 //! let cluster = Cluster::case2();
 //!
 //! // Profile it once with synthetic power-law proxies...
-//! let pool = CcrPool::profile(&cluster, &ProxySet::standard(3200), &standard_apps());
+//! let pool = CcrPool::profile(&cluster, &ProxySet::standard(3200), &standard_apps(), 1, &OFF);
 //!
 //! // ...then partition a graph by the profiled CCR, build the
 //! // partition-aware view, and run PageRank on it (1 host thread).
 //! let graph = PowerLawConfig::new(2_000, 2.1).generate(7);
 //! let ccr = pool.ccr("pagerank").unwrap();
 //! let weights = MachineWeights::from_ccr(ccr.ratios());
-//! let assignment = Hybrid::new().partition(&graph, &weights);
-//! let dist = DistributedGraph::new(&graph, &assignment).unwrap();
+//! let assignment = Hybrid::new().partition(&graph, &weights, 1, &OFF);
+//! let dist = DistributedGraph::new(&graph, &assignment, 1).unwrap();
 //! let outcome = SimEngine::new(&cluster).run(&dist, &PageRank::new(10), 1);
 //! assert!(outcome.report.makespan_s > 0.0);
 //! ```

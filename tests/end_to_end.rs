@@ -16,8 +16,7 @@ fn run<P: GasProgram>(
     program: &P,
     threads: usize,
 ) -> SimOutcome<P::VertexData> {
-    let dist =
-        DistributedGraph::new_with_threads(g, a, threads).expect("assignment must cover the graph");
+    let dist = DistributedGraph::new(g, a, threads).expect("assignment must cover the graph");
     engine.run(&dist, program, threads)
 }
 
@@ -51,7 +50,7 @@ fn all_assignments(
         ] {
             out.push((
                 format!("{}/{}", kind.name(), wname),
-                kind.build().partition(graph, &weights),
+                kind.build().partition(graph, &weights, 1, &OFF),
             ));
         }
     }
@@ -153,7 +152,7 @@ fn simulation_reports_are_deterministic() {
     let g = workload();
     let cluster = Cluster::case2();
     let engine = SimEngine::new(&cluster);
-    let a = Hybrid::new().partition(&g, &MachineWeights::from_ccr(&[1.0, 3.5]));
+    let a = Hybrid::new().partition(&g, &MachineWeights::from_ccr(&[1.0, 3.5]), 1, &OFF);
     let r1 = run(&engine, &g, &a, &PageRank::new(5), 1).report;
     let r2 = run(&engine, &g, &a, &PageRank::new(5), 1).report;
     assert_eq!(r1, r2);

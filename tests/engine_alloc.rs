@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hetgraph_apps::PageRank;
 use hetgraph_cluster::Cluster;
+use hetgraph_core::obs::OFF;
 use hetgraph_engine::{DistributedGraph, GasProgram, SimEngine};
 use hetgraph_gen::PowerLawConfig;
 use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
@@ -68,8 +69,9 @@ fn extra_allocations_of_ten_supersteps<P: GasProgram>(
     let graph = PowerLawConfig::new(vertices, 2.1).generate(7);
     let cluster = Cluster::case2();
     let weights = MachineWeights::uniform(cluster.len());
-    let assignment = RandomHash::new().partition(&graph, &weights);
-    let dist = DistributedGraph::new(&graph, &assignment).expect("assignment must cover the graph");
+    let assignment = RandomHash::new().partition(&graph, &weights, 1, &OFF);
+    let dist =
+        DistributedGraph::new(&graph, &assignment, 1).expect("assignment must cover the graph");
     let engine = SimEngine::new(&cluster);
 
     // Warm up any lazily initialized process state (thread-local RNGs,

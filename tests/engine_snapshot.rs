@@ -51,10 +51,10 @@ fn grid_json(threads: usize) -> String {
             let telemetry = Telemetry::new(true, false);
             let engine = SimEngine::new(cluster).with_telemetry(&telemetry);
             for kind in PARTITIONERS {
-                let assignment = kind
-                    .build()
-                    .partition(graph, &MachineWeights::uniform(cluster.len()));
-                let dist = DistributedGraph::new_with_threads(graph, &assignment, threads)
+                let assignment =
+                    kind.build()
+                        .partition(graph, &MachineWeights::uniform(cluster.len()), 1, &OFF);
+                let dist = DistributedGraph::new(graph, &assignment, threads)
                     .expect("assignment must cover the graph");
                 macro_rules! cell {
                     ($name:literal, $prog:expr) => {{

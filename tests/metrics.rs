@@ -39,7 +39,7 @@ fn sim_metrics_snapshot_bytes_identical_across_thread_counts() {
         .iter()
         .map(|&threads| {
             let metrics = Telemetry::new(false, true);
-            let pool = CcrPool::profile_instrumented(
+            let pool = CcrPool::profile(
                 &cluster,
                 &ProxySet::standard(3200),
                 std::slice::from_ref(&app),
@@ -50,8 +50,8 @@ fn sim_metrics_snapshot_bytes_identical_across_thread_counts() {
                 MachineWeights::from_ccr(pool.ccr(app.name()).expect("just profiled").ratios());
             let assignment = PartitionerKind::Hybrid
                 .build()
-                .partition_instrumented(&graph, &weights, threads, &metrics);
-            let dist = DistributedGraph::new_with_threads(&graph, &assignment, threads)
+                .partition(&graph, &weights, threads, &metrics);
+            let dist = DistributedGraph::new(&graph, &assignment, threads)
                 .expect("assignment must cover the graph");
             let engine = SimEngine::new(&cluster).with_telemetry(&metrics);
             app.run(&engine, &dist, threads);
@@ -81,13 +81,14 @@ fn trace_analysis_reproduces_sim_report_stragglers() {
     let cluster = Cluster::case3(); // two frequency domains: real stragglers
     let app = AnyApp::pagerank();
     let telemetry = Telemetry::live();
-    let assignment = PartitionerKind::RandomHash.build().partition_instrumented(
+    let assignment = PartitionerKind::RandomHash.build().partition(
         &graph,
         &MachineWeights::uniform(cluster.len()),
         1,
         &telemetry,
     );
-    let dist = DistributedGraph::new(&graph, &assignment).expect("assignment must cover the graph");
+    let dist =
+        DistributedGraph::new(&graph, &assignment, 1).expect("assignment must cover the graph");
     let engine = SimEngine::new(&cluster).with_telemetry(&telemetry);
     let report = app.run(&engine, &dist, 1);
 

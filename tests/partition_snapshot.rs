@@ -8,9 +8,8 @@
 //! partitioning feeds every downstream experiment, so a silent assignment
 //! drift would invalidate all recorded results.
 //!
-//! The threaded entry point must agree with the fixture at every thread
-//! count as well: `partition_with_threads` is pinned at 1, 2, and 4
-//! host threads.
+//! `partition` must agree with the fixture at every thread count as
+//! well: it is pinned at 1, 2, and 4 host threads.
 //!
 //! Regenerate (only when an algorithm intentionally changes) with
 //! `HETGRAPH_BLESS=1 cargo test --test partition_snapshot`, and say why
@@ -51,7 +50,7 @@ fn snapshot_json() -> String {
     for (gname, graph) in &graphs() {
         for (wname, weights) in &weight_sets() {
             for kind in PartitionerKind::ALL {
-                let a = kind.build().partition(graph, weights);
+                let a = kind.build().partition(graph, weights, 1, &OFF);
                 cells.push((
                     format!("{gname}/{wname}/{}", kind.name()),
                     a.edge_machines().to_vec(),
@@ -88,16 +87,16 @@ fn partitioner_assignments_match_snapshot() {
 
 #[test]
 fn threaded_assignments_match_snapshot_at_every_thread_count() {
-    // The snapshot fixture is generated through the single-threaded entry
-    // point; `partition_with_threads` must reproduce the identical full
+    // The snapshot fixture is generated at one host thread; `partition`
+    // must reproduce the identical full
     // `PartitionAssignment` (not just edge machines) at 1, 2, and 4 host
     // threads for every cell of the matrix.
     for (gname, graph) in &graphs() {
         for (wname, weights) in &weight_sets() {
             for kind in PartitionerKind::ALL {
-                let serial = kind.build().partition(graph, weights);
+                let serial = kind.build().partition(graph, weights, 1, &OFF);
                 for threads in [1usize, 2, 4] {
-                    let threaded = kind.build().partition_with_threads(graph, weights, threads);
+                    let threaded = kind.build().partition(graph, weights, threads, &OFF);
                     assert_eq!(
                         serial,
                         threaded,

@@ -15,8 +15,7 @@ fn run<P: GasProgram>(
     program: &P,
     threads: usize,
 ) -> SimOutcome<P::VertexData> {
-    let dist =
-        DistributedGraph::new_with_threads(g, a, threads).expect("assignment must cover the graph");
+    let dist = DistributedGraph::new(g, a, threads).expect("assignment must cover the graph");
     engine.run(&dist, program, threads)
 }
 
@@ -171,7 +170,7 @@ proptest! {
         kind_idx in 0usize..5,
     ) {
         let kind = PartitionerKind::ALL[kind_idx];
-        let a = kind.build().partition(&g, &w);
+        let a = kind.build().partition(&g, &w, 1, &OFF);
         let total: usize = a.edges_per_machine().iter().sum();
         prop_assert_eq!(total, g.num_edges());
         // Replication factor bounds.
@@ -194,8 +193,8 @@ proptest! {
         kind_idx in 0usize..5,
     ) {
         let kind = PartitionerKind::ALL[kind_idx];
-        let a = kind.build().partition(&g, &w);
-        let b = kind.build().partition(&g, &w);
+        let a = kind.build().partition(&g, &w, 1, &OFF);
+        let b = kind.build().partition(&g, &w, 1, &OFF);
         prop_assert_eq!(a, b);
     }
 
@@ -218,9 +217,9 @@ proptest! {
         // masks, per-machine loads — must be byte-identical at any host
         // thread budget, for every partitioner.
         let kind = PartitionerKind::ALL[kind_idx];
-        let serial = kind.build().partition_with_threads(&g, &w, 1);
+        let serial = kind.build().partition(&g, &w, 1, &OFF);
         for threads in [2usize, 4] {
-            let par = kind.build().partition_with_threads(&g, &w, threads);
+            let par = kind.build().partition(&g, &w, threads, &OFF);
             prop_assert_eq!(&serial, &par);
         }
     }
@@ -231,10 +230,10 @@ proptest! {
         w in arb_weights(),
         kind_idx in 0usize..5,
     ) {
-        let a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w);
-        let serial = PartitionMetrics::compute(&a, &w);
+        let a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w, 1, &OFF);
+        let serial = PartitionMetrics::compute(&a, &w, 1);
         for threads in [2usize, 4] {
-            let par = PartitionMetrics::compute_with_threads(&a, &w, threads);
+            let par = PartitionMetrics::compute(&a, &w, threads);
             prop_assert_eq!(&serial, &par);
         }
     }
@@ -324,8 +323,8 @@ proptest! {
             .collect();
         let cluster = Cluster::new(machines);
         let engine = SimEngine::new(&cluster);
-        let uniform = RandomHash::new().partition(&g, &MachineWeights::uniform(w.len()));
-        let skewed = RandomHash::new().partition(&g, &w);
+        let uniform = RandomHash::new().partition(&g, &MachineWeights::uniform(w.len()), 1, &OFF);
+        let skewed = RandomHash::new().partition(&g, &w, 1, &OFF);
         let a = run(&engine, &g, &uniform, &ConnectedComponents::new(), 1).data;
         let b = run(&engine, &g, &skewed, &ConnectedComponents::new(), 1).data;
         prop_assert_eq!(a, b);
@@ -344,7 +343,7 @@ proptest! {
         // (SSSP), and a shrinking-frontier app (k-core).
         prop_assume!(w.len() >= 2);
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
         let engine = SimEngine::new(&cluster);
         macro_rules! pin {
             ($prog:expr) => {{
@@ -374,7 +373,7 @@ proptest! {
         // per-edge gather, must produce bit-identical data and reports —
         // the table is a pure speed heuristic.
         let cluster = Cluster::case2();
-        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
+        let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
         let engine = SimEngine::new(&cluster);
         let on = run(&engine, &g, &a, &HalfRank { iters, by_source: true }, 1);
         let off = run(&engine, &g, &a, &HalfRank { iters, by_source: false }, 1);
@@ -429,7 +428,7 @@ proptest! {
         // from-scratch build of the same per-edge machine vector gives, and
         // each delta must record exactly the vertices whose replica mask
         // changed, with their old and new masks and masters.
-        let mut a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w);
+        let mut a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w, 1, &OFF);
         for raw in raw_batches {
             let batch: Vec<(usize, u16)> = raw
                 .into_iter()
@@ -453,8 +452,7 @@ proptest! {
         let rebuilt = hetgraph::partition::PartitionAssignment::from_edge_machines(
             &g,
             w.len(),
-            a.edge_machines().to_vec(),
-        );
+            a.edge_machines().to_vec(), 1,        );
         prop_assert_eq!(&a, &rebuilt);
     }
 
@@ -471,14 +469,14 @@ proptest! {
         // batches) maximizes the chance that migrations actually fire.
         let cluster = Cluster::case2();
         let skew = w.as_slice()[0];
-        let a = RandomHash::new().partition(&g, &MachineWeights::new(&[skew, 1.0]));
+        let a = RandomHash::new().partition(&g, &MachineWeights::new(&[skew, 1.0]), 1, &OFF);
         let schedule = hetgraph::cluster::PerturbationSchedule::new()
             .slowdown(slow_machine, 1, None, 0.25);
         let engine = SimEngine::new(&cluster).with_perturbations(&schedule);
         let prog = PageRank::new(4);
         let mut reference: Option<(String, Vec<f64>)> = None;
         for threads in [1usize, 2, 4] {
-            let mut dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
+            let mut dist = DistributedGraph::new(&g, &a, 1).expect("assignment covers graph");
             let mut policy = hetgraph::engine::GreedyRebalance::new()
                 .with_min_imbalance(1.0)
                 .with_cooldown(1)
@@ -548,8 +546,8 @@ proptest! {
         let engine = SimEngine::new(&cluster);
         let weights = MachineWeights::uniform(2);
         let kcore = KCore::new(2);
-        let old = run(&engine, &g, &RandomHash::new().partition(&g, &weights), &kcore, 1);
-        let new = run(&engine, &r, &RandomHash::new().partition(&r, &weights), &kcore, 1);
+        let old = run(&engine, &g, &RandomHash::new().partition(&g, &weights, 1, &OFF), &kcore, 1);
+        let new = run(&engine, &r, &RandomHash::new().partition(&r, &weights, 1, &OFF), &kcore, 1);
         prop_assert_eq!(old.report.supersteps, new.report.supersteps);
         for v in g.vertices() {
             prop_assert!(
@@ -611,8 +609,8 @@ proptest! {
             .map(|i| if i % 2 == 0 { catalog::xeon_s() } else { catalog::xeon_l() })
             .collect();
         let cluster = Cluster::new(machines);
-        let a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w);
-        let dist = DistributedGraph::new(&g, &a).expect("assignment covers graph");
+        let a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w, 1, &OFF);
+        let dist = DistributedGraph::new(&g, &a, 1).expect("assignment covers graph");
         let compact = hetgraph::engine::CompactDistGraph::from_dist(&dist);
         for app in registry_programs() {
             for threads in [1usize, 2, 4] {
@@ -658,12 +656,12 @@ proptest! {
         // machines, and P = 2 for Case 2 against its specs swapped.
         let table1 = catalog::table1();
         let one = |m: &MachineSpec| Cluster::new(vec![m.clone()]);
-        let solo = RandomHash::new().partition(&g, &MachineWeights::uniform(1));
-        let solo_view = DistributedGraph::new(&g, &solo).expect("assignment covers graph");
+        let solo = RandomHash::new().partition(&g, &MachineWeights::uniform(1), 1, &OFF);
+        let solo_view = DistributedGraph::new(&g, &solo, 1).expect("assignment covers graph");
         let case2 = Cluster::case2();
         let swapped = Cluster::new(case2.machines().iter().rev().cloned().collect());
-        let pair = RandomHash::new().partition(&g, &MachineWeights::uniform(2));
-        let pair_view = DistributedGraph::new(&g, &pair).expect("assignment covers graph");
+        let pair = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
+        let pair_view = DistributedGraph::new(&g, &pair, 1).expect("assignment covers graph");
         for app in registry_programs() {
             let first = one(&table1[0]);
             let (_, trace) = app.trace(&SimEngine::new(&first), &solo_view, 1).expect("traces");

@@ -146,9 +146,9 @@ proptest! {
             PartitionerKind::Hybrid,
             PartitionerKind::Grid,
         ] {
-            let assignment = kind.build().partition(&graph, &MachineWeights::uniform(2));
+            let assignment = kind.build().partition(&graph, &MachineWeights::uniform(2), 1, &OFF);
             for threads in [1usize, 2, 4] {
-                let dist = DistributedGraph::new_with_threads(&graph, &assignment, threads)
+                let dist = DistributedGraph::new(&graph, &assignment, threads)
                     .expect("assignment covers the graph");
                 let (multi, _) =
                     sssp_wave(&engine, &dist, &sources, block_width(sources.len()), threads);
@@ -193,7 +193,7 @@ fn lane_data_and_report_are_independent_of_block_width() {
     let n = graph.num_vertices();
     let cluster = Cluster::case2();
     let engine = SimEngine::new(&cluster);
-    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
+    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2), 1, &OFF);
     let dist = distribute(&graph, &assignment);
     for lanes in LANE_COUNTS {
         let mut ids: Vec<VertexId> = (0..lanes as u32).map(|l| (l * 37 + 11) % n).collect();
@@ -241,7 +241,7 @@ fn served_stream_matches_goldens_from_before_lane_blocks() {
         (64, 0xf3a6d7fa0ca82ed9, 0x3fd392e369c61e12, 11),
     ];
     let (graph, cluster) = serving_fixture();
-    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
+    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2), 1, &OFF);
     let dist = distribute(&graph, &assignment);
     let stream = LoadGenConfig::standard(29, 400, 0.0005).generate(graph.num_vertices());
     for (max_batch, digest, duration_bits, waves) in GOLDEN {
@@ -270,7 +270,7 @@ fn distribute<'a>(
     graph: &'a Graph,
     assignment: &'a hetgraph::partition::PartitionAssignment,
 ) -> DistributedGraph<'a> {
-    DistributedGraph::new(graph, assignment).expect("assignment covers the graph")
+    DistributedGraph::new(graph, assignment, 1).expect("assignment covers the graph")
 }
 
 #[test]
@@ -312,7 +312,7 @@ fn queue_full_shed_is_typed_and_leaves_batches_intact() {
     // request it did serve returns exactly the answer a solo, unshed
     // run produces for the same query.
     let (graph, cluster) = serving_fixture();
-    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
+    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2), 1, &OFF);
     let dist = distribute(&graph, &assignment);
     let stream = LoadGenConfig::standard(13, 120, 0.0005).generate(graph.num_vertices());
     let mut cfg = ServeConfig::standard(2);
@@ -345,7 +345,7 @@ fn skewed_offered_load_is_served_within_weight_tolerance() {
     // must serve both proportionally to what they offer — no
     // starvation, no amplification.
     let (graph, cluster) = serving_fixture();
-    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2));
+    let assignment = Hybrid::new().partition(&graph, &MachineWeights::uniform(2), 1, &OFF);
     let dist = distribute(&graph, &assignment);
     let mut load = LoadGenConfig::standard(17, 2000, 0.002);
     load.tenant_shares = vec![9, 1];

@@ -9,7 +9,7 @@
 use hetgraph_bench::cases::{profile_pool, run_matrix, run_matrix_counted, CaseRow};
 use hetgraph_bench::ExperimentContext;
 use hetgraph_cluster::Cluster;
-use hetgraph_core::Graph;
+use hetgraph_core::{obs::OFF, Graph};
 use hetgraph_engine::SimEngine;
 use hetgraph_partition::{PartitionMetrics, PartitionerKind};
 use hetgraph_profile::{CcrPool, Policy};
@@ -35,9 +35,9 @@ fn serial_baseline(cluster: &Cluster, pool: &CcrPool, graphs: &[(String, Graph)]
             for app in hetgraph::apps::standard_apps() {
                 for policy in Policy::ALL {
                     let weights = policy.weights(cluster, pool, app.name());
-                    let assignment = partitioner.partition(graph, &weights);
-                    let metrics = PartitionMetrics::compute(&assignment, &weights);
-                    let dist = hetgraph_engine::DistributedGraph::new(graph, &assignment)
+                    let assignment = partitioner.partition(graph, &weights, 1, &OFF);
+                    let metrics = PartitionMetrics::compute(&assignment, &weights, 1);
+                    let dist = hetgraph_engine::DistributedGraph::new(graph, &assignment, 1)
                         .expect("assignment must cover the graph");
                     let report = app.run(&engine, &dist, 1);
                     rows.push(CaseRow {
@@ -120,8 +120,8 @@ fn sim_trace_bytes_are_identical_across_thread_counts() {
             let telemetry = Telemetry::new(true, false);
             let assignment = PartitionerKind::Hybrid
                 .build()
-                .partition_instrumented(graph, &weights, threads, &telemetry);
-            let dist = DistributedGraph::new_with_threads(graph, &assignment, threads)
+                .partition(graph, &weights, threads, &telemetry);
+            let dist = DistributedGraph::new(graph, &assignment, threads)
                 .expect("assignment must cover the graph");
             let engine = SimEngine::new(&cluster).with_telemetry(&telemetry);
             app.run(&engine, &dist, threads);
@@ -166,4 +166,181 @@ fn partition_memo_dedupes_shared_weight_vectors() {
     );
     assert_eq!(stats2.cells, 24);
     assert_eq!(stats2.partitions_computed, 12);
+}
+
+/// The six `#[doc(hidden)]` spellings that `benchmark/src/layers.rs` still
+/// names, with the file that defines each. Everything else passes threads
+/// and telemetry as arguments of the one method per operation.
+const RULER_FORWARDS: [(&str, &str); 6] = [
+    ("partition_with_threads", "crates/partition/src/traits.rs"),
+    ("profile_with_threads", "crates/profile/src/ccr.rs"),
+    ("new_with_threads", "crates/engine/src/distributed.rs"),
+    ("compute_with_threads", "crates/partition/src/metrics.rs"),
+    ("run_on_with_threads", "crates/engine/src/sim.rs"),
+    ("run_compact_on_with_threads", "crates/engine/src/sim.rs"),
+];
+
+/// Every `.rs` file under `dir` (relative to the workspace root), sorted.
+fn rust_sources(dir: &str) -> Vec<std::path::PathBuf> {
+    fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries {
+            let path = entry.expect("readable directory entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(
+        &std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir),
+        &mut out,
+    );
+    out.sort();
+    out
+}
+
+/// `path` relative to the workspace root, with `/` separators.
+fn relative(path: &std::path::Path) -> String {
+    path.strip_prefix(env!("CARGO_MANIFEST_DIR"))
+        .expect("under the workspace root")
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
+/// Whether `line`, with any `//` comment cut off, names `ident` as a whole
+/// word; a `fn ident` definition counts separately.
+fn names(line: &str, ident: &str) -> (bool, bool) {
+    let code = line.split("//").next().unwrap_or("");
+    let mut used = false;
+    let mut defined = false;
+    for (at, _) in code.match_indices(ident) {
+        let before = code[..at].chars().next_back();
+        let after = code[at + ident.len()..].chars().next();
+        let word = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+        if word(before) || word(after) {
+            continue;
+        }
+        if code[..at].trim_end().ends_with("fn") {
+            defined = true;
+        } else {
+            used = true;
+        }
+    }
+    (used, defined)
+}
+
+#[test]
+fn ruler_forwards_have_no_other_caller_and_no_new_suffix_rungs() {
+    let this_file = "tests/threading.rs";
+    let mut offenders = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        for path in rust_sources(dir) {
+            let rel = relative(&path);
+            if rel == this_file {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            // Library code is everything outside a top-level
+            // `#[cfg(test)]` item: from that attribute to the item's
+            // closing brace in column 0 (rustfmt layout), or its `;`.
+            let library = rel.contains("/src/") || rel.starts_with("src/");
+            let mut in_tests = false;
+            let mut test_item_open = false;
+            for (i, line) in text.lines().enumerate() {
+                if line.starts_with("#[cfg(test)]") {
+                    in_tests = true;
+                } else if in_tests && !test_item_open && !line.starts_with("#[") {
+                    test_item_open = !line.trim_end().ends_with(';');
+                    in_tests = test_item_open;
+                } else if in_tests && line == "}" {
+                    (in_tests, test_item_open) = (false, false);
+                    continue;
+                }
+                for (ident, home) in RULER_FORWARDS {
+                    let (used, defined) = names(line, ident);
+                    if used || (defined && rel != home) {
+                        offenders.push(format!("{rel}:{}: {ident}", i + 1));
+                    }
+                }
+                if library && !in_tests {
+                    let code = line.split("//").next().unwrap_or("");
+                    for word in code.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                        let rung =
+                            word.ends_with("_with_threads") || word.ends_with("_instrumented");
+                        let fenced = RULER_FORWARDS.iter().any(|(ident, _)| *ident == word);
+                        if rung && !fenced && names(code, word).1 {
+                            offenders.push(format!("{rel}:{}: fn {word}", i + 1));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "threads and telemetry are arguments, not method suffixes; the six \
+         ruler forwards are for benchmark/src/layers.rs only:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn ruler_forwards_return_exactly_what_the_one_method_returns() {
+    use hetgraph::prelude::{
+        ConnectedComponents, DistributedGraph, MachineWeights, PowerLawConfig, ProxySet,
+    };
+    use hetgraph_engine::CompactDistGraph;
+
+    let graph = PowerLawConfig::new(20_000, 2.0).generate(7);
+    let cluster = Cluster::case2();
+    let weights = MachineWeights::from_ccr(&[1.0, 3.0]);
+    let engine = SimEngine::new(&cluster);
+    let proxies = ProxySet::standard(6400);
+    let apps = [hetgraph::apps::AnyApp::pagerank()];
+    for threads in [1, 2] {
+        for kind in PartitionerKind::ALL {
+            let p = kind.build();
+            assert_eq!(
+                p.partition_with_threads(&graph, &weights, threads),
+                p.partition(&graph, &weights, threads, &OFF),
+                "{kind} at {threads}"
+            );
+        }
+        let a = PartitionerKind::Hybrid
+            .build()
+            .partition(&graph, &weights, threads, &OFF);
+        assert_eq!(
+            PartitionMetrics::compute_with_threads(&a, &weights, threads),
+            PartitionMetrics::compute(&a, &weights, threads),
+            "metrics at {threads}"
+        );
+        let dist = DistributedGraph::new(&graph, &a, threads).expect("covers the graph");
+        let forward =
+            DistributedGraph::new_with_threads(&graph, &a, threads).expect("covers the graph");
+        assert_eq!(forward.assignment(), dist.assignment());
+        for v in graph.vertices() {
+            assert_eq!(forward.out_adj(v), dist.out_adj(v), "out {v} at {threads}");
+            assert_eq!(forward.in_adj(v), dist.in_adj(v), "in {v} at {threads}");
+        }
+        assert_eq!(
+            CcrPool::profile_with_threads(&cluster, &proxies, &apps, threads),
+            CcrPool::profile(&cluster, &proxies, &apps, threads, &OFF),
+            "pool at {threads}"
+        );
+        let program = ConnectedComponents::new();
+        let run = engine.run(&dist, &program, threads);
+        let plain = engine.run_on_with_threads(&dist, &program, threads);
+        assert_eq!(plain.data, run.data, "plain data at {threads}");
+        assert_eq!(plain.report, run.report, "plain report at {threads}");
+        let compact = CompactDistGraph::from_dist(&dist);
+        let run = engine.run(&compact, &program, threads);
+        let forward = engine.run_compact_on_with_threads(&compact, &program, threads);
+        assert_eq!(forward.data, run.data, "compact data at {threads}");
+        assert_eq!(forward.report, run.report, "compact report at {threads}");
+    }
 }
