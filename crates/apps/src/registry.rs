@@ -479,7 +479,9 @@ mod tests {
         let engine = SimEngine::new(&cluster);
         let a = RandomHash::new().partition(&g, &MachineWeights::uniform(2), 1, &OFF);
         let dist = DistributedGraph::new(&g, &a, 1).expect("assignment covers graph");
-        let compact = CompactDistGraph::from_dist(&dist);
+        let compact =
+            CompactDistGraph::from_edge_stream(g.num_vertices(), &a, || g.edges().iter().copied())
+                .expect("assignment covers graph");
         // A maximally skewed start so the greedy policy has something to
         // look at (whether it migrates here depends on amortization).
         let skewed = PartitionAssignment::from_edge_machines(&g, 2, vec![0; g.num_edges()], 1);

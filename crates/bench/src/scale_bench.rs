@@ -2,7 +2,7 @@
 //!
 //! Runs the full gen → partition → build → simulate pipeline twice over
 //! the same edge set — once through the compressed streaming substrate
-//! (shard directory → [`StreamPartitioner`] → [`CompactDistGraph`]) and
+//! (shard directory → [`Partitioner::partition`] → [`CompactDistGraph`]) and
 //! once through the plain in-memory path (`Graph` →
 //! [`DistributedGraph`]) — and reports, per representation, the phase
 //! walls, simulated edges/sec, the **resident structure bytes per edge**
@@ -30,14 +30,14 @@
 //! `VmHWM` is a process-lifetime high-water mark, so the compact
 //! pipeline runs *first*: its snapshot is unpolluted by the plain
 //! structures, while the plain row's snapshot is an upper bound that
-//! includes everything before it. Transient build buffers (the stream
+//! includes everything before it. Transient build buffers (the
 //! partitioner's assignment, the varint fill lanes) exceed the 12 B/edge
 //! structure budget while they are alive — the budget audits what stays
 //! resident for the kernel, which is what bounds the largest graph a
 //! host can *simulate*, and the manifest records the honest process peak
 //! alongside it.
 //!
-//! [`StreamPartitioner`]: hetgraph_partition::StreamPartitioner
+//! [`Partitioner::partition`]: hetgraph_partition::Partitioner::partition
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -179,10 +179,9 @@ pub fn scale(ctx: &ExperimentContext) -> ScaleBench {
     let edges = set.num_edges() as usize;
 
     let t = Instant::now();
-    let streamer = PartitionerKind::Oblivious
-        .build_stream()
-        .expect("oblivious partitions edge-at-a-time");
-    let assignment = streamer.partition_stream(set.num_vertices(), &weights, &mut set.stream());
+    let assignment = PartitionerKind::Oblivious
+        .build()
+        .partition(&set, &weights, 1, &OFF);
     let c_part = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
@@ -342,7 +341,10 @@ fn fixture_comparison(
         .partition(&graph, &weights, 1, &OFF);
     let dist = DistributedGraph::new(&graph, &assignment, ctx.threads)
         .expect("assignment must cover the graph");
-    let compact = CompactDistGraph::from_dist(&dist);
+    let compact = CompactDistGraph::from_edge_stream(graph.num_vertices(), &assignment, || {
+        graph.edges().iter().copied()
+    })
+    .expect("assignment must cover the graph");
     let mut plain_s = f64::INFINITY;
     let mut compact_s = f64::INFINITY;
     let mut plain_report: Option<SimReport> = None;

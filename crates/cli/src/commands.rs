@@ -7,7 +7,7 @@ use hetgraph_apps::{AnyApp, AppRegistry};
 use hetgraph_cluster::Cluster;
 use hetgraph_core::degree::DegreeHistogram;
 use hetgraph_core::obs::Telemetry;
-use hetgraph_core::{io, obs::OFF, Graph};
+use hetgraph_core::{io, obs::OFF, EdgeSource, Graph, ShardSet};
 use hetgraph_gen::{
     fit_alpha, BarabasiAlbertConfig, GnmConfig, NaturalGraph, PowerLawConfig, ProxySet, RmatConfig,
     SmallWorldConfig, StreamingGenerator,
@@ -29,6 +29,19 @@ fn load_graph(path: &str) -> Result<Graph, CliError> {
             .map(Graph::from_edge_list)
     };
     result.map_err(|e| CliError(format!("cannot load {path}: {e}")))
+}
+
+/// Open `--input PATH` for partitioning: a shard directory written by
+/// `generate --shards` (replayed one shard at a time), or a graph file
+/// loaded whole.
+fn open_input(path: &str) -> Result<Box<dyn EdgeSource>, CliError> {
+    if Path::new(path).is_dir() {
+        let set = ShardSet::open(Path::new(path))
+            .map_err(|e| CliError(format!("cannot open shard directory {path}: {e}")))?;
+        Ok(Box::new(set))
+    } else {
+        Ok(Box::new(load_graph(path)?))
+    }
 }
 
 /// Save a graph to `--out FILE` (binary when the extension is `.hgb`).
@@ -321,13 +334,14 @@ pub fn stats(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `hetgraph partition` — partition a graph file and print quality metrics.
+/// `hetgraph partition` — partition a graph file or shard directory and
+/// print quality metrics.
 pub fn partition(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(
         args,
         &["input", "machines", "algorithm", "weights", "threads"],
     )?;
-    let g = load_graph(flags.require("input")?)?;
+    let source = open_input(flags.require("input")?)?;
     let threads = parse_threads(&flags)?;
     let machines: usize = flags.get_or("machines", 4usize)?;
     if machines == 0 || machines > 64 {
@@ -359,7 +373,7 @@ pub fn partition(args: &[String]) -> Result<(), CliError> {
         "algorithm", "rf", "mirrors", "max_nl", "balance_err"
     );
     for kind in kinds {
-        let a = kind.build().partition(&g, &weights, threads, &OFF);
+        let a = kind.build().partition(&*source, &weights, threads, &OFF);
         let m = PartitionMetrics::compute(&a, &weights, threads);
         println!(
             "{:10} {:>8.3} {:>10} {:>12.3} {:>13.3}",
@@ -417,11 +431,18 @@ pub fn profile(args: &[String]) -> Result<(), CliError> {
 /// CompactDistGraph`] instead of the plain distributed structure — same
 /// `SimReport`, byte for byte, at a fraction of the resident bytes per
 /// edge. `--input` may then also be a *shard directory* written by
-/// `generate --shards`: the partitioner consumes the shard stream directly
-/// (random, oblivious, or grid — the single-pass streaming algorithms) and
-/// the compact structure is built by replaying shards, so the full edge
-/// set is never resident.
+/// `generate --shards`, with any of the five algorithms: the partitioner
+/// reads the shards as its edge source and the compact structure is built
+/// by replaying them. Random, oblivious and grid place edges in one pass
+/// over the shards, so the full edge set is never resident; hybrid and
+/// ginger need in-degrees and adjacency first, so they read the shards
+/// into an in-memory graph, which is freed before the kernel runs.
 pub fn simulate(args: &[String]) -> Result<(), CliError> {
+    simulate_to(args, &mut std::io::stdout())
+}
+
+/// [`simulate`], printing its summary to `out`.
+fn simulate_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let flags = Flags::parse_with_switches(
         args,
         &[
@@ -461,64 +482,46 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
     };
     let weights = policy.weights(&cluster, &pool, app.name());
     let engine = hetgraph_engine::SimEngine::new(&cluster).with_telemetry(&telemetry);
-    // Build the view the flags describe, then run it: one entry point.
-    // The owners outlive the target that borrows them; only the chosen
-    // branch initializes its own.
     let rebalance = flags.get("rebalance").filter(|&r| r != "off");
-    let (g, assignment);
+    if compact && rebalance.is_some() {
+        return Err(CliError(
+            "--compact does not support --rebalance (the compressed structure \
+             is immutable once built)"
+                .into(),
+        ));
+    }
+    if !compact && Path::new(input).is_dir() {
+        return Err(CliError(
+            "shard-directory input requires --compact (the plain path \
+             materializes the whole graph)"
+                .into(),
+        ));
+    }
+    // One input, one partition; the flags pick the view it runs on. The
+    // owners outlive the target that borrows them.
+    let source = open_input(input)?;
+    let assignment = kind
+        .build()
+        .partition(&*source, &weights, threads, &telemetry);
     let (compact_dist, mut plain_dist);
     let mut greedy = hetgraph_engine::GreedyRebalance::new();
     let target = if compact {
-        if rebalance.is_some() {
-            return Err(CliError(
-                "--compact does not support --rebalance (the compressed structure \
-                 is immutable once built)"
-                    .into(),
-            ));
-        }
-        let input_path = Path::new(input);
-        compact_dist = if input_path.is_dir() {
-            // Shard-fed bounded-RSS pipeline: partition the stream, then
-            // build the compact structure by replaying shards — the full
-            // edge set is never resident.
-            let set = hetgraph_core::shard::ShardSet::open(input_path)
-                .map_err(|e| CliError(format!("cannot open shard directory {input}: {e}")))?;
-            let streamer = kind.build_stream().ok_or_else(|| {
-                CliError(format!(
-                    "--algorithm {} cannot consume a shard stream; use random, \
-                     oblivious, or grid",
-                    kind.name()
-                ))
-            })?;
-            let assignment =
-                streamer.partition_stream(set.num_vertices(), &weights, &mut set.stream());
-            hetgraph_engine::CompactDistGraph::from_edge_stream(
-                set.num_vertices(),
-                &assignment,
-                || set.stream(),
-            )
-        } else {
-            let g = load_graph(input)?;
-            let assignment = kind.build().partition(&g, &weights, threads, &telemetry);
-            hetgraph_engine::CompactDistGraph::from_edge_stream(
-                g.num_vertices(),
-                &assignment,
-                || g.edges().iter().copied(),
-            )
-        }
+        // Built by replaying the source, so a shard directory's edge set
+        // is never resident; the view owns everything the kernel reads,
+        // so the input is freed before the run.
+        compact_dist = hetgraph_engine::CompactDistGraph::from_edge_stream(
+            source.num_vertices(),
+            &assignment,
+            || source.edges(),
+        )
         .map_err(|e| CliError(format!("cannot build compact graph: {e}")))?;
+        drop(source);
         hetgraph_engine::RunTarget::Compact(&compact_dist)
     } else {
-        if Path::new(input).is_dir() {
-            return Err(CliError(
-                "shard-directory input requires --compact (the plain path \
-                 materializes the whole graph)"
-                    .into(),
-            ));
-        }
-        g = load_graph(input)?;
-        assignment = kind.build().partition(&g, &weights, threads, &telemetry);
-        plain_dist = hetgraph_engine::DistributedGraph::new(&g, &assignment, threads)
+        let g = source
+            .graph()
+            .expect("a graph file: shard input needs --compact");
+        plain_dist = hetgraph_engine::DistributedGraph::new(g, &assignment, threads)
             .expect("assignment must cover the graph");
         match rebalance {
             None => hetgraph_engine::RunTarget::Plain(&plain_dist),
@@ -535,28 +538,26 @@ pub fn simulate(args: &[String]) -> Result<(), CliError> {
         let moved: usize = greedy.events().iter().map(|e| e.edges_moved).sum();
         let cost: f64 = greedy.events().iter().map(|e| e.cost_s).sum();
         format!(
-            "rebalance: greedy, {} batch(es), {} edge(s) migrated, {:.6}s charged",
+            "rebalance: greedy, {} batch(es), {} edge(s) migrated, {:.6}s charged\n",
             greedy.events().len(),
             moved,
             cost
         )
     });
-    println!("{report}");
-    if let Some(line) = migrations {
-        println!("{line}");
-    }
-    let labels = cluster.machine_labels();
-    println!(
-        "per-machine busy: [{}]",
-        report
-            .per_machine_busy_s
-            .iter()
-            .zip(&labels)
-            .map(|(s, label)| format!("{label} {s:.4}s"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    println!("compute imbalance: {:.3}", report.compute_imbalance());
+    let busy = report
+        .per_machine_busy_s
+        .iter()
+        .zip(&cluster.machine_labels())
+        .map(|(s, label)| format!("{label} {s:.4}s"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    write!(
+        out,
+        "{report}\n{}per-machine busy: [{busy}]\ncompute imbalance: {:.3}\n",
+        migrations.unwrap_or_default(),
+        report.compute_imbalance()
+    )
+    .map_err(|e| CliError(format!("cannot write output: {e}")))?;
     write_trace_out(&flags, &telemetry)?;
     write_metrics_out(&flags, &telemetry)?;
     Ok(())
@@ -1349,36 +1350,54 @@ mod tests {
             &dir,
         ]))
         .unwrap();
-        let set = hetgraph_core::shard::ShardSet::open(Path::new(&dir)).unwrap();
+        let set = ShardSet::open(Path::new(&dir)).unwrap();
         let g = load_graph(&file).unwrap();
         assert_eq!(set.num_edges() as usize, g.num_edges());
         assert_eq!(set.stream().collect::<Vec<_>>(), g.edges());
-        // Plain file + --compact runs end to end...
-        simulate(&argv(&[
-            "--input",
-            &file,
-            "--app",
-            "pagerank",
-            "--algorithm",
-            "random",
-            "--policy",
-            "default",
-            "--compact",
-        ]))
-        .unwrap();
-        // ...and so does the fully shard-fed pipeline.
-        simulate(&argv(&[
-            "--input",
-            &dir,
-            "--app",
-            "pagerank",
-            "--algorithm",
-            "oblivious",
-            "--policy",
-            "default",
-            "--compact",
-        ]))
-        .unwrap();
+        // Every algorithm reads either input as the same edges: the same
+        // summary and the same sim-domain metrics, partition counters
+        // included.
+        let run = |input: &str, kind: PartitionerKind, metrics: &str| {
+            let mut stdout = Vec::new();
+            simulate_to(
+                &argv(&[
+                    "--input",
+                    input,
+                    "--app",
+                    "pagerank",
+                    "--algorithm",
+                    kind.name(),
+                    "--policy",
+                    "ccr",
+                    "--scale",
+                    "3200",
+                    "--threads",
+                    "2",
+                    "--compact",
+                    "--metrics-out",
+                    metrics,
+                ]),
+                &mut stdout,
+            )
+            .unwrap();
+            (
+                String::from_utf8(stdout).unwrap(),
+                std::fs::read_to_string(metrics).unwrap(),
+            )
+        };
+        for kind in PartitionerKind::ALL {
+            let from_file = run(&file, kind, &tmp("shards_file_metrics.json"));
+            let from_shards = run(&dir, kind, &tmp("shards_dir_metrics.json"));
+            assert!(from_file.0.contains("per-machine busy"), "{kind}");
+            assert!(
+                from_file
+                    .1
+                    .contains(&format!("partition/{kind}/edges_total")),
+                "{kind}"
+            );
+            assert_eq!(from_shards.0, from_file.0, "{kind} stdout");
+            assert_eq!(from_shards.1, from_file.1, "{kind} metrics");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1398,7 +1417,7 @@ mod tests {
         // A sink is required.
         let err = generate(&argv(&["--family", "powerlaw", "--vertices", "10"])).unwrap_err();
         assert!(err.0.contains("--out"), "{err:?}");
-        // Shard input without --compact, and with a non-streaming algorithm.
+        // Shard input without --compact.
         let dir = tmp("err_shards");
         std::fs::remove_dir_all(&dir).ok();
         generate(&argv(&[
@@ -1414,7 +1433,8 @@ mod tests {
         .unwrap();
         let err = simulate(&argv(&["--input", &dir, "--policy", "default"])).unwrap_err();
         assert!(err.0.contains("--compact"), "{err:?}");
-        let err = simulate(&argv(&[
+        // Hybrid reads the shards into memory and runs like the rest.
+        simulate(&argv(&[
             "--input",
             &dir,
             "--policy",
@@ -1423,8 +1443,7 @@ mod tests {
             "hybrid",
             "--compact",
         ]))
-        .unwrap_err();
-        assert!(err.0.contains("shard stream"), "{err:?}");
+        .unwrap();
         // Compact refuses mid-run migration.
         let err = simulate(&argv(&[
             "--input",

@@ -4,7 +4,7 @@
 //! hetgraph generate  --family powerlaw|rmat|ba|smallworld|gnm|natural ... --out FILE | --shards DIR
 //! hetgraph alpha     --input FILE | --vertices N --edges M
 //! hetgraph stats     --input FILE
-//! hetgraph partition --input FILE --machines K [--algorithm NAME] [--weights a,b,...]
+//! hetgraph partition --input FILE|SHARD_DIR --machines K [--algorithm NAME] [--weights a,b,...]
 //! hetgraph profile   [--cluster case1|case2|case3] [--scale N] [--apps LIST]
 //! hetgraph simulate  --input FILE|SHARD_DIR [--compact] [--cluster C] [--app A] [--algorithm P] [--policy default|prior|ccr] [--rebalance greedy|off] [--trace-out FILE] [--metrics-out FILE]
 //! hetgraph serve     [--requests N] [--tenants K] [--batch-window W] [--queue-budget B] [--max-batch M] [--weights a,b,...] [--input FILE | --vertices N] [--trace-out FILE] [--metrics-out FILE]
@@ -35,7 +35,8 @@ commands:
   stats      degree statistics of a graph file
              --input FILE
   partition  partition a graph and print quality metrics
-             --input FILE [--machines K] [--algorithm NAME] [--weights a,b,...]
+             --input FILE|SHARD_DIR [--machines K] [--algorithm NAME]
+             [--weights a,b,...]
   profile    proxy-profile a cluster (prints the CCR pool)
              [--cluster case1|case2|case3] [--scale N] [--threads N]
              [--apps LIST|all]
@@ -44,8 +45,8 @@ commands:
              [--policy default|prior|ccr] [--scale N] [--threads N]
              [--compact]  run the kernel on the delta-varint compressed
              structure (byte-identical SimReport, lower resident bytes);
-             a shard-directory --input requires --compact and a streaming
-             --algorithm (random, oblivious, grid)
+             a shard-directory --input requires --compact (hybrid and
+             ginger read the shards into memory before placing)
              [--rebalance greedy|off]  migrate edges between supersteps
              when a machine straggles (off by default; reports are
              byte-identical to no flag when off)

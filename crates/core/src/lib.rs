@@ -40,7 +40,8 @@
 //!   programs consume, backed by either representation.
 //! - [`shard`] — fixed-size binary edge shards ([`shard::ShardWriter`] /
 //!   [`shard::ShardSet`]): the streaming ingestion format generators emit
-//!   with bounded buffering and partitioners replay edge-at-a-time.
+//!   with bounded buffering. [`EdgeSource`], implemented by it and by
+//!   [`Graph`], is the one input every partitioner takes.
 //!
 //! The substrate deliberately contains no policy: partitioning, machine
 //! modeling, and execution live in the downstream crates.
@@ -62,6 +63,7 @@ pub mod obs;
 pub mod par;
 pub mod rng;
 pub mod shard;
+pub mod source;
 pub mod stats;
 pub mod transform;
 
@@ -75,6 +77,7 @@ pub use graph::Graph;
 pub use meta::GraphMeta;
 pub use rng::{hash64, SplitMix64, Xoshiro256};
 pub use shard::{ShardSet, ShardWriter};
+pub use source::EdgeSource;
 
 /// Identifier of a vertex. Graphs in this workspace are bounded by `u32`
 /// vertex counts (the paper's largest graph has ~4.8 M vertices), which

@@ -5,8 +5,8 @@
 //! most a fixed number of little-endian `(src, dst)` `u32` pairs. The
 //! generators write shards one at a time with bounded buffering — peak
 //! memory during generation is one shard's worth of edges, not the whole
-//! edge set — and the streaming partitioners replay them as an
-//! `Iterator<Item = Edge>` the same way. Concatenating every shard's edges
+//! edge set — and the partitioners replay them through
+//! [`crate::EdgeSource`] the same way. Concatenating every shard's edges
 //! in file order reproduces the generator's exact edge order, so a shard
 //! stream is interchangeable with the in-memory edge list for every
 //! order-sensitive consumer (the partitioners hash edges positionally
@@ -317,6 +317,14 @@ pub struct ShardStream<'a> {
     shard: usize,
     edges: Vec<Edge>,
     pos: usize,
+}
+
+impl<'a> ShardStream<'a> {
+    /// For the `partition_stream` forward only; deleted with it.
+    #[doc(hidden)]
+    pub fn shard_set(&self) -> &'a ShardSet {
+        self.set
+    }
 }
 
 impl Iterator for ShardStream<'_> {

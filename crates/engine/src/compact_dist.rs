@@ -18,18 +18,14 @@
 //! this). Placement is frozen: there is no migration support, so runs
 //! that need a rebalance policy must use the plain view.
 //!
-//! Two constructors cover the two ingestion paths: [`from_dist`]
-//! (re-compress an already-built plain view, used by tests and the
-//! `simulate --compact` CLI path) and [`from_edge_stream`] (build
-//! straight from a replayable edge stream — e.g. a
-//! [`hetgraph_core::ShardSet`] — without ever materializing a `Graph`).
-//! Both produce structurally identical views for the same edges and
-//! assignment.
+//! The one constructor, [`from_edge_stream`], builds the view from a
+//! replayable edge stream: a [`hetgraph_core::ShardSet`] replay, so the
+//! edge set is never resident, or an in-memory graph's edge slice, as
+//! `hetgraph simulate --compact` does for a `.hgb` file.
 //!
-//! [`from_dist`]: CompactDistGraph::from_dist
 //! [`from_edge_stream`]: CompactDistGraph::from_edge_stream
 
-use crate::distributed::{DistributedGraph, ROW_COUNTS_MAX_MACHINES};
+use crate::distributed::ROW_COUNTS_MAX_MACHINES;
 use crate::error::EngineError;
 use hetgraph_core::compact::{meta_pair, CompactCsr, CompactCsrBuilder};
 use hetgraph_core::{Edge, GraphMeta, MachineId, VertexId};
@@ -37,7 +33,7 @@ use hetgraph_partition::PartitionAssignment;
 
 /// A partitioned graph in compressed form: delta-varint adjacency plus
 /// per-edge machine lanes and per-vertex replication structure. See the
-/// module docs for the contract with the plain [`DistributedGraph`].
+/// module docs for the contract with the plain [`crate::DistributedGraph`].
 #[derive(Debug, Clone)]
 pub struct CompactDistGraph {
     num_machines: usize,
@@ -58,34 +54,6 @@ pub struct CompactDistGraph {
 }
 
 impl CompactDistGraph {
-    /// Re-compress a plain distributed view. Each adjacency row's
-    /// `(target, machine)` pairs are stable-sorted by target so the
-    /// machine lane stays aligned with the sorted varint row; duplicate
-    /// targets keep their insertion-order machines.
-    pub fn from_dist(dist: &DistributedGraph<'_>) -> Self {
-        let graph = dist.graph();
-        let assignment = dist.assignment();
-        let n = graph.num_vertices();
-        let p = assignment.num_machines();
-        let (out, out_slot_machine, out_row_counts) =
-            compress_rows(n, graph.num_edges(), p, |v| dist.out_adj(v));
-        let (inn, in_slot_machine, in_row_counts) =
-            compress_rows(n, graph.num_edges(), p, |v| dist.in_adj(v));
-        let master = (0..n).map(|v| assignment.master(v).0).collect();
-        let replica_mask = (0..n).map(|v| assignment.replica_mask(v)).collect();
-        CompactDistGraph {
-            num_machines: p,
-            out,
-            inn,
-            out_slot_machine,
-            in_slot_machine,
-            master,
-            replica_mask,
-            out_row_counts,
-            in_row_counts,
-        }
-    }
-
     /// Build from a replayable edge stream, without materializing a
     /// `Graph` or edge list. `stream` is called three times (degree
     /// count, out fill, in fill) and must yield the same edges in the
@@ -213,7 +181,7 @@ impl CompactDistGraph {
 
     /// Per-vertex per-machine slot counts for the (out, in) directions,
     /// same layout and availability rule as
-    /// [`DistributedGraph::machine_counts`]; precomputed at build time.
+    /// [`crate::DistributedGraph::machine_counts`]; precomputed at build time.
     #[inline]
     pub fn machine_counts(&self) -> Option<(&[u32], &[u32])> {
         match (&self.out_row_counts, &self.in_row_counts) {
@@ -239,41 +207,11 @@ impl CompactDistGraph {
     }
 }
 
-/// Compress one direction's rows from a `(targets, machines)` slice
-/// source: stable-sort the pairs per row, feed the sorted targets to the
-/// varint builder, and lay the machines down in the same order.
-fn compress_rows<'a>(
-    n: u32,
-    num_edges: usize,
-    p: usize,
-    row_of: impl Fn(VertexId) -> (&'a [VertexId], &'a [u16]),
-) -> (CompactCsr, Vec<u16>, Option<Vec<u32>>) {
-    let mut b = CompactCsrBuilder::new(n);
-    let mut lane = Vec::with_capacity(num_edges);
-    let mut counts = (p <= ROW_COUNTS_MAX_MACHINES).then(|| vec![0u32; n as usize * p]);
-    let mut pairs: Vec<(VertexId, u16)> = Vec::new();
-    let mut row: Vec<VertexId> = Vec::new();
-    for v in 0..n {
-        let (ts, ms) = row_of(v);
-        pairs.clear();
-        pairs.extend(ts.iter().copied().zip(ms.iter().copied()));
-        pairs.sort_by_key(|&(t, _)| t);
-        row.clear();
-        row.extend(pairs.iter().map(|&(t, _)| t));
-        b.push_row(&row);
-        for &(_, m) in &pairs {
-            lane.push(m);
-            if let Some(c) = &mut counts {
-                c[v as usize * p + m as usize] += 1;
-            }
-        }
-    }
-    (b.finish(), lane, counts)
-}
-
 /// One direction of the streaming build: replay the counting sort the
 /// plain CSR construction uses into raw target/machine arrays, then
-/// compress row by row. The raw arrays are freed on return.
+/// compress row by row — stable-sort each row's `(target, machine)` pairs
+/// by target, feed the targets to the varint builder, and lay the
+/// machines down in the same order. The raw arrays are freed on return.
 fn fill_direction(
     n: u32,
     deg: &[u32],
@@ -306,15 +244,38 @@ fn fill_direction(
         fill[k] += 1;
     }
     drop(fill);
-    compress_rows(n, num_edges, p, |v| {
+    let mut b = CompactCsrBuilder::new(n);
+    let mut lane = Vec::with_capacity(num_edges);
+    let mut counts = (p <= ROW_COUNTS_MAX_MACHINES).then(|| vec![0u32; n as usize * p]);
+    let mut pairs: Vec<(VertexId, u16)> = Vec::new();
+    let mut row: Vec<VertexId> = Vec::new();
+    for v in 0..n {
         let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
-        (&targets[lo..hi], &lane_raw[lo..hi])
-    })
+        pairs.clear();
+        pairs.extend(
+            targets[lo..hi]
+                .iter()
+                .copied()
+                .zip(lane_raw[lo..hi].iter().copied()),
+        );
+        pairs.sort_by_key(|&(t, _)| t);
+        row.clear();
+        row.extend(pairs.iter().map(|&(t, _)| t));
+        b.push_row(&row);
+        for &(_, m) in &pairs {
+            lane.push(m);
+            if let Some(c) = &mut counts {
+                c[v as usize * p + m as usize] += 1;
+            }
+        }
+    }
+    (b.finish(), lane, counts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DistributedGraph;
     use hetgraph_core::{EdgeList, Graph};
 
     fn fixture() -> (Graph, PartitionAssignment) {
@@ -332,29 +293,33 @@ mod tests {
         (g, a)
     }
 
+    fn compact(g: &Graph, a: &PartitionAssignment) -> CompactDistGraph {
+        CompactDistGraph::from_edge_stream(g.num_vertices(), a, || g.edges().iter().copied())
+            .unwrap()
+    }
+
     #[test]
-    fn from_dist_matches_plain_view() {
+    fn stream_build_matches_plain_view() {
         let (g, a) = fixture();
         let dist = DistributedGraph::new(&g, &a, 1).unwrap();
-        let c = CompactDistGraph::from_dist(&dist);
+        let c = compact(&g, &a);
         assert_eq!(c.num_vertices(), g.num_vertices());
         assert_eq!(c.num_edges(), g.num_edges());
         assert_eq!(c.num_machines(), 3);
         let mut scratch = Vec::new();
         for v in g.vertices() {
-            // Sorted (target, machine) multisets must agree per row.
+            // Each compact row is the plain row stable-sorted by target:
+            // duplicate targets keep their insertion-order machines.
             for dir in [true, false] {
                 let (pt, pm) = if dir { dist.out_adj(v) } else { dist.in_adj(v) };
                 let mut plain: Vec<_> = pt.iter().copied().zip(pm.iter().copied()).collect();
-                plain.sort();
+                plain.sort_by_key(|&(t, _)| t);
                 let (ct, cm) = if dir {
                     c.out_adj_into(v, &mut scratch)
                 } else {
                     c.in_adj_into(v, &mut scratch)
                 };
-                assert!(ct.windows(2).all(|w| w[0] <= w[1]), "sorted row");
-                let mut compact: Vec<_> = ct.iter().copied().zip(cm.iter().copied()).collect();
-                compact.sort();
+                let compact: Vec<_> = ct.iter().copied().zip(cm.iter().copied()).collect();
                 assert_eq!(plain, compact, "v={v} dir={dir}");
             }
             assert_eq!(c.master(v), a.master(v));
@@ -363,29 +328,9 @@ mod tests {
     }
 
     #[test]
-    fn stream_build_equals_dist_build() {
-        let (g, a) = fixture();
-        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
-        let from_dist = CompactDistGraph::from_dist(&dist);
-        let edges: Vec<Edge> = g.edges().to_vec();
-        let from_stream =
-            CompactDistGraph::from_edge_stream(g.num_vertices(), &a, || edges.iter().copied())
-                .unwrap();
-        assert_eq!(from_dist.out, from_stream.out);
-        assert_eq!(from_dist.inn, from_stream.inn);
-        assert_eq!(from_dist.out_slot_machine, from_stream.out_slot_machine);
-        assert_eq!(from_dist.in_slot_machine, from_stream.in_slot_machine);
-        assert_eq!(from_dist.master, from_stream.master);
-        assert_eq!(from_dist.replica_mask, from_stream.replica_mask);
-        assert_eq!(from_dist.out_row_counts, from_stream.out_row_counts);
-        assert_eq!(from_dist.in_row_counts, from_stream.in_row_counts);
-    }
-
-    #[test]
     fn machine_counts_match_lanes() {
         let (g, a) = fixture();
-        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
-        let c = CompactDistGraph::from_dist(&dist);
+        let c = compact(&g, &a);
         let (out, inn) = c.machine_counts().expect("3 machines is under the cap");
         let p = 3usize;
         let mut scratch = Vec::new();
@@ -420,8 +365,7 @@ mod tests {
     #[test]
     fn meta_exposes_degrees() {
         let (g, a) = fixture();
-        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
-        let c = CompactDistGraph::from_dist(&dist);
+        let c = compact(&g, &a);
         let m = c.meta();
         let gm = g.meta();
         assert_eq!(m.num_vertices(), gm.num_vertices());
@@ -435,8 +379,7 @@ mod tests {
     #[test]
     fn resident_bytes_counts_every_lane() {
         let (g, a) = fixture();
-        let dist = DistributedGraph::new(&g, &a, 1).unwrap();
-        let c = CompactDistGraph::from_dist(&dist);
+        let c = compact(&g, &a);
         // At minimum: one varint byte per edge per direction, two lane
         // bytes per edge per direction, plus the per-vertex structure.
         let floor = g.num_edges() * (1 + 2) * 2 + g.num_vertices() as usize * 10;

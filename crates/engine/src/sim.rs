@@ -1412,7 +1412,10 @@ mod tests {
             let cluster = Cluster::case3();
             let a = partitioned(&g, &cluster);
             let dist = DistributedGraph::new(&g, &a, 1).unwrap();
-            let compact = crate::CompactDistGraph::from_dist(&dist);
+            let compact = crate::CompactDistGraph::from_edge_stream(g.num_vertices(), &a, || {
+                g.edges().iter().copied()
+            })
+            .unwrap();
             let engine = SimEngine::new(&cluster);
             let plain = engine.run(&dist, &MinLabel, 1);
             for threads in [1, 2, 4] {
@@ -1783,7 +1786,9 @@ mod tests {
         let swapped = Cluster::new(case2.machines().iter().rev().cloned().collect());
         let a = partitioned(&g, &case2);
         let dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
-        let compact = CompactDistGraph::from_dist(&dist);
+        let compact =
+            CompactDistGraph::from_edge_stream(g.num_vertices(), &a, || g.edges().iter().copied())
+                .expect("assignment must cover the graph");
         for threads in [1usize, 2] {
             let (out, trace) = SimEngine::new(&case2)
                 .trace(&dist, &MinLabel, threads)

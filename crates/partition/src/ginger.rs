@@ -16,11 +16,11 @@
 //! better score" (paper). All in-edges of a re-assigned vertex move with
 //! it — the mixed-cut property that keeps low-degree replication minimal.
 
-use hetgraph_core::{obs::Telemetry, Graph};
+use hetgraph_core::{obs::Telemetry, EdgeSource};
 
 use crate::assignment::PartitionAssignment;
 use crate::hybrid::{pick_table, DEFAULT_THRESHOLD, SOURCE_SALT, TARGET_SALT};
-use crate::traits::{observed, Partitioner};
+use crate::traits::{in_memory, observed, Partitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// Ginger mixed-cut partitioner: in-degree threshold 100, γ = graph
@@ -42,7 +42,8 @@ impl Partitioner for Ginger {
 
     /// One Fennel scoring scan per low-degree vertex (high-degree
     /// vertices keep hash homes and are never greedily scored).
-    fn greedy_scans(&self, graph: &Graph) -> Option<u64> {
+    fn greedy_scans(&self, source: &dyn EdgeSource) -> Option<u64> {
+        let graph = in_memory(source);
         Some(
             (0..graph.num_vertices())
                 .filter(|&v| graph.in_degree(v) <= DEFAULT_THRESHOLD)
@@ -50,13 +51,15 @@ impl Partitioner for Ginger {
         )
     }
 
+    /// Reads a shard source into memory first (not bounded-memory).
     fn partition(
         &self,
-        graph: &Graph,
+        source: &dyn EdgeSource,
         weights: &MachineWeights,
         threads: usize,
         telemetry: &Telemetry,
     ) -> PartitionAssignment {
+        let graph = &*in_memory(source);
         observed(self, graph, threads, telemetry, || {
             let p = weights.len();
             assert_bitmask_capacity(p);
@@ -159,7 +162,7 @@ mod tests {
     use super::*;
     use crate::hybrid::Hybrid;
     use crate::random_hash::RandomHash;
-    use hetgraph_core::{obs::OFF, Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList, Graph};
 
     fn community_graph() -> Graph {
         // Two dense communities plus a hub: Ginger's locality term should

@@ -16,11 +16,11 @@
 //! partitioners.
 
 use hetgraph_core::rng::{hash64, hash_combine};
-use hetgraph_core::{obs::Telemetry, Edge, Graph, MachineId};
+use hetgraph_core::{obs::Telemetry, Edge, EdgeSource, MachineId};
 
 use crate::assignment::PartitionAssignment;
 use crate::chunk::chunked_map;
-use crate::traits::{observed, Partitioner, StreamPartitioner};
+use crate::traits::{observed, Partitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// Constrained grid partitioner.
@@ -81,7 +81,7 @@ fn mask_machines(mask: u64) -> impl Iterator<Item = MachineId> {
 /// heterogeneity-aware "each shard has its weight" step), hashed once per
 /// vertex instead of once per edge endpoint. The home hash is per
 /// *vertex*, so the O(V) table is computable before the first edge
-/// arrives — the stream entry needs no second pass. Pure per vertex, so
+/// arrives — a shard source needs no second pass. Pure per vertex, so
 /// the chunked fan-out keeps the table byte-identical at any thread count.
 fn vertex_masks(weights: &MachineWeights, n: usize, threads: usize) -> Vec<u64> {
     let p = weights.len();
@@ -102,19 +102,18 @@ impl Partitioner for Grid {
 
     fn partition(
         &self,
-        graph: &Graph,
+        source: &dyn EdgeSource,
         weights: &MachineWeights,
         threads: usize,
         telemetry: &Telemetry,
     ) -> PartitionAssignment {
-        observed(self, graph, threads, telemetry, || {
-            let vertex_mask = vertex_masks(weights, graph.num_vertices() as usize, threads);
-            let (assignment, replica_mask, edges_per_machine) = place(
-                weights.as_slice(),
-                &vertex_mask,
-                graph.edges().iter().copied(),
-                graph.num_edges(),
-            );
+        observed(self, source, threads, telemetry, || {
+            let vertex_mask = vertex_masks(weights, source.num_vertices() as usize, threads);
+            let (ws, m) = (weights.as_slice(), source.num_edges());
+            let (assignment, replica_mask, edges_per_machine) = match source.graph() {
+                Some(g) => place(ws, &vertex_mask, g.edges().iter().copied(), m),
+                None => place(ws, &vertex_mask, source.edges(), m),
+            };
             PartitionAssignment::from_parts(
                 weights.len(),
                 assignment,
@@ -126,22 +125,7 @@ impl Partitioner for Grid {
     }
 }
 
-impl StreamPartitioner for Grid {
-    fn partition_stream(
-        &self,
-        num_vertices: u32,
-        weights: &MachineWeights,
-        edges: &mut dyn Iterator<Item = Edge>,
-    ) -> PartitionAssignment {
-        let vertex_mask = vertex_masks(weights, num_vertices as usize, 1);
-        let (assignment, replica_mask, edges_per_machine) =
-            place(weights.as_slice(), &vertex_mask, edges, 0);
-        let p = weights.len();
-        PartitionAssignment::from_parts(p, assignment, replica_mask, edges_per_machine, 1)
-    }
-}
-
-/// The serial placement loop both entry points share — each choice depends
+/// The serial placement loop every source shares — each choice depends
 /// on the loads left by every previous edge. The normalized loads are
 /// cached and recomputed (same division expression as
 /// `MachineWeights::normalized_load`) only for the chosen machine, and the
@@ -201,7 +185,7 @@ fn place(
 mod tests {
     use super::*;
     use crate::random_hash::RandomHash;
-    use hetgraph_core::{obs::OFF, Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, EdgeList, Graph};
 
     fn skewed_graph() -> Graph {
         let n = 3_000u32;
@@ -294,24 +278,6 @@ mod tests {
             Grid::new().partition(&g, &w, 1, &OFF),
             Grid::new().partition(&g, &w, 1, &OFF)
         );
-    }
-
-    #[test]
-    fn stream_equals_graph_partition() {
-        let g = skewed_graph();
-        for weights in [
-            MachineWeights::uniform(2),
-            MachineWeights::uniform(9),
-            MachineWeights::from_ccr(&[1.0, 3.0]),
-        ] {
-            let from_graph = Grid::new().partition(&g, &weights, 1, &OFF);
-            let from_stream = Grid::new().partition_stream(
-                g.num_vertices(),
-                &weights,
-                &mut g.edges().iter().copied(),
-            );
-            assert_eq!(from_graph, from_stream);
-        }
     }
 
     #[test]

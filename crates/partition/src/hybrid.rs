@@ -16,11 +16,11 @@
 //! threshold table.
 
 use hetgraph_core::rng::{hash64, hash_combine};
-use hetgraph_core::{obs::Telemetry, Graph};
+use hetgraph_core::{obs::Telemetry, EdgeSource};
 
 use crate::assignment::PartitionAssignment;
 use crate::chunk::chunked_map;
-use crate::traits::{observed, Partitioner};
+use crate::traits::{in_memory, observed, Partitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// Default high-degree threshold (PowerLyra's default).
@@ -84,13 +84,15 @@ impl Partitioner for Hybrid {
         "hybrid"
     }
 
+    /// Reads a shard source into memory first (not bounded-memory).
     fn partition(
         &self,
-        graph: &Graph,
+        source: &dyn EdgeSource,
         weights: &MachineWeights,
         threads: usize,
         telemetry: &Telemetry,
     ) -> PartitionAssignment {
+        let graph = &*in_memory(source);
         observed(self, graph, threads, telemetry, || {
             assert_bitmask_capacity(weights.len());
             let n = graph.num_vertices() as usize;
@@ -117,7 +119,7 @@ impl Partitioner for Hybrid {
 mod tests {
     use super::*;
     use crate::random_hash::RandomHash;
-    use hetgraph_core::{obs::OFF, Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, Edge, EdgeList, Graph};
 
     /// Many low-degree vertices (each with a handful of in-edges) plus one
     /// mega-hub — the regime where mixed cuts beat pure vertex cuts.

@@ -46,5 +46,5 @@ pub use hybrid::Hybrid;
 pub use metrics::PartitionMetrics;
 pub use oblivious::Oblivious;
 pub use random_hash::RandomHash;
-pub use traits::{Partitioner, PartitionerKind, StreamPartitioner};
+pub use traits::{Partitioner, PartitionerKind};
 pub use weights::{assert_bitmask_capacity, MachineWeights, MAX_MACHINES};

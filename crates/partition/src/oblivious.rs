@@ -21,10 +21,10 @@
 use std::collections::VecDeque;
 
 use hetgraph_core::rng::hash64;
-use hetgraph_core::{obs::Telemetry, Edge, Graph};
+use hetgraph_core::{obs::Telemetry, Edge, EdgeSource};
 
 use crate::assignment::PartitionAssignment;
-use crate::traits::{observed, Partitioner, StreamPartitioner};
+use crate::traits::{observed, Partitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// `f64::max` restricted to non-NaN inputs: the bare compare-select maps
@@ -67,45 +67,33 @@ impl Partitioner for Oblivious {
     }
 
     /// One greedy candidate-machine scan per placed edge.
-    fn greedy_scans(&self, graph: &Graph) -> Option<u64> {
-        Some(graph.num_edges() as u64)
+    fn greedy_scans(&self, source: &dyn EdgeSource) -> Option<u64> {
+        Some(source.num_edges() as u64)
     }
 
     fn partition(
         &self,
-        graph: &Graph,
+        source: &dyn EdgeSource,
         weights: &MachineWeights,
         threads: usize,
         telemetry: &Telemetry,
     ) -> PartitionAssignment {
-        observed(self, graph, threads, telemetry, || {
-            self.stream_impl(
-                graph.num_vertices() as usize,
-                weights,
-                graph.edges().iter().copied(),
-                graph.num_edges(),
-            )
+        observed(self, source, threads, telemetry, || {
+            let (n, m) = (source.num_vertices() as usize, source.num_edges());
+            match source.graph() {
+                Some(g) => self.stream_impl(n, weights, g.edges().iter().copied(), m),
+                None => self.stream_impl(n, weights, source.edges(), m),
+            }
         })
     }
 }
 
-impl StreamPartitioner for Oblivious {
-    fn partition_stream(
-        &self,
-        num_vertices: u32,
-        weights: &MachineWeights,
-        edges: &mut dyn Iterator<Item = Edge>,
-    ) -> PartitionAssignment {
-        self.stream_impl(num_vertices as usize, weights, edges, 0)
-    }
-}
-
 impl Oblivious {
-    /// The single greedy pass both entry points share: scores arrive from
-    /// whatever produces the edges — a CSR walk or a shard reader — and
-    /// the per-edge state (replica masks, loads, balance cache) never
-    /// depends on anything but the edges already seen, so the two
-    /// entry points are byte-identical by construction.
+    /// The single greedy pass every source shares: scores arrive from
+    /// whatever produces the edges — a graph's edge slice or a shard
+    /// reader — and the per-edge state (replica masks, loads, balance
+    /// cache) never depends on anything but the edges already seen, so
+    /// the two sources are byte-identical by construction.
     fn stream_impl(
         &self,
         n: usize,
@@ -453,7 +441,7 @@ impl Oblivious {
 mod tests {
     use super::*;
     use crate::random_hash::RandomHash;
-    use hetgraph_core::{obs::OFF, Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, EdgeList, Graph};
 
     fn skewed_graph() -> Graph {
         let n = 3_000u32;
@@ -523,43 +511,6 @@ mod tests {
         let g = skewed_graph();
         let a = Oblivious::new().partition(&g, &MachineWeights::uniform(5), 1, &OFF);
         assert_eq!(a.edge_machines().len(), g.num_edges());
-    }
-
-    #[test]
-    fn stream_equals_graph_partition() {
-        // The history-based scorer is the partitioner most sensitive to
-        // ordering: byte-equality here exercises the full balance-cache
-        // and tie-break machinery through the lookahead ring.
-        let g = skewed_graph();
-        for weights in [
-            MachineWeights::uniform(3),
-            MachineWeights::uniform(17), // u32 replica-mask monomorphization
-            MachineWeights::from_ccr(&[1.0, 3.0]),
-        ] {
-            let from_graph = Oblivious::new().partition(&g, &weights, 1, &OFF);
-            let from_stream = Oblivious::new().partition_stream(
-                g.num_vertices(),
-                &weights,
-                &mut g.edges().iter().copied(),
-            );
-            assert_eq!(from_graph, from_stream);
-        }
-    }
-
-    #[test]
-    fn tiny_streams_shorter_than_the_lookahead_ring() {
-        // Fewer edges than the 8-deep prefetch ring: the drain path (ring
-        // shrinking, `unwrap_or(cur)` fallback) must not perturb anything.
-        let g = Graph::from_edge_list(EdgeList::from_edges(
-            4,
-            vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(0, 1)],
-        ));
-        let w = MachineWeights::uniform(4);
-        let a = Oblivious::new().partition(&g, &w, 1, &OFF);
-        let b = Oblivious::new().partition_stream(4, &w, &mut g.edges().iter().copied());
-        assert_eq!(a, b);
-        let empty = Oblivious::new().partition_stream(4, &w, &mut std::iter::empty());
-        assert_eq!(empty.edge_machines().len(), 0);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! [`MachineWeights::pick`].
 
 use hetgraph_core::rng::{hash64, hash_combine};
-use hetgraph_core::{obs::Telemetry, Edge, Graph};
+use hetgraph_core::{obs::Telemetry, Edge, EdgeSource};
 
 use crate::assignment::{tally, PartitionAssignment};
 use crate::chunk::chunked_map;
-use crate::traits::{observed, Partitioner, StreamPartitioner};
+use crate::traits::{observed, Partitioner};
 use crate::weights::{assert_bitmask_capacity, MachineWeights};
 
 /// Random-hash edge partitioner.
@@ -37,54 +37,40 @@ impl Partitioner for RandomHash {
 
     fn partition(
         &self,
-        graph: &Graph,
+        source: &dyn EdgeSource,
         weights: &MachineWeights,
         threads: usize,
         telemetry: &Telemetry,
     ) -> PartitionAssignment {
-        observed(self, graph, threads, telemetry, || {
-            assert_bitmask_capacity(weights.len());
-            let edges = graph.edges();
-            // Pure per-edge hash: fan out in fixed chunks (identical output
-            // at any thread count).
-            let assignment: Vec<u16> = chunked_map(edges.len(), threads, |i| {
-                let h = hash64(hash_combine(edges[i].key(), SALT));
-                weights.pick(h).0
+        observed(self, source, threads, telemetry, || {
+            let p = weights.len();
+            assert_bitmask_capacity(p);
+            let pick = |e: Edge| weights.pick(hash64(hash_combine(e.key(), SALT))).0;
+            if let Some(graph) = source.graph() {
+                // Pure per-edge hash: fan out in fixed chunks (identical
+                // output at any thread count).
+                let edges = graph.edges();
+                let assignment: Vec<u16> = chunked_map(edges.len(), threads, |i| pick(edges[i]));
+                return PartitionAssignment::from_edge_machines(graph, p, assignment, threads);
+            }
+            // One pass over the source, tallying replicas as edges go by.
+            let mut assignment: Vec<u16> = Vec::with_capacity(source.num_edges());
+            let placed = source.edges().map(|e| {
+                let m = pick(e);
+                assignment.push(m);
+                (e, m)
             });
-            PartitionAssignment::from_edge_machines(graph, weights.len(), assignment, threads)
+            let (replica_mask, edges_per_machine) =
+                tally(source.num_vertices() as usize, p, placed);
+            PartitionAssignment::from_parts(p, assignment, replica_mask, edges_per_machine, threads)
         })
-    }
-}
-
-impl StreamPartitioner for RandomHash {
-    fn partition_stream(
-        &self,
-        num_vertices: u32,
-        weights: &MachineWeights,
-        edges: &mut dyn Iterator<Item = Edge>,
-    ) -> PartitionAssignment {
-        assert_bitmask_capacity(weights.len());
-        let mut assignment: Vec<u16> = Vec::new();
-        let placed = edges.map(|e| {
-            let m = weights.pick(hash64(hash_combine(e.key(), SALT))).0;
-            assignment.push(m);
-            (e, m)
-        });
-        let (replica_mask, edges_per_machine) = tally(num_vertices as usize, weights.len(), placed);
-        PartitionAssignment::from_parts(
-            weights.len(),
-            assignment,
-            replica_mask,
-            edges_per_machine,
-            1,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgraph_core::{obs::OFF, Edge, EdgeList};
+    use hetgraph_core::{obs::OFF, EdgeList, Graph};
 
     fn power_law_like_graph() -> Graph {
         // A hub + noise: deterministic, enough edges for statistics.
@@ -133,23 +119,6 @@ mod tests {
         assert_eq!(a.edge_machines().len(), g.num_edges());
         let total: usize = a.edges_per_machine().iter().sum();
         assert_eq!(total, g.num_edges());
-    }
-
-    #[test]
-    fn stream_equals_graph_partition() {
-        let g = power_law_like_graph();
-        for weights in [
-            MachineWeights::uniform(4),
-            MachineWeights::from_ccr(&[1.0, 3.0]),
-        ] {
-            let from_graph = RandomHash::new().partition(&g, &weights, 1, &OFF);
-            let from_stream = RandomHash::new().partition_stream(
-                g.num_vertices(),
-                &weights,
-                &mut g.edges().iter().copied(),
-            );
-            assert_eq!(from_graph, from_stream);
-        }
     }
 
     #[test]

@@ -1,31 +1,41 @@
 //! The partitioner interface.
 
+use std::borrow::Cow;
+
 use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent, OFF};
-use hetgraph_core::{Edge, Graph};
+use hetgraph_core::shard::ShardStream;
+use hetgraph_core::{EdgeList, EdgeSource, Graph};
 
 use crate::assignment::PartitionAssignment;
 use crate::weights::MachineWeights;
 
 /// A streaming edge partitioner.
 ///
-/// Implementations must be deterministic: the same `(graph, weights)` pair
+/// Implementations must be deterministic: the same `(edges, weights)` pair
 /// always yields the same assignment (experiment reproducibility depends on
-/// this), at any thread count and with telemetry on or off.
+/// this), at any thread count, with telemetry on or off, and whichever
+/// [`EdgeSource`] supplies the edges.
 pub trait Partitioner {
     /// Human-readable algorithm name (used in figures and reports).
     fn name(&self) -> &'static str;
 
-    /// Greedy scoring scans this partitioner performs on `graph`: the
+    /// Greedy scoring scans this partitioner performs on `source`: the
     /// number of candidate-machine scans its streaming greedy loop runs
     /// (one per placed edge for Oblivious, one per low-degree vertex for
     /// Ginger). `None` for partitioners with no greedy loop.
-    fn greedy_scans(&self, _graph: &Graph) -> Option<u64> {
+    fn greedy_scans(&self, _source: &dyn EdgeSource) -> Option<u64> {
         None
     }
 
-    /// Partition `graph` across `weights.len()` machines, distributing
-    /// edges proportionally to the weights (uniform weights = the original
-    /// homogeneous algorithm), with `threads` host threads.
+    /// Partition the edges of `source` across `weights.len()` machines,
+    /// distributing edges proportionally to the weights (uniform weights =
+    /// the original homogeneous algorithm), with `threads` host threads.
+    ///
+    /// `source` is a [`Graph`] or a shard directory
+    /// ([`hetgraph_core::ShardSet`]); the assignment depends only on its
+    /// edge sequence. Random, Oblivious and Grid read shards one at a
+    /// time; Hybrid and Ginger first read them into a [`Graph`], which
+    /// holds the whole edge set in memory.
     ///
     /// The determinism contract extends across thread counts: the returned
     /// assignment is byte-identical at any `threads`, so a harness may hand
@@ -46,7 +56,7 @@ pub trait Partitioner {
     /// Panics if `threads == 0`.
     fn partition(
         &self,
-        graph: &Graph,
+        source: &dyn EdgeSource,
         weights: &MachineWeights,
         threads: usize,
         telemetry: &Telemetry,
@@ -63,6 +73,30 @@ pub trait Partitioner {
     ) -> PartitionAssignment {
         self.partition(graph, weights, threads, &OFF)
     }
+
+    /// For `benchmark/src/layers.rs` only; deleted by the ruler's next API
+    /// follow-up. Partitions the whole set `edges` replays.
+    #[doc(hidden)]
+    fn partition_stream(
+        &self,
+        _num_vertices: u32,
+        weights: &MachineWeights,
+        edges: &mut ShardStream<'_>,
+    ) -> PartitionAssignment {
+        self.partition(edges.shard_set(), weights, 1, &OFF)
+    }
+}
+
+/// The graph behind `source`: borrowed if in memory, else read into the
+/// [`Graph`] that `hetgraph_core::io::read_binary` builds from its edges.
+pub(crate) fn in_memory(source: &dyn EdgeSource) -> Cow<'_, Graph> {
+    match source.graph() {
+        Some(graph) => Cow::Borrowed(graph),
+        None => Cow::Owned(Graph::from_edge_list(EdgeList::from_edges(
+            source.num_vertices(),
+            source.edges().collect(),
+        ))),
+    }
 }
 
 /// The one wrapper every [`Partitioner::partition`] runs its `body` through:
@@ -70,7 +104,7 @@ pub trait Partitioner {
 /// method describes. Panics if `threads == 0`.
 pub(crate) fn observed<P: Partitioner + ?Sized>(
     p: &P,
-    graph: &Graph,
+    source: &dyn EdgeSource,
     threads: usize,
     telemetry: &Telemetry,
     body: impl FnOnce() -> PartitionAssignment,
@@ -85,7 +119,8 @@ pub(crate) fn observed<P: Partitioner + ?Sized>(
     let t1 = telemetry.now_us();
     let wall_s = wall_t0.elapsed().as_secs_f64();
     let name = p.name();
-    let scans = p.greedy_scans(graph);
+    let scans = p.greedy_scans(source);
+    let edges = source.num_edges();
     if telemetry.tracing() {
         telemetry.record(TraceEvent::wall_span(
             format!("partition/{name}"),
@@ -94,7 +129,7 @@ pub(crate) fn observed<P: Partitioner + ?Sized>(
             t0,
             t1 - t0,
         ));
-        let edges = graph.num_edges() as f64;
+        let edges = edges as f64;
         telemetry.record(TraceEvent::wall_counter("partition_edges", 0, t1, edges));
         let dur_s = (t1 - t0) / 1e6;
         if dur_s > 0.0 {
@@ -117,7 +152,7 @@ pub(crate) fn observed<P: Partitioner + ?Sized>(
     if telemetry.metering() {
         telemetry
             .counter(&format!("partition/{name}/edges_total"), TimeDomain::Sim)
-            .add(graph.num_edges() as u64);
+            .add(edges as u64);
         if let Some(scans) = scans {
             telemetry
                 .counter(
@@ -132,36 +167,10 @@ pub(crate) fn observed<P: Partitioner + ?Sized>(
         if wall_s > 0.0 {
             telemetry
                 .gauge(&format!("partition/{name}/edges_per_sec"), TimeDomain::Wall)
-                .set(graph.num_edges() as f64 / wall_s);
+                .set(edges as f64 / wall_s);
         }
     }
     assignment
-}
-
-/// A partitioner that can consume an edge *stream* — one pass, in edge
-/// order, without a materialized [`Graph`] — so ingestion RSS stays
-/// bounded by the per-vertex state (replica masks) plus the assignment
-/// being produced, never by the edge list.
-///
-/// The contract is strict equality: for the same edges in the same order,
-/// `partition_stream` must return an assignment byte-identical to
-/// [`Partitioner::partition`] over the materialized graph. Only the
-/// single-pass algorithms implement this — Random, Grid, and Oblivious
-/// already score edge-at-a-time; Hybrid and Ginger need degree counts
-/// before placement and stay graph-fed.
-pub trait StreamPartitioner: Partitioner {
-    /// Partition `edges` (over vertices `0..num_vertices`) across
-    /// `weights.len()` machines in one pass.
-    ///
-    /// # Panics
-    /// Panics if `weights.len()` exceeds the 64-machine bitmask capacity
-    /// or an edge references a vertex `>= num_vertices`.
-    fn partition_stream(
-        &self,
-        num_vertices: u32,
-        weights: &MachineWeights,
-        edges: &mut dyn Iterator<Item = Edge>,
-    ) -> PartitionAssignment;
 }
 
 /// The five algorithms evaluated in the paper, as a value type for
@@ -212,16 +221,11 @@ impl PartitionerKind {
         }
     }
 
-    /// Instantiate as a streaming partitioner, or `None` for the
-    /// algorithms that need the whole graph before placing (Hybrid and
-    /// Ginger count degrees first).
-    pub fn build_stream(self) -> Option<Box<dyn StreamPartitioner>> {
-        match self {
-            PartitionerKind::RandomHash => Some(Box::new(crate::RandomHash::new())),
-            PartitionerKind::Oblivious => Some(Box::new(crate::Oblivious::new())),
-            PartitionerKind::Grid => Some(Box::new(crate::Grid::new())),
-            PartitionerKind::Hybrid | PartitionerKind::Ginger => None,
-        }
+    /// For `benchmark/src/layers.rs` only; deleted by the ruler's next API
+    /// follow-up.
+    #[doc(hidden)]
+    pub fn build_stream(self) -> Option<Box<dyn Partitioner>> {
+        Some(self.build())
     }
 }
 
@@ -321,6 +325,69 @@ mod tests {
         // Every vertex of this ring has in-degree 1 ≤ threshold, so
         // Ginger scores all of them.
         assert_eq!(crate::Ginger::new().greedy_scans(&g), Some(n as u64));
+    }
+
+    /// A shard directory and the graph holding the same edges are the
+    /// same input: every kind returns the same assignment from either, at
+    /// any thread count, observed or not, and meters the same counters.
+    /// The fixtures span several shards, a hub past Hybrid's in-degree
+    /// threshold, the u32 replica-mask width (17 machines), weighted
+    /// machines, fewer edges than Oblivious's lookahead ring, and no
+    /// edges at all.
+    #[test]
+    fn shard_source_partitions_exactly_like_the_graph() {
+        use hetgraph_core::{Edge, EdgeList, ShardSet, ShardWriter};
+        let n = 3_000u32;
+        let mut skewed = Vec::new();
+        for v in 1..n {
+            skewed.push(Edge::new(v, 0));
+            skewed.push(Edge::new(v, (v * 13 + 7) % n));
+            if v % 3 == 0 {
+                skewed.push(Edge::new((v * 31 + 1) % n, v));
+            }
+        }
+        let tiny = vec![Edge::new(0, 1), Edge::new(2, 3), Edge::new(0, 1)];
+        let cases = [(n, skewed), (4, tiny), (5, Vec::new())];
+        let weights = [
+            crate::MachineWeights::uniform(3),
+            crate::MachineWeights::uniform(17),
+            crate::MachineWeights::from_ccr(&[1.0, 3.0]),
+        ];
+        for (case, (n, edges)) in cases.into_iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!("hetgraph_partition_source_{case}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut writer = ShardWriter::with_capacity(&dir, n, 1_000).unwrap();
+            for &e in &edges {
+                writer.push(e).unwrap();
+            }
+            writer.finish().unwrap();
+            let set = ShardSet::open(&dir).unwrap();
+            let graph = Graph::from_edge_list(EdgeList::from_edges(n, edges));
+            for kind in PartitionerKind::ALL {
+                let p = kind.build();
+                for w in &weights {
+                    let want = p.partition(&graph, w, 1, &OFF);
+                    for threads in [1, 2, 4] {
+                        let got = p.partition(&set, w, threads, &OFF);
+                        assert_eq!(got, want, "{kind} case {case} at {threads}");
+                        let (tg, ts) = (Telemetry::live(), Telemetry::live());
+                        assert_eq!(p.partition(&graph, w, threads, &tg), want);
+                        assert_eq!(p.partition(&set, w, threads, &ts), want);
+                        assert_eq!(
+                            ts.snapshot_sim().to_json(),
+                            tg.snapshot_sim().to_json(),
+                            "{kind} case {case} at {threads}"
+                        );
+                        assert!(ts
+                            .take_events()
+                            .iter()
+                            .any(|e| e.name == format!("partition/{kind}")));
+                    }
+                }
+                assert_eq!(p.greedy_scans(&set), p.greedy_scans(&graph), "{kind}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

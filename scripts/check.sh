@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the hetgraph workspace. Run before every commit:
 #
-#   scripts/check.sh            # full gate (build, tests, benchmark tests + clippy, fmt, clippy, rustdoc)
+#   scripts/check.sh            # full gate (build, tests, benchmark tests + clippy, third_party tests, fmt, clippy, rustdoc)
 #   scripts/check.sh --fast     # skip the release build (debug test run only)
 #   scripts/check.sh --ci       # GitHub Actions ::group:: annotations
 #
@@ -65,6 +65,13 @@ step cargo test --offline -q --manifest-path benchmark/Cargo.toml
 # The workspace clippy step below does not reach the benchmark's own
 # workspace; lint it here so the ruler holds the same bar.
 step cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+# third_party/ is excluded from the workspace, so `cargo test --workspace`
+# never runs the offline stand-ins' own unit tests; run each crate's
+# suite here (each writes a Cargo.lock beside its manifest, ignored).
+for crate in serde serde_json proptest criterion; do
+    step cargo test --offline -q --manifest-path "third_party/$crate/Cargo.toml" \
+        --target-dir target/third_party
+done
 
 # cargo fmt --all would also reformat the third_party/ offline stand-ins,
 # which track upstream layout; gate only this repo's own sources. Collect

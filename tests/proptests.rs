@@ -611,7 +611,10 @@ proptest! {
         let cluster = Cluster::new(machines);
         let a = PartitionerKind::ALL[kind_idx].build().partition(&g, &w, 1, &OFF);
         let dist = DistributedGraph::new(&g, &a, 1).expect("assignment covers graph");
-        let compact = hetgraph::engine::CompactDistGraph::from_dist(&dist);
+        let compact = hetgraph::engine::CompactDistGraph::from_edge_stream(g.num_vertices(), &a, || {
+            g.edges().iter().copied()
+        })
+        .expect("assignment covers graph");
         for app in registry_programs() {
             for threads in [1usize, 2, 4] {
                 for compact_view in [false, true] {
