@@ -31,15 +31,15 @@ fn bench_partitioners(c: &mut Criterion) {
     group.finish();
 }
 
-/// Machine-count sweep over the streaming fast path: P ∈ {4, 16, 48}
-/// spans the u16/u16/u64 replica-mask monomorphizations, so regressions
+/// Machine-count sweep over the streaming fast path: P ∈ {4, 16, 32, 48}
+/// spans the u16/u32/u64 replica-mask monomorphizations, so regressions
 /// in any width class show up separately.
 fn bench_machine_counts(c: &mut Criterion) {
     let graph = PowerLawConfig::new(40_000, 2.1).generate(42);
     let mut group = c.benchmark_group("partition_machine_count");
     group.throughput(Throughput::Elements(graph.num_edges() as u64));
     group.sample_size(10);
-    for p in [4usize, 16, 48] {
+    for p in [4usize, 16, 32, 48] {
         let weights = MachineWeights::uniform(p);
         for kind in [PartitionerKind::Oblivious, PartitionerKind::Ginger] {
             let partitioner = kind.build();

@@ -1,9 +1,10 @@
 //! Partition perf baseline (`BENCH_partition.json`).
 //!
 //! Single-threaded ingest rate (edges/sec) of every [`PartitionerKind`]
-//! at P ∈ {4, 16, 48} machines on a frozen power-law fixture
-//! (`generate(42)`), spanning the u16/u16/u64 replica-mask
-//! monomorphizations of the streaming fast path.
+//! at P ∈ {4, 16, 32, 48} machines on a frozen power-law fixture
+//! (`generate(42)`), spanning the u16/u32/u64 replica-mask
+//! monomorphizations of the streaming fast path (P = 4 and 16 both sit
+//! in the u16 class, at its narrow and full ends).
 //!
 //! The fixture size scales with [`ExperimentContext::scale`] like every
 //! other experiment; the committed `BENCH_partition.json` is generated at
@@ -26,10 +27,10 @@ use crate::context::ExperimentContext;
 use crate::gate::{self, Bound, Row};
 use crate::output;
 
-/// Machine counts swept by the throughput measurement: one per
-/// replica-mask width class of the streaming partitioners (u16 / u16 /
-/// u64).
-pub const MACHINE_COUNTS: [usize; 3] = [4, 16, 48];
+/// Machine counts swept by the throughput measurement: both ends of the
+/// u16 replica-mask class of the streaming partitioners, then the u32
+/// and the u64 class.
+pub const MACHINE_COUNTS: [usize; 4] = [4, 16, 32, 48];
 
 /// One partitioner × machine-count throughput measurement.
 #[derive(Debug, Clone, serde::Serialize)]

@@ -337,6 +337,11 @@ pub fn stats(args: &[String]) -> Result<(), CliError> {
 /// `hetgraph partition` — partition a graph file or shard directory and
 /// print quality metrics.
 pub fn partition(args: &[String]) -> Result<(), CliError> {
+    partition_to(args, &mut std::io::stdout())
+}
+
+/// [`partition`], printing its table to `out`.
+fn partition_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let flags = Flags::parse(
         args,
         &["input", "machines", "algorithm", "weights", "threads"],
@@ -368,21 +373,26 @@ pub fn partition(args: &[String]) -> Result<(), CliError> {
         Some(name) => vec![parse_partitioner(name)?],
         None => PartitionerKind::ALL.to_vec(),
     };
-    println!(
+    let write_err = |e: std::io::Error| CliError(format!("cannot write output: {e}"));
+    writeln!(
+        out,
         "{:10} {:>8} {:>10} {:>12} {:>13}",
         "algorithm", "rf", "mirrors", "max_nl", "balance_err"
-    );
+    )
+    .map_err(write_err)?;
     for kind in kinds {
         let a = kind.build().partition(&*source, &weights, threads, &OFF);
         let m = PartitionMetrics::compute(&a, &weights, threads);
-        println!(
+        writeln!(
+            out,
             "{:10} {:>8.3} {:>10} {:>12.3} {:>13.3}",
             kind.name(),
             m.replication_factor,
             m.total_mirrors,
             m.max_normalized_load,
             m.weighted_balance_error
-        );
+        )
+        .map_err(write_err)?;
     }
     Ok(())
 }
@@ -996,6 +1006,37 @@ mod tests {
             .unwrap_err();
             assert!(err.0.contains("--weights"), "{bad}: {err:?}");
         }
+    }
+
+    #[test]
+    fn partition_accepts_weights_whose_sum_overflows() {
+        let path = tmp("part_overflow.hgb");
+        generate(&argv(&[
+            "--family",
+            "gnm",
+            "--vertices",
+            "100",
+            "--edges",
+            "300",
+            "--out",
+            &path,
+        ]))
+        .unwrap();
+        // Finite weights summing to infinity used to normalize to zero and
+        // panic Oblivious; they are uniform weights, so they print exactly
+        // the uniform table.
+        let table = |weights: &str| {
+            let mut out = Vec::new();
+            partition_to(
+                &argv(&["--input", &path, "--machines", "2", "--weights", weights]),
+                &mut out,
+            )
+            .unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let uniform = table("1,1");
+        assert!(uniform.contains("oblivious"), "{uniform}");
+        assert_eq!(table("1e308,1e308"), uniform);
     }
 
     #[test]

@@ -35,6 +35,8 @@ pub mod hybrid;
 pub mod metrics;
 pub mod oblivious;
 pub mod random_hash;
+#[cfg(test)]
+mod spec;
 pub mod traits;
 pub mod weights;
 

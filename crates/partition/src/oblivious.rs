@@ -50,6 +50,25 @@ fn fmin(a: f64, b: f64) -> f64 {
     }
 }
 
+/// Start pulling `slot`'s cache line toward L1 without waiting for it.
+/// On x86-64 this is a prefetch instruction, which retires at once; the
+/// fallback elsewhere is a discarded load, which holds up retirement
+/// until the line arrives (Oblivious's partition of a 5M-edge graph at
+/// P = 48 took 0.78–1.0 s with the load on x86-64, 0.48–0.55 s with the
+/// prefetch).
+#[inline(always)]
+fn prefetch<T: Copy>(slot: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE is part of the x86-64 baseline, and a prefetch never
+    // faults; the address comes from a live reference besides.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((slot as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    std::hint::black_box(*slot);
+}
+
 /// Greedy history-based partitioner.
 #[derive(Debug, Clone, Default)]
 pub struct Oblivious {}
@@ -105,11 +124,10 @@ impl Oblivious {
         assert_bitmask_capacity(p);
         let mut assignment: Vec<u16> = Vec::with_capacity(capacity);
 
-        // Streaming fast path. The reference loop recomputes every
-        // machine's normalized load `load / weight`, its min/max, and the
-        // balance term `(max_nl - nl) / range` for all `p` machines on
-        // every edge. This implementation produces byte-identical
-        // assignments with far less work per edge:
+        // Streaming fast path, byte-equal to `spec::oblivious` (the
+        // seed's loop, which recomputes every machine's normalized load,
+        // their min/max and every balance term on every edge, then runs a
+        // running-best tie scan over all `p` machines):
         //
         // * `nl[i] = loads[i] / ws[i]` changes for exactly one machine per
         //   edge, so it is cached and recomputed — with the same division
@@ -120,23 +138,34 @@ impl Oblivious {
         //   bitmask of minimum holders empties, and `bal` is refreshed in
         //   full only when the min or max actually moves (a few percent of
         //   edges) — otherwise only the chosen machine's entry changes.
-        // * The scoring scan is split into two branchless, auto-
-        //   vectorizable passes (score fill + running max, then a
-        //   ≥ threshold filter mask) feeding the reference's sequential
-        //   tie logic with only the machines within 2e-9 of the max —
-        //   usually exactly one. This preserves the reference tie lists:
-        //   the reference running best `B` ends at `B = s_{i*} ≥ max_i s_i
-        //   − 1e-9` (a machine can only fail to raise the running best to
-        //   its own score if it is within 1e-9 of it), and its final list
-        //   is `{i*} ∪ {i > i* : |s_i − B| ≤ 1e-9}`. Machines below
-        //   `max − 2e-9` are therefore below `B − 1e-9`: they can neither
-        //   update the running best after `i*`, nor survive the clear at
-        //   `i*`, nor append afterwards — dropping them before the tie
-        //   logic leaves its result unchanged, while `i*` itself (with
-        //   `s = B`) always survives the filter.
+        // * Only machines that can win are scored. Split the lanes by
+        //   locality class — `C2 = mu & mv`, `C1 = mu ^ mv`, `C0` the rest
+        //   — and let `L*` be the highest class holding a minimum-load
+        //   machine (`min_mask`). A min holder has `bal` exactly 1.0
+        //   (`range / range`, or the flat case), so the max score is
+        //   `mx >= L* + 1`. A lane of a lower class scores at most `L*`;
+        //   a lane of `C_{L*}` with `bal < 1 - 1e-6` scores below
+        //   `L* + 1 - 1e-6`. Both are more than 1e-6 below `mx`. The
+        //   candidates are therefore every lane of the classes above `L*`
+        //   plus the lanes of `C_{L*}` in `near = {i : bal(i) >= 1 -
+        //   1e-6}`, kept current by `set_bal!`.
+        // * The excluded lanes cannot change the seed's tie list. Its scan
+        //   sets the running best `B` to a score `s` only when `s > B +
+        //   1e-9`, and appends lanes within 1e-9 of `B`. Take the lanes
+        //   reachable from `mx` by steps of at most 2e-9 between scores
+        //   (at most 64 lanes, so they span less than 1.3e-7) and call
+        //   their lowest score `lo`. Every other lane sits below `lo -
+        //   2e-9`: the first reachable lane in id order replaces whatever
+        //   `B` such a lane set, and after it `B >= lo`, so no such lane
+        //   updates or joins the list. Excluded lanes are more than 1e-6
+        //   below `mx`, so the scan over the candidates alone, in ascending
+        //   id, returns the seed's list. When the second-best candidate is
+        //   below `mx - 2e-9` that list is `{argmax}` and the scan is
+        //   skipped (the common case; 1e-9 would be the exact bound, the
+        //   second 1e-9 keeps rounding in `B + 1e-9` out of play).
         //
         // Fixed 64-wide arrays (the replica masks cap `p` at 64) let the
-        // `& 63` index masking elide bounds checks in the tie loop.
+        // `& 63` index masking elide bounds checks in the candidate walks.
         let ws = weights.as_slice();
         let mut weight = [1f64; 64];
         weight[..p].copy_from_slice(ws);
@@ -145,32 +174,30 @@ impl Oblivious {
         for i in 0..p {
             nl[i] = loads[i] / weight[i];
         }
-        // The scoring pass reads `baltab[loc * 64 + i] = bal(i) + loc` for
-        // integer locality `loc ∈ {0, 1, 2}` — pre-adding the three
-        // possible locality terms to the cached balance values replaces
-        // two int→float conversions and two additions per lane with one
+        // Scoring reads `baltab[loc * 64 + i] = bal(i) + loc` for integer
+        // locality `loc ∈ {0, 1, 2}` — pre-adding the three possible
+        // locality terms to the cached balance values replaces two
+        // int→float conversions and two additions per lane with one
         // indexed load. `bal + 0.0`, `bal + 1.0`, `bal + 2.0` are the
-        // exact sums the reference computes (its locality is
-        // `0.0/1.0/2.0` exactly), so scores stay bit-identical. The table
-        // is 256 wide so `(loc << 6) | lane` provably stays in bounds.
+        // exact sums the spec computes (its locality is `0.0/1.0/2.0`
+        // exactly), so scores stay bit-identical. The table is 256 wide so
+        // `(loc << 6) | lane` provably stays in bounds.
         //
         // Initial state: every load is 0, so min = max = 0, every machine
         // holds the minimum, the range is flat, and every balance term is
-        // exactly 1. Padding lanes `p..` hold 0.0 in the loc-0 plane (the
-        // only one they ever select, as no replica mask has bits >= p);
-        // they can never win: some machine always holds the minimum with
-        // `bal = 1`, so `max score >= 1` and the filter threshold stays
-        // above `1 - 2e-9 > 0`.
+        // exactly 1. Lanes `p..` are never candidates: `mu`, `mv`, `near`
+        // and `min_mask` have no bits there.
         let mut baltab = [0f64; 256];
         for i in 0..p {
             baltab[i] = 1.0;
             baltab[64 + i] = 2.0;
             baltab[128 + i] = 3.0;
         }
-        let p4 = (p + 3) & !3;
+        let lanes: u64 = if p == 64 { !0 } else { (1u64 << p) - 1 };
         let mut min_nl = 0.0f64;
         let mut max_nl = 0.0f64;
-        let mut min_mask: u64 = if p == 64 { !0 } else { (1u64 << p) - 1 };
+        let mut min_mask = lanes;
+        let mut near = lanes;
         let mut score = [0f64; 64];
         let mut best = [0u16; 64]; // reusable tie-list scratch
 
@@ -181,10 +208,11 @@ impl Oblivious {
         // randomly for the same reason).
         macro_rules! set_bal {
             ($i:expr, $v:expr) => {{
-                let b = $v;
-                baltab[$i] = b;
-                baltab[64 + $i] = b + 1.0;
-                baltab[128 + $i] = b + 2.0;
+                let (i, b) = ($i, $v);
+                baltab[i] = b;
+                baltab[64 + i] = b + 1.0;
+                baltab[128 + i] = b + 2.0;
+                near = (near & !(1u64 << i)) | (((b >= 1.0 - 1e-6) as u64) << i);
             }};
         }
         macro_rules! refresh_bal {
@@ -225,143 +253,57 @@ impl Oblivious {
                     if let Some(nx) = edges.next() {
                         ring.push_back(nx);
                     }
-                    // Software prefetch: touch the replica entries a few
+                    // Software prefetch: request the replica entries a few
                     // edges ahead so their (hash-scattered) cache lines and
                     // TLB entries are resolved before the dependent scoring
-                    // chain needs them. `black_box` keeps the otherwise
-                    // dead loads alive; the values are discarded, so
-                    // assignments are unaffected.
+                    // chain needs them. Nothing is read, so assignments are
+                    // unaffected.
                     let pf = ring.back().copied().unwrap_or(cur);
-                    std::hint::black_box(replicas[pf.src as usize]);
-                    std::hint::black_box(replicas[pf.dst as usize]);
+                    prefetch(&replicas[pf.src as usize]);
+                    prefetch(&replicas[pf.dst as usize]);
                     let e = &cur;
                     let mu = replicas[e.src as usize] as u64;
                     let mv = replicas[e.dst as usize] as u64;
+                    let (c2, c1) = (mu & mv, mu ^ mv);
+                    let cand = if min_mask & c2 != 0 {
+                        c2 & near
+                    } else if min_mask & c1 != 0 {
+                        c2 | (c1 & near)
+                    } else {
+                        mu | mv | near
+                    };
 
-                    // Pass 1 (branchless): scores from the locality-offset
-                    // balance table, with running max, argmax, and second
-                    // max. Four independent accumulator sets over the
-                    // padded width break the serial `maxsd` latency chain;
-                    // max over a set is order-independent for non-NaN
-                    // inputs, so the combined value is bit-identical to a
-                    // sequential fold. Strict `>` updates keep each
-                    // accumulator's argmax at the first lane attaining its
-                    // max, and a second-max that ties the max (exactly)
-                    // routes to the slow path below, so the fast path only
-                    // ever fires with a globally unique argmax.
-                    let mut m0 = f64::NEG_INFINITY;
-                    let mut m1 = f64::NEG_INFINITY;
-                    let mut m2 = f64::NEG_INFINITY;
-                    let mut m3 = f64::NEG_INFINITY;
-                    let mut b0 = f64::NEG_INFINITY;
-                    let mut b1 = f64::NEG_INFINITY;
-                    let mut b2 = f64::NEG_INFINITY;
-                    let mut b3 = f64::NEG_INFINITY;
-                    let mut a0 = 0usize;
-                    let mut a1 = 0usize;
-                    let mut a2 = 0usize;
-                    let mut a3 = 0usize;
-                    let mut i = 0usize;
-                    while i < p4 {
-                        let j0 = i & 63;
-                        let j1 = (i + 1) & 63;
-                        let j2 = (i + 2) & 63;
-                        let j3 = (i + 3) & 63;
-                        let l0 = (((mu >> j0) & 1) + ((mv >> j0) & 1)) as usize;
-                        let l1 = (((mu >> j1) & 1) + ((mv >> j1) & 1)) as usize;
-                        let l2 = (((mu >> j2) & 1) + ((mv >> j2) & 1)) as usize;
-                        let l3 = (((mu >> j3) & 1) + ((mv >> j3) & 1)) as usize;
-                        let s0 = baltab[((l0 << 6) | j0) & 255];
-                        let s1 = baltab[((l1 << 6) | j1) & 255];
-                        let s2 = baltab[((l2 << 6) | j2) & 255];
-                        let s3 = baltab[((l3 << 6) | j3) & 255];
-                        score[j0] = s0;
-                        score[j1] = s1;
-                        score[j2] = s2;
-                        score[j3] = s3;
-                        // Two-max recurrence without data-dependent
-                        // branches: the new second-best is
-                        // `max(second, min(s, best_old))` — `min(s, best)`
-                        // is whichever of the incoming score and the old
-                        // best loses, exactly the value displaced into
-                        // second place.
-                        b0 = fmax(b0, fmin(s0, m0));
-                        b1 = fmax(b1, fmin(s1, m1));
-                        b2 = fmax(b2, fmin(s2, m2));
-                        b3 = fmax(b3, fmin(s3, m3));
-                        a0 = if s0 > m0 { j0 } else { a0 };
-                        a1 = if s1 > m1 { j1 } else { a1 };
-                        a2 = if s2 > m2 { j2 } else { a2 };
-                        a3 = if s3 > m3 { j3 } else { a3 };
-                        m0 = fmax(m0, s0);
-                        m1 = fmax(m1, s1);
-                        m2 = fmax(m2, s2);
-                        m3 = fmax(m3, s3);
-                        i += 4;
+                    // Candidate walk in ascending id: scores from the
+                    // locality-offset balance table, with running max,
+                    // argmax and second max. The two-max recurrence has no
+                    // data-dependent branch: the new second-best is
+                    // `max(second, min(s, best_old))` — whichever of the
+                    // incoming score and the old best loses. Strict `>`
+                    // keeps the argmax at the first lane attaining the max;
+                    // an exact tie leaves `mx2 == mx` and takes the scan.
+                    let (mut mx, mut mx2, mut ax) = (f64::NEG_INFINITY, f64::NEG_INFINITY, 0);
+                    let mut rest = cand;
+                    while rest != 0 {
+                        let j = rest.trailing_zeros() as usize & 63;
+                        rest &= rest - 1;
+                        let loc = (((mu >> j) & 1) + ((mv >> j) & 1)) as usize;
+                        let s = baltab[((loc << 6) | j) & 255];
+                        score[j] = s;
+                        mx2 = fmax(mx2, fmin(s, mx));
+                        ax = if s > mx { j } else { ax };
+                        mx = fmax(mx, s);
                     }
-                    // Combine the four accumulator sets. An exact cross-
-                    // accumulator tie leaves `mx2 == mx`, forcing the slow
-                    // path, so `ax` is only consumed when it is the unique
-                    // global argmax.
-                    let mut mx = m0;
-                    let mut ax = a0;
-                    let mut mx2 = b0;
-                    if m1 > mx {
-                        mx2 = fmax(mx, b1);
-                        mx = m1;
-                        ax = a1;
-                    } else {
-                        mx2 = fmax(mx2, m1);
-                    }
-                    if m2 > mx {
-                        mx2 = fmax(mx, b2);
-                        mx = m2;
-                        ax = a2;
-                    } else {
-                        mx2 = fmax(mx2, m2);
-                    }
-                    if m3 > mx {
-                        mx2 = fmax(mx, b3);
-                        mx = m3;
-                        ax = a3;
-                    } else {
-                        mx2 = fmax(mx2, m3);
-                    }
-                    let thr = mx - 2e-9;
-                    let chosen = if mx2 < thr {
-                        // Unique max with margin: every other machine sits
-                        // below `B - 1e-9`, so the reference tie list is
-                        // exactly `{argmax}` and the hash tie-break
-                        // degenerates to index 0. No filter, no tie scan,
-                        // no hash.
+                    let chosen = if mx2 < mx - 2e-9 {
                         ax as u16
                     } else {
-                        // Pass 2 (branchless): bitmask of machines within
-                        // 2e-9 of the max — the only ones that can appear
-                        // in or perturb the reference tie list. Padding
-                        // lanes hold 0.0 and never pass (the threshold
-                        // stays above 1 - 2e-9).
-                        let mut f0 = 0u64;
-                        let mut f1 = 0u64;
-                        let mut f2 = 0u64;
-                        let mut f3 = 0u64;
-                        let mut i = 0usize;
-                        while i < p4 {
-                            f0 |= ((score[i & 63] >= thr) as u64) << i;
-                            f1 |= ((score[(i + 1) & 63] >= thr) as u64) << (i + 1);
-                            f2 |= ((score[(i + 2) & 63] >= thr) as u64) << (i + 2);
-                            f3 |= ((score[(i + 3) & 63] >= thr) as u64) << (i + 3);
-                            i += 4;
-                        }
-                        let mut flt = f0 | f1 | f2 | f3;
-                        // Pass 3: the reference sequential running-best tie
-                        // logic, over the surviving machines in ascending
-                        // id order.
+                        // The spec's running-best tie scan over the
+                        // candidates, then the hash of the edge picks.
                         let mut best_score = f64::NEG_INFINITY;
                         let mut blen = 0usize;
-                        while flt != 0 {
-                            let i = flt.trailing_zeros() as usize & 63;
-                            flt &= flt - 1;
+                        let mut rest = cand;
+                        while rest != 0 {
+                            let i = rest.trailing_zeros() as usize & 63;
+                            rest &= rest - 1;
                             let s = score[i];
                             if s > best_score + 1e-9 {
                                 best_score = s;
@@ -372,8 +314,6 @@ impl Oblivious {
                                 blen += 1;
                             }
                         }
-                        // Unbiased deterministic tie-break: hash of the
-                        // edge.
                         best[(hash64(e.key()) % blen as u64) as usize & 63]
                     };
                     let c = chosen as usize & 63;
@@ -494,23 +434,6 @@ mod tests {
             shares[1]
         );
         assert!(shares[1] > shares[0]);
-    }
-
-    #[test]
-    fn deterministic() {
-        let g = skewed_graph();
-        let w = MachineWeights::uniform(3);
-        assert_eq!(
-            Oblivious::new().partition(&g, &w, 1, &OFF),
-            Oblivious::new().partition(&g, &w, 1, &OFF)
-        );
-    }
-
-    #[test]
-    fn all_edges_assigned() {
-        let g = skewed_graph();
-        let a = Oblivious::new().partition(&g, &MachineWeights::uniform(5), 1, &OFF);
-        assert_eq!(a.edge_machines().len(), g.num_edges());
     }
 
     #[test]

@@ -66,8 +66,19 @@ impl MachineWeights {
                 "weights must be positive and finite, got {w}"
             );
         }
+        // Finite weights can still sum past `f64::MAX`; dividing by an
+        // infinite sum would zero them all. Rescaling by the maximum first
+        // (only then, so every finite-sum vector keeps its bits) brings the
+        // sum to at most 64.
         let sum: f64 = raw.iter().sum();
-        let weights: Vec<f64> = raw.iter().map(|&w| w / sum).collect();
+        let weights: Vec<f64> = if sum.is_finite() {
+            raw.iter().map(|&w| w / sum).collect()
+        } else {
+            let max = raw.iter().copied().fold(0.0, f64::max);
+            let scaled: Vec<f64> = raw.iter().map(|&w| w / max).collect();
+            let sum: f64 = scaled.iter().sum();
+            scaled.iter().map(|&w| w / sum).collect()
+        };
         let mut thresholds = Vec::with_capacity(weights.len());
         let mut acc = 0.0f64;
         for (i, &w) in weights.iter().enumerate() {
@@ -243,6 +254,18 @@ mod tests {
         let loads = [5.0, 5.0, 9.0];
         let got = w.least_loaded(&loads, (0..3).map(MachineId::from));
         assert_eq!(got, MachineId(0));
+    }
+
+    #[test]
+    fn weights_whose_sum_overflows_normalize() {
+        assert_eq!(
+            MachineWeights::new(&[1e308, 1e308]),
+            MachineWeights::uniform(2)
+        );
+        assert_eq!(
+            MachineWeights::new(&[f64::MAX; 3]),
+            MachineWeights::uniform(3)
+        );
     }
 
     #[test]
