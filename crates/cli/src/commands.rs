@@ -365,6 +365,18 @@ fn partition_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cli
                     "--weights entries must be positive and finite, got {bad}"
                 )));
             }
+            // Every normalized share is at least (min / max) / 64 (at most
+            // 64 machines), so a ratio of 128 × `f64::MIN_POSITIVE` keeps
+            // the smallest share, rounding included, inside the normal
+            // range that `MachineWeights::new` asserts.
+            let min = w.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = w.iter().copied().fold(0.0, f64::max);
+            if min / max < 128.0 * f64::MIN_POSITIVE {
+                return Err(CliError(format!(
+                    "--weights range {min:e}..={max:e} is too wide: the smallest \
+                     normalized share would underflow"
+                )));
+            }
             MachineWeights::new(&w)
         }
         None => MachineWeights::uniform(machines),
@@ -546,7 +558,9 @@ fn simulate_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliE
     let report = app.run(&engine, target, threads);
     let migrations = rebalance.map(|_| {
         let moved: usize = greedy.events().iter().map(|e| e.edges_moved).sum();
-        let cost: f64 = greedy.events().iter().map(|e| e.cost_s).sum();
+        // Folded from +0.0: an empty `f64` sum is -0.0, which would print
+        // "-0.000000s" when greedy never fires.
+        let cost = greedy.events().iter().fold(0.0, |acc, e| acc + e.cost_s);
         format!(
             "rebalance: greedy, {} batch(es), {} edge(s) migrated, {:.6}s charged\n",
             greedy.events().len(),
@@ -1037,6 +1051,23 @@ mod tests {
         let uniform = table("1,1");
         assert!(uniform.contains("oblivious"), "{uniform}");
         assert_eq!(table("1e308,1e308"), uniform);
+        // A ratio past the f64 range would normalize the small weight to
+        // zero (or a subnormal), which Oblivious divides by: an error.
+        for weights in ["1e308,1e-320", "1,1e-310"] {
+            let err = partition(&argv(&[
+                "--input",
+                &path,
+                "--machines",
+                "2",
+                "--weights",
+                weights,
+            ]))
+            .unwrap_err();
+            assert!(
+                err.0.contains("--weights range") && err.0.contains("too wide"),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1078,21 +1109,33 @@ mod tests {
             &path,
         ]))
         .unwrap();
+        let mut stdout = Vec::new();
         for rebalance in ["greedy", "off"] {
-            simulate(&argv(&[
-                "--input",
-                &path,
-                "--app",
-                "pagerank",
-                "--algorithm",
-                "random",
-                "--policy",
-                "default",
-                "--rebalance",
-                rebalance,
-            ]))
+            simulate_to(
+                &argv(&[
+                    "--input",
+                    &path,
+                    "--app",
+                    "pagerank",
+                    "--algorithm",
+                    "random",
+                    "--policy",
+                    "default",
+                    "--rebalance",
+                    rebalance,
+                ]),
+                &mut stdout,
+            )
             .unwrap();
         }
+        // Greedy never fires on this graph; the charge prints unsigned.
+        let stdout = String::from_utf8(stdout).unwrap();
+        assert!(
+            stdout.contains(
+                "rebalance: greedy, 0 batch(es), 0 edge(s) migrated, 0.000000s charged\n"
+            ),
+            "{stdout}"
+        );
         let err = simulate(&argv(&[
             "--input",
             &path,
@@ -1103,6 +1146,69 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("rebalance policy"));
+    }
+
+    /// A greedy run that actually migrates: its sim-domain trace and
+    /// metrics are pinned, and every output byte is independent of
+    /// `--threads`.
+    #[test]
+    fn simulate_rebalance_migration_is_pinned_across_thread_counts() {
+        let path = tmp("rebalance_in.hgb");
+        generate(&argv(&[
+            "--family",
+            "powerlaw",
+            "--vertices",
+            "5000",
+            "--out",
+            &path,
+        ]))
+        .unwrap();
+        let run_at = |threads: &str| {
+            let trace = tmp(&format!("rebalance_trace_{threads}.json"));
+            let metrics = tmp(&format!("rebalance_metrics_{threads}.json"));
+            let mut stdout = Vec::new();
+            simulate_to(
+                &argv(&[
+                    "--input",
+                    &path,
+                    "--cluster",
+                    "case3",
+                    "--app",
+                    "pagerank",
+                    "--algorithm",
+                    "random",
+                    "--policy",
+                    "default",
+                    "--rebalance",
+                    "greedy",
+                    "--threads",
+                    threads,
+                    "--trace-out",
+                    &trace,
+                    "--metrics-out",
+                    &metrics,
+                ]),
+                &mut stdout,
+            )
+            .unwrap();
+            [
+                String::from_utf8(stdout).unwrap(),
+                std::fs::read_to_string(&trace).unwrap(),
+                std::fs::read_to_string(&metrics).unwrap(),
+            ]
+        };
+        let reference = run_at("1");
+        let [stdout, trace, metrics] = &reference;
+        assert!(
+            stdout.contains("rebalance: greedy, 1 batch(es), 7746 edge(s) migrated, 0.001198s"),
+            "{stdout}"
+        );
+        assert!(trace.contains("{\"name\":\"migration\",\"cat\":\"rebalance\""));
+        assert_pinned("simulate_rebalance_trace.json", trace);
+        assert_pinned("simulate_rebalance_metrics.json", metrics);
+        for threads in ["2", "4"] {
+            assert_eq!(run_at(threads), reference, "--threads {threads}");
+        }
     }
 
     #[test]

@@ -71,13 +71,23 @@ impl NetworkModel {
         slowest + self.barrier_latency_s
     }
 
-    /// Seconds to ship `bytes` of migration payload from `src` to `dst`:
-    /// the transfer is gated by the slower of the two NICs. Transfers
-    /// between distinct machine pairs overlap, so a batch's cost is the
-    /// max over its pairs (plus one barrier), not the sum.
-    pub fn migration_transfer_s(&self, src: &MachineSpec, dst: &MachineSpec, bytes: f64) -> f64 {
-        let gbps = src.nic_gbps.min(dst.nic_gbps);
-        bytes / (gbps * 1e9 / 8.0)
+    /// Seconds to migrate one batch of edges, given as `(src, dst, edges)`
+    /// per machine pair — **the one migration price**. Each pair ships
+    /// `edges × MIGRATION_BYTES_PER_EDGE` bytes gated by the slower of its
+    /// two NICs; transfers between distinct pairs overlap, so the batch
+    /// costs its slowest pair (not the sum) plus one barrier.
+    pub fn migration_cost_s<'m>(
+        &self,
+        pairs: impl IntoIterator<Item = (&'m MachineSpec, &'m MachineSpec, usize)>,
+    ) -> f64 {
+        let transfer = pairs
+            .into_iter()
+            .map(|(src, dst, edges)| {
+                let gbps = src.nic_gbps.min(dst.nic_gbps);
+                edges as f64 * MIGRATION_BYTES_PER_EDGE / (gbps * 1e9 / 8.0)
+            })
+            .fold(0.0f64, f64::max);
+        transfer + self.barrier_latency_s
     }
 }
 
@@ -133,14 +143,23 @@ mod tests {
     }
 
     #[test]
-    fn migration_transfer_gated_by_slower_nic() {
+    fn migration_cost_is_slowest_pair_plus_barrier() {
         let nm = NetworkModel::default();
         let slow = catalog::c4_xlarge(); // 1.25 Gb/s
         let fast = catalog::c4_8xlarge(); // 10 Gb/s
-        let bytes = 1e6;
-        let t = nm.migration_transfer_s(&slow, &fast, bytes);
-        assert!((t - bytes / (slow.nic_gbps * 1e9 / 8.0)).abs() < 1e-15);
+        let edges = 10_000;
+        let t = nm.migration_cost_s([(&slow, &fast, edges)]);
+        let bytes = edges as f64 * MIGRATION_BYTES_PER_EDGE;
+        let transfer = bytes / (slow.nic_gbps * 1e9 / 8.0);
+        assert_eq!(t, transfer + nm.barrier_latency_s);
         // Symmetric: direction does not change the bottleneck.
-        assert_eq!(t, nm.migration_transfer_s(&fast, &slow, bytes));
+        assert_eq!(t, nm.migration_cost_s([(&fast, &slow, edges)]));
+        // Pairs overlap: a faster second pair adds nothing.
+        assert_eq!(
+            t,
+            nm.migration_cost_s([(&slow, &fast, edges), (&fast, &fast, edges)])
+        );
+        // An empty batch still pays its barrier.
+        assert_eq!(nm.migration_cost_s([]), nm.barrier_latency_s);
     }
 }

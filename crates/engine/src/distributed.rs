@@ -10,7 +10,7 @@ use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use crate::error::EngineError;
-use hetgraph_core::{Graph, MachineId, VertexId};
+use hetgraph_core::{Graph, VertexId};
 use hetgraph_partition::{AssignmentDelta, PartitionAssignment};
 
 /// Largest machine count for which [`DistributedGraph::machine_counts`]
@@ -191,11 +191,7 @@ impl<'a> DistributedGraph<'a> {
     /// delta: the touched out/in slot lanes get the new machine, and the
     /// row-count tables (if materialized) get `±1` on the two affected
     /// machine columns of each moved edge's endpoint rows.
-    ///
-    /// Callers that mutate through [`migrate_edges`](Self::migrate_edges)
-    /// never call this directly; it is public for consumers that edit a
-    /// `PartitionAssignment` they own and mirror the delta into the view.
-    pub fn apply_delta(&mut self, delta: &AssignmentDelta) {
+    fn apply_delta(&mut self, delta: &AssignmentDelta) {
         if delta.is_empty() {
             return;
         }
@@ -249,32 +245,6 @@ impl<'a> DistributedGraph<'a> {
             }
             (out_of_edge, in_of_edge)
         });
-    }
-
-    /// Out-neighbors of `v` with the owning machine of each edge.
-    pub fn out_neighbors_owned(
-        &self,
-        v: VertexId,
-    ) -> impl Iterator<Item = (VertexId, MachineId)> + '_ {
-        let offsets = self.graph.out_csr().offsets();
-        let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
-        self.graph.out_csr().targets()[lo..hi]
-            .iter()
-            .zip(&self.out_slot_machine[lo..hi])
-            .map(|(&u, &m)| (u, MachineId(m)))
-    }
-
-    /// In-neighbors of `v` with the owning machine of each edge.
-    pub fn in_neighbors_owned(
-        &self,
-        v: VertexId,
-    ) -> impl Iterator<Item = (VertexId, MachineId)> + '_ {
-        let offsets = self.graph.in_csr().offsets();
-        let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
-        self.graph.in_csr().targets()[lo..hi]
-            .iter()
-            .zip(&self.in_slot_machine[lo..hi])
-            .map(|(&u, &m)| (u, MachineId(m)))
     }
 
     /// Out-adjacency of `v` as raw parallel slices: neighbor ids and the
@@ -366,7 +336,7 @@ fn align_fused(graph: &Graph, assignment: &PartitionAssignment) -> (Vec<u16>, Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgraph_core::{Edge, EdgeList};
+    use hetgraph_core::{Edge, EdgeList, MachineId};
 
     fn setup() -> (Graph, Vec<u16>) {
         let g = Graph::from_edge_list(EdgeList::from_edges(
@@ -381,12 +351,21 @@ mod tests {
         (g, vec![0, 1, 0, 1])
     }
 
+    /// An adjacency row as `(neighbor, owning machine)` pairs.
+    fn owned((targets, machines): (&[VertexId], &[u16])) -> Vec<(VertexId, MachineId)> {
+        targets
+            .iter()
+            .zip(machines)
+            .map(|(&u, &m)| (u, MachineId(m)))
+            .collect()
+    }
+
     #[test]
     fn out_slots_carry_edge_machines() {
         let (g, ms) = setup();
         let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
         let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
-        let got: Vec<_> = d.out_neighbors_owned(0).collect();
+        let got = owned(d.out_adj(0));
         assert_eq!(got, vec![(1, MachineId(0)), (2, MachineId(1))]);
     }
 
@@ -396,7 +375,7 @@ mod tests {
         let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
         let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         // In-neighbors of 2: from edges e1 (0, m1), e2 (1, m0), e3 (3, m1).
-        let mut got: Vec<_> = d.in_neighbors_owned(2).collect();
+        let mut got = owned(d.in_adj(2));
         got.sort();
         assert_eq!(
             got,
@@ -411,13 +390,13 @@ mod tests {
         let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
         let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         // Edge (1,2) seen from 1's out list and 2's in list.
-        let from_out = d
-            .out_neighbors_owned(1)
+        let from_out = owned(d.out_adj(1))
+            .into_iter()
             .find(|&(u, _)| u == 2)
             .expect("edge exists")
             .1;
-        let from_in = d
-            .in_neighbors_owned(2)
+        let from_in = owned(d.in_adj(2))
+            .into_iter()
             .find(|&(u, _)| u == 1)
             .expect("edge exists")
             .1;
@@ -432,7 +411,7 @@ mod tests {
         ));
         let a = PartitionAssignment::from_edge_machines(&g, 2, vec![0, 1], 1);
         let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
-        let machines: Vec<_> = d.out_neighbors_owned(0).map(|(_, m)| m.0).collect();
+        let machines: Vec<_> = d.out_adj(0).1.to_vec();
         assert_eq!(machines.len(), 2);
         let mut sorted = machines.clone();
         sorted.sort_unstable();
@@ -451,31 +430,6 @@ mod tests {
                 DistributedGraph::new(&g, &a, threads).expect("assignment must cover the graph");
             assert_eq!(serial.out_slot_machine, par.out_slot_machine);
             assert_eq!(serial.in_slot_machine, par.in_slot_machine);
-        }
-    }
-
-    #[test]
-    fn adjacency_slices_match_owned_iterators() {
-        let (g, ms) = setup();
-        let a = PartitionAssignment::from_edge_machines(&g, 2, ms, 1);
-        let d = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
-        for v in g.vertices() {
-            let from_iter: Vec<_> = d.out_neighbors_owned(v).collect();
-            let (ts, mach) = d.out_adj(v);
-            let from_slices: Vec<_> = ts
-                .iter()
-                .zip(mach)
-                .map(|(&u, &m)| (u, MachineId(m)))
-                .collect();
-            assert_eq!(from_iter, from_slices);
-            let from_iter: Vec<_> = d.in_neighbors_owned(v).collect();
-            let (ts, mach) = d.in_adj(v);
-            let from_slices: Vec<_> = ts
-                .iter()
-                .zip(mach)
-                .map(|(&u, &m)| (u, MachineId(m)))
-                .collect();
-            assert_eq!(from_iter, from_slices);
         }
     }
 

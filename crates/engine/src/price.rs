@@ -23,11 +23,13 @@
 
 use hetgraph_cluster::{
     AppProfile, EnergyModel, EnergyReport, GraphShape, MachineSpec, NetworkModel,
-    PerturbationSchedule, WorkCounts,
+    PerturbationSchedule, WorkCounts, MIGRATION_BYTES_PER_EDGE,
 };
 use hetgraph_core::metrics::{Counter, Gauge, Histogram};
 use hetgraph_core::obs::{Telemetry, TimeDomain, TraceEvent};
+use hetgraph_core::MachineId;
 
+use crate::rebalance::MigrationEvent;
 use crate::report::{SimReport, StepRecord};
 
 /// The per-superstep work of one kernel run, independent of any machine
@@ -194,32 +196,76 @@ impl<'e> PriceAcc<'e> {
         }
     }
 
-    /// Charge a between-superstep migration batch of `cost_s` seconds to
-    /// the makespan and communication totals, and fold it into the last
-    /// step's record so Σ step wall == makespan and makespan == compute +
-    /// comm both hold.
-    pub(crate) fn charge_migration(&mut self, cost_s: f64) {
+    /// Account one rebalance consultation after superstep `step`: count
+    /// it (and the batch, when the policy `fired`), then price the moves
+    /// actually applied — `(from, to, edges)` per machine pair — through
+    /// [`NetworkModel::migration_cost_s`], record the migration spans,
+    /// counters and metrics, and charge the cost to the makespan and
+    /// communication totals. The cost folds into the last step's record,
+    /// so Σ step wall == makespan and makespan == compute + comm both
+    /// hold. Returns the priced batch, or `None` when nothing moved.
+    pub(crate) fn charge_migration(
+        &mut self,
+        step: usize,
+        fired: bool,
+        pairs: Vec<(MachineId, MachineId, usize)>,
+    ) -> Option<MigrationEvent> {
+        if let Some(km) = &self.metrics {
+            km.rebalance_plans.inc();
+            if fired {
+                km.rebalance_batches.inc();
+            }
+        }
+        if pairs.is_empty() {
+            return None;
+        }
+        let machines = self.machines;
+        let edges_moved: usize = pairs.iter().map(|&(_, _, n)| n).sum();
+        let bytes = edges_moved as f64 * MIGRATION_BYTES_PER_EDGE;
+        let cost_s = self.network.migration_cost_s(
+            pairs
+                .iter()
+                .map(|&(f, t, n)| (&machines[f.index()], &machines[t.index()], n)),
+        );
+        if let Some(km) = &self.metrics {
+            km.migrated_edges.add(edges_moved as u64);
+            km.migration_bytes.add(bytes as u64);
+            km.batch_edges.observe(edges_moved as f64);
+            km.migration_cost.observe(cost_s);
+        }
+        if self.tracing {
+            let (p, at) = (machines.len() as u32, self.makespan);
+            for &(f, t, _) in &pairs {
+                for lane in [f.0, t.0] {
+                    let span =
+                        TraceEvent::sim_span("migration", "rebalance", lane as u32, at, cost_s);
+                    self.telemetry.record(span);
+                }
+            }
+            let edges = edges_moved as f64;
+            self.telemetry
+                .record(TraceEvent::sim_counter("migrated_edges", p, at, edges));
+            self.telemetry
+                .record(TraceEvent::sim_counter("migration_bytes", p, at, bytes));
+        }
         if let Some(last) = self.steps.last_mut() {
             last.comm_s += cost_s;
             last.wall_s += cost_s;
         }
         self.makespan += cost_s;
         self.comm_total += cost_s;
+        Some(MigrationEvent {
+            step,
+            edges_moved,
+            bytes,
+            cost_s,
+            moves_per_pair: pairs,
+        })
     }
 
     /// The last priced step's per-machine busy seconds.
     pub(crate) fn busy(&self) -> &[f64] {
         &self.busy
-    }
-
-    /// Simulated seconds priced so far (the next event's timestamp).
-    pub(crate) fn makespan(&self) -> f64 {
-        self.makespan
-    }
-
-    /// The kernel's metric handles, when metering.
-    pub(crate) fn metrics(&self) -> Option<&KernelMetrics> {
-        self.metrics.as_ref()
     }
 
     /// The finished report.
@@ -380,7 +426,7 @@ struct EmitStep<'s> {
 /// sim-domain: observed only from the kernel's serial sections, from
 /// deterministic simulated quantities, so sim snapshots are byte-identical
 /// at any host thread count.
-pub(crate) struct KernelMetrics {
+struct KernelMetrics {
     supersteps: Counter,
     active_vertices: Counter,
     makespan: Histogram,
@@ -391,12 +437,12 @@ pub(crate) struct KernelMetrics {
     barrier_wait: Vec<Histogram>,
     imbalance: Gauge,
     straggler: Gauge,
-    pub(crate) rebalance_plans: Counter,
-    pub(crate) rebalance_batches: Counter,
-    pub(crate) migrated_edges: Counter,
-    pub(crate) migration_bytes: Counter,
-    pub(crate) batch_edges: Histogram,
-    pub(crate) migration_cost: Histogram,
+    rebalance_plans: Counter,
+    rebalance_batches: Counter,
+    migrated_edges: Counter,
+    migration_bytes: Counter,
+    batch_edges: Histogram,
+    migration_cost: Histogram,
 }
 
 impl KernelMetrics {

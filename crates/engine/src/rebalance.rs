@@ -22,7 +22,7 @@
 //! with, so the policy cannot talk itself into a move the report will not
 //! reward.
 
-use hetgraph_cluster::{MachineSpec, NetworkModel, WorkCounts, MIGRATION_BYTES_PER_EDGE};
+use hetgraph_cluster::{MachineSpec, NetworkModel, WorkCounts};
 use hetgraph_core::MachineId;
 
 use crate::distributed::DistributedGraph;
@@ -123,8 +123,9 @@ pub trait RebalancePolicy {
 ///    threshold — their vertices are replicated widely anyway), then the
 ///    rest; edge order within a bucket. Deterministic, no sorting.
 /// 3. **Amortization**: the projected compute saving per step, times the
-///    horizon, must exceed the simulated migration cost (same byte/NIC
-///    model the kernel charges), else the plan is dropped.
+///    horizon, must exceed the simulated migration cost (the same
+///    [`NetworkModel::migration_cost_s`] the kernel charges), else the
+///    plan is dropped.
 pub struct GreedyRebalance {
     min_imbalance: f64,
     cooldown_steps: usize,
@@ -293,9 +294,8 @@ impl RebalancePolicy for GreedyRebalance {
             })
             .fold(0.0f64, f64::max);
         let saving_per_step = signals.step_compute_s - projected_compute;
-        let bytes = moved * MIGRATION_BYTES_PER_EDGE;
-        let cost = network.migration_transfer_s(&machines[straggler], &machines[recipient], bytes)
-            + network.barrier_latency_s;
+        let cost =
+            network.migration_cost_s([(&machines[straggler], &machines[recipient], plan.len())]);
         if saving_per_step * self.horizon_steps as f64 <= cost {
             return Vec::new();
         }
@@ -311,7 +311,7 @@ impl RebalancePolicy for GreedyRebalance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgraph_cluster::catalog;
+    use hetgraph_cluster::{catalog, MIGRATION_BYTES_PER_EDGE};
     use hetgraph_core::{Edge, EdgeList, Graph};
     use hetgraph_partition::PartitionAssignment;
 

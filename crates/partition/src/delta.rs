@@ -7,7 +7,7 @@
 //! which edges moved and which vertices' replica sets (and possibly
 //! masters) changed as a consequence. Consumers patch their derived state
 //! from the delta in O(|delta|) instead of rebuilding O(E) structures:
-//! `DistributedGraph::apply_delta` patches its CSR slot lanes.
+//! `DistributedGraph::migrate_edges` patches its CSR slot lanes.
 
 use hetgraph_core::{MachineId, VertexId};
 

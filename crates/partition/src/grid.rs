@@ -148,20 +148,15 @@ fn place(
     for e in edges {
         let su = vertex_mask[e.src as usize];
         let sv = vertex_mask[e.dst as usize];
+        // Never empty: for homes `a` and `b`, cell (row of `a`, column of
+        // `b`) is missing only when `a` sits in the partial last row and
+        // `b`'s column lies past its end; then `b` sits in a full row, so
+        // cell (row of `b`, column of `a`) exists and lies in both sets.
         let inter = su & sv;
-        // A full grid always intersects (the corner cells); a partial
-        // last row can make the intersection empty — fall back to the
-        // union, then to everything.
-        let candidates = if inter != 0 {
-            inter
-        } else if su | sv != 0 {
-            su | sv
-        } else {
-            (1u64 << p) - 1
-        };
+        debug_assert!(inter != 0, "row ∪ column sets always intersect");
         let mut chosen = usize::MAX;
         let mut best = f64::INFINITY;
-        for m in mask_machines(candidates) {
+        for m in mask_machines(inter) {
             // Finite normalized loads, ascending ids: strict `<` keeps
             // the lowest id on ties, exactly like `least_loaded`.
             let v = nl[m.index()];
@@ -208,14 +203,17 @@ mod tests {
         assert_eq!(grid_dims(2), (1, 2));
     }
 
+    /// `place` has no fallback for an empty intersection: every pair of
+    /// home cells must share a machine, partial last row included.
     #[test]
-    fn constraint_sets_intersect_on_full_grid() {
-        let p = 9;
-        let (r, c) = grid_dims(p);
-        for a in 0..p {
-            for b in 0..p {
-                let inter = constraint_set(a, p, r, c) & constraint_set(b, p, r, c);
-                assert!(inter != 0, "constraint sets of {a} and {b} must intersect");
+    fn constraint_sets_intersect_at_every_machine_count() {
+        for p in 1..=64 {
+            let (r, c) = grid_dims(p);
+            for a in 0..p {
+                for b in 0..p {
+                    let inter = constraint_set(a, p, r, c) & constraint_set(b, p, r, c);
+                    assert!(inter != 0, "p={p}: sets of {a} and {b} must intersect");
+                }
             }
         }
     }

@@ -52,8 +52,10 @@ impl MachineWeights {
     /// Build from raw positive weights (normalized internally).
     ///
     /// # Panics
-    /// Panics if empty, longer than [`MAX_MACHINES`], or any weight is not
-    /// strictly positive and finite.
+    /// Panics if empty, longer than [`MAX_MACHINES`], any weight is not
+    /// strictly positive and finite, or the weights span so wide a range
+    /// that the smallest normalized share falls below `f64::MIN_POSITIVE`
+    /// (zero or subnormal, where `load / weight` overflows).
     pub fn new(raw: &[f64]) -> Self {
         assert!(!raw.is_empty(), "weights must be non-empty");
         assert!(
@@ -79,6 +81,12 @@ impl MachineWeights {
             let sum: f64 = scaled.iter().sum();
             scaled.iter().map(|&w| w / sum).collect()
         };
+        let smallest = weights.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(
+            smallest >= f64::MIN_POSITIVE,
+            "weights span too wide a range: the smallest normalized share \
+             {smallest:e} is below f64::MIN_POSITIVE"
+        );
         let mut thresholds = Vec::with_capacity(weights.len());
         let mut acc = 0.0f64;
         for (i, &w) in weights.iter().enumerate() {
@@ -272,6 +280,19 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_weight_rejected() {
         MachineWeights::new(&[1.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "too wide a range")]
+    fn share_underflow_rejected() {
+        // 1e-320 / 1e308 rounds to exactly 0.0.
+        MachineWeights::new(&[1e308, 1e-320]);
+    }
+
+    #[test]
+    #[should_panic(expected = "too wide a range")]
+    fn subnormal_share_rejected() {
+        MachineWeights::new(&[1.0, 1e-310]);
     }
 
     #[test]

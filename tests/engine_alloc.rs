@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hetgraph_apps::PageRank;
 use hetgraph_cluster::Cluster;
 use hetgraph_core::obs::OFF;
-use hetgraph_engine::{DistributedGraph, GasProgram, SimEngine};
+use hetgraph_engine::{CompactDistGraph, DistributedGraph, GasProgram, RunTarget, SimEngine};
 use hetgraph_gen::PowerLawConfig;
 use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 use hetgraph_serve::PprLanes;
@@ -60,10 +60,12 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 /// Allocations made by the extra supersteps when `program(12)` runs in
 /// place of `program(2)` (its argument is the superstep budget) on a
-/// `vertices`-vertex power-law graph with `threads` host threads.
+/// `vertices`-vertex power-law graph with `threads` host threads, over the
+/// plain view or (with `compact`) the delta-varint one.
 fn extra_allocations_of_ten_supersteps<P: GasProgram>(
     vertices: u32,
     threads: usize,
+    compact: bool,
     program: impl Fn(usize) -> P,
 ) -> u64 {
     let graph = PowerLawConfig::new(vertices, 2.1).generate(7);
@@ -72,19 +74,31 @@ fn extra_allocations_of_ten_supersteps<P: GasProgram>(
     let assignment = RandomHash::new().partition(&graph, &weights, 1, &OFF);
     let dist =
         DistributedGraph::new(&graph, &assignment, 1).expect("assignment must cover the graph");
+    let compact_dist = compact.then(|| {
+        CompactDistGraph::from_edge_stream(graph.num_vertices(), &assignment, || {
+            graph.edges().iter().copied()
+        })
+        .expect("assignment must cover the graph")
+    });
+    let target = || match &compact_dist {
+        Some(c) => RunTarget::Compact(c),
+        None => RunTarget::Plain(&dist),
+    };
     let engine = SimEngine::new(&cluster);
 
     // Warm up any lazily initialized process state (thread-local RNGs,
     // stdout buffers, ...) outside the measured windows.
-    engine.run(&dist, &program(2), threads);
+    engine.run(target(), &program(2), threads);
 
     let short = allocations_during(|| {
-        engine.run(&dist, &program(2), threads);
+        engine.run(target(), &program(2), threads);
     });
     let long = allocations_during(|| {
-        engine.run(&dist, &program(12), threads);
+        engine.run(target(), &program(12), threads);
     });
-    println!("{vertices} vertices, {threads} threads: short run {short}, long run {long}");
+    println!(
+        "{vertices} vertices, {threads} threads, compact {compact}: short run {short}, long run {long}"
+    );
     long.saturating_sub(short)
 }
 
@@ -94,8 +108,13 @@ fn kernel_allocation_gates() {
     // buffers reach their final size during superstep 1 in both runs. Ten
     // extra supersteps on the serial path must therefore be
     // allocation-free.
-    let extra = extra_allocations_of_ten_supersteps(3_000, 1, PageRank::new);
+    let extra = extra_allocations_of_ten_supersteps(3_000, 1, false, PageRank::new);
     assert_eq!(extra, 0, "steady-state supersteps allocated");
+
+    // The same gate over the compact view: rows decode into a persistent
+    // scratch buffer that reaches the maximum degree in superstep 1.
+    let extra = extra_allocations_of_ten_supersteps(3_000, 1, true, PageRank::new);
+    assert_eq!(extra, 0, "steady-state compact supersteps allocated");
 
     // 40k vertices = ~40 gather chunks + ~40 scatter chunks per superstep.
     // Without pooling, each chunk would cost several Vec allocations every
@@ -103,7 +122,7 @@ fn kernel_allocation_gates() {
     // allocations left are the scoped worker spawn/join bookkeeping —
     // a small constant per phase (80 here; unpooled chunks would need
     // 300+), independent of chunk count.
-    let extra = extra_allocations_of_ten_supersteps(40_000, 2, PageRank::new);
+    let extra = extra_allocations_of_ten_supersteps(40_000, 2, false, PageRank::new);
     assert!(extra <= 10 * 80, "pooled parallel path allocated {extra}");
 
     // A 3-lane personalized-PageRank wave on the block the server picks
@@ -111,6 +130,6 @@ fn kernel_allocation_gates() {
     // heap; `Vec`-valued lanes made ~21 000 allocations per superstep on
     // this graph. The budget covers frontier buffers that still grow.
     let wave = |iterations| PprLanes::<4>::new(vec![5, 1_400, 2_999], iterations);
-    let extra = extra_allocations_of_ten_supersteps(3_000, 1, wave);
+    let extra = extra_allocations_of_ten_supersteps(3_000, 1, false, wave);
     assert!(extra <= 10 * 8, "lane-block wave allocated {extra}");
 }
