@@ -14,13 +14,37 @@ pub struct Flags {
     values: BTreeMap<String, String>,
 }
 
-/// CLI errors with user-facing messages.
+/// CLI errors with user-facing messages, split by exit code.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CliError(pub String);
+pub enum CliError {
+    /// The command line is wrong: an unknown command or flag, or a
+    /// missing or unparsable value. Exit code 2.
+    Usage(String),
+    /// The command ran and failed: a file could not be read, written or
+    /// decoded, or a build step rejected its input. Exit code 1.
+    Failed(String),
+}
+
+impl CliError {
+    /// The user-facing message.
+    pub fn message(&self) -> &str {
+        match self {
+            CliError::Usage(m) | CliError::Failed(m) => m,
+        }
+    }
+
+    /// The process exit code: 2 for a usage error, 1 for a failed run.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CliError::Usage(_) => 2,
+            CliError::Failed(_) => 1,
+        }
+    }
+}
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.message())
     }
 }
 
@@ -45,18 +69,18 @@ impl Flags {
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
-                return Err(CliError(format!(
+                return Err(CliError::Usage(format!(
                     "unexpected argument {a:?} (flags are --key value)"
                 )));
             };
             if switches.contains(&key) {
                 if values.insert(key.to_string(), "true".to_string()).is_some() {
-                    return Err(CliError(format!("flag --{key} given twice")));
+                    return Err(CliError::Usage(format!("flag --{key} given twice")));
                 }
                 continue;
             }
             if !allowed.contains(&key) {
-                return Err(CliError(format!(
+                return Err(CliError::Usage(format!(
                     "unknown flag --{key}; expected one of: {}",
                     allowed
                         .iter()
@@ -67,10 +91,10 @@ impl Flags {
                 )));
             }
             let Some(value) = it.next() else {
-                return Err(CliError(format!("flag --{key} needs a value")));
+                return Err(CliError::Usage(format!("flag --{key} needs a value")));
             };
             if values.insert(key.to_string(), value.clone()).is_some() {
-                return Err(CliError(format!("flag --{key} given twice")));
+                return Err(CliError::Usage(format!("flag --{key} given twice")));
             }
         }
         Ok(Flags { values })
@@ -89,7 +113,7 @@ impl Flags {
     /// Required string value.
     pub fn require(&self, key: &str) -> Result<&str, CliError> {
         self.get(key)
-            .ok_or_else(|| CliError(format!("missing required flag --{key}")))
+            .ok_or_else(|| CliError::Usage(format!("missing required flag --{key}")))
     }
 
     /// Optional typed value.
@@ -99,7 +123,7 @@ impl Flags {
             Some(s) => s
                 .parse::<T>()
                 .map(Some)
-                .map_err(|_| CliError(format!("flag --{key}: cannot parse {s:?}"))),
+                .map_err(|_| CliError::Usage(format!("flag --{key}: cannot parse {s:?}"))),
         }
     }
 
@@ -112,7 +136,7 @@ impl Flags {
     pub fn require_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, CliError> {
         self.require(key)?
             .parse::<T>()
-            .map_err(|_| CliError(format!("flag --{key}: cannot parse {:?}", self.get(key))))
+            .map_err(|_| CliError::Usage(format!("flag --{key}: cannot parse {:?}", self.get(key))))
     }
 
     /// Comma-separated `f64` list.
@@ -124,7 +148,7 @@ impl Flags {
                 .map(|tok| {
                     tok.trim()
                         .parse::<f64>()
-                        .map_err(|_| CliError(format!("flag --{key}: bad number {tok:?}")))
+                        .map_err(|_| CliError::Usage(format!("flag --{key}: bad number {tok:?}")))
                 })
                 .collect::<Result<Vec<f64>, CliError>>()
                 .map(Some),
@@ -155,19 +179,19 @@ mod tests {
     #[test]
     fn rejects_unknown_flag() {
         let err = Flags::parse(&argv(&["--bogus", "1"]), &["vertices"]).unwrap_err();
-        assert!(err.0.contains("unknown flag --bogus"));
-        assert!(err.0.contains("--vertices"));
+        assert!(err.message().contains("unknown flag --bogus"));
+        assert!(err.message().contains("--vertices"));
     }
 
     #[test]
     fn rejects_missing_value_and_duplicates() {
         assert!(Flags::parse(&argv(&["--a"]), &["a"])
             .unwrap_err()
-            .0
+            .message()
             .contains("needs a value"));
         assert!(Flags::parse(&argv(&["--a", "1", "--a", "2"]), &["a"])
             .unwrap_err()
-            .0
+            .message()
             .contains("twice"));
     }
 
@@ -175,7 +199,7 @@ mod tests {
     fn rejects_positional_arguments() {
         assert!(Flags::parse(&argv(&["oops"]), &["a"])
             .unwrap_err()
-            .0
+            .message()
             .contains("unexpected"));
     }
 
@@ -185,12 +209,12 @@ mod tests {
         assert!(f
             .require_parsed::<u32>("n")
             .unwrap_err()
-            .0
+            .message()
             .contains("cannot parse"));
         assert!(f
             .require("missing")
             .unwrap_err()
-            .0
+            .message()
             .contains("missing required"));
     }
 
@@ -212,12 +236,12 @@ mod tests {
         assert!(
             Flags::parse_with_switches(&argv(&["--compact", "--compact"]), &[], &["compact"])
                 .unwrap_err()
-                .0
+                .message()
                 .contains("twice")
         );
         let err = Flags::parse_with_switches(&argv(&["--bogus", "1"]), &["input"], &["compact"])
             .unwrap_err();
-        assert!(err.0.contains("--compact"));
+        assert!(err.message().contains("--compact"));
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn load_graph(path: &str) -> Result<Graph, CliError> {
             .and_then(|f| io::read_text(f, None))
             .map(Graph::from_edge_list)
     };
-    result.map_err(|e| CliError(format!("cannot load {path}: {e}")))
+    result.map_err(|e| CliError::Failed(format!("cannot load {path}: {e}")))
 }
 
 /// Open `--input PATH` for partitioning: a shard directory written by
@@ -37,7 +37,7 @@ fn load_graph(path: &str) -> Result<Graph, CliError> {
 fn open_input(path: &str) -> Result<Box<dyn EdgeSource>, CliError> {
     if Path::new(path).is_dir() {
         let set = ShardSet::open(Path::new(path))
-            .map_err(|e| CliError(format!("cannot open shard directory {path}: {e}")))?;
+            .map_err(|e| CliError::Failed(format!("cannot open shard directory {path}: {e}")))?;
         Ok(Box::new(set))
     } else {
         Ok(Box::new(load_graph(path)?))
@@ -54,7 +54,12 @@ fn save_graph(path: &str, graph: &Graph) -> Result<(), CliError> {
             .map_err(hetgraph_core::CoreError::from)
             .and_then(|f| io::write_text(f, graph))
     };
-    result.map_err(|e| CliError(format!("cannot write {path}: {e}")))
+    result.map_err(|e| CliError::Failed(format!("cannot write {path}: {e}")))
+}
+
+/// A failed write to the command's output writer.
+fn output_failed(e: std::io::Error) -> CliError {
+    CliError::Failed(format!("cannot write output: {e}"))
 }
 
 /// Resolve `--threads N` (default: `HETGRAPH_THREADS` or all cores).
@@ -63,7 +68,7 @@ fn parse_threads(flags: &Flags) -> Result<usize, CliError> {
         None => Ok(hetgraph_core::par::default_host_threads()),
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n > 0 => Ok(n),
-            _ => Err(CliError(format!(
+            _ => Err(CliError::Usage(format!(
                 "--threads must be a positive integer, got {v:?}"
             ))),
         },
@@ -76,7 +81,7 @@ fn parse_cluster(name: &str) -> Result<Cluster, CliError> {
         "case1" => Ok(Cluster::case1()),
         "case2" => Ok(Cluster::case2()),
         "case3" => Ok(Cluster::case3()),
-        other => Err(CliError(format!(
+        other => Err(CliError::Usage(format!(
             "unknown cluster {other:?}; expected case1, case2, or case3"
         ))),
     }
@@ -88,7 +93,7 @@ fn parse_policy(flags: &Flags) -> Result<Policy, CliError> {
         "default" => Ok(Policy::Default),
         "prior" => Ok(Policy::PriorWork),
         "ccr" => Ok(Policy::CcrGuided),
-        other => Err(CliError(format!(
+        other => Err(CliError::Usage(format!(
             "unknown policy {other:?}; expected default, prior, or ccr"
         ))),
     }
@@ -98,7 +103,7 @@ fn parse_policy(flags: &Flags) -> Result<Policy, CliError> {
 fn parse_scale(flags: &Flags, default: u32) -> Result<u32, CliError> {
     let scale: u32 = flags.get_or("scale", default)?;
     if scale == 0 {
-        return Err(CliError("--scale must be positive".into()));
+        return Err(CliError::Usage("--scale must be positive".into()));
     }
     Ok(scale)
 }
@@ -110,7 +115,7 @@ fn parse_app(name: &str) -> Result<AnyApp, CliError> {
     let mut registry = AppRegistry::full();
     registry.register(AnyApp::pagerank_f32());
     registry.get(name).cloned().ok_or_else(|| {
-        CliError(format!(
+        CliError::Usage(format!(
             "unknown app {name:?}; expected one of: {}",
             registry.names().join(", ")
         ))
@@ -130,7 +135,7 @@ fn parse_apps(list: &str) -> Result<Vec<AnyApp>, CliError> {
         }
     }
     if apps.is_empty() {
-        return Err(CliError("--apps needs at least one workload".into()));
+        return Err(CliError::Usage("--apps needs at least one workload".into()));
     }
     Ok(apps)
 }
@@ -141,7 +146,7 @@ fn parse_partitioner(name: &str) -> Result<PartitionerKind, CliError> {
         .into_iter()
         .find(|k| k.name() == name)
         .ok_or_else(|| {
-            CliError(format!(
+            CliError::Usage(format!(
                 "unknown algorithm {name:?}; expected one of: random, oblivious, grid, hybrid, ginger"
             ))
         })
@@ -177,7 +182,7 @@ pub fn generate(args: &[String]) -> Result<(), CliError> {
     let out = flags.get("out");
     let shards = flags.get("shards");
     if out.is_none() && shards.is_none() {
-        return Err(CliError(
+        return Err(CliError::Usage(
             "generate needs a sink: --out FILE and/or --shards DIR".into(),
         ));
     }
@@ -208,7 +213,7 @@ pub fn generate(args: &[String]) -> Result<(), CliError> {
             let spec = NaturalGraph::ALL
                 .into_iter()
                 .find(|g| g.name() == which)
-                .ok_or_else(|| CliError(format!("unknown natural graph {which:?}")))?
+                .ok_or_else(|| CliError::Usage(format!("unknown natural graph {which:?}")))?
                 .spec();
             // Stand-ins carry their own fixed seed — part of the
             // reproducible experiment definition.
@@ -221,7 +226,7 @@ pub fn generate(args: &[String]) -> Result<(), CliError> {
         if let Some(dir) = shards {
             let set = gen
                 .generate_shards(seed, Path::new(dir))
-                .map_err(|e| CliError(format!("cannot write shards to {dir}: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("cannot write shards to {dir}: {e}")))?;
             println!(
                 "wrote {}: {} shard(s), {} vertices, {} edges",
                 dir,
@@ -244,7 +249,7 @@ pub fn generate(args: &[String]) -> Result<(), CliError> {
     }
 
     if shards.is_some() {
-        return Err(CliError(format!(
+        return Err(CliError::Usage(format!(
             "family {family:?} cannot stream to shards (growth generators retain \
              their full state); use --out, or a streaming family (powerlaw, rmat, \
              gnm, natural)"
@@ -263,7 +268,7 @@ pub fn generate(args: &[String]) -> Result<(), CliError> {
             SmallWorldConfig::new(n, k, beta).generate(seed)
         }
         other => {
-            return Err(CliError(format!(
+            return Err(CliError::Usage(format!(
                 "unknown family {other:?}; expected powerlaw, rmat, ba, smallworld, gnm, or natural"
             )))
         }
@@ -292,7 +297,8 @@ pub fn alpha(args: &[String]) -> Result<(), CliError> {
             flags.require_parsed::<u64>("edges")?,
         ),
     };
-    let fit = fit_alpha(v, e).map_err(|err| CliError(format!("cannot fit alpha: {err}")))?;
+    let fit =
+        fit_alpha(v, e).map_err(|err| CliError::Failed(format!("cannot fit alpha: {err}")))?;
     println!(
         "V = {v}, E = {e}, avg degree = {:.3}\nalpha = {:.4} (residual {:.2e}, {} iterations)",
         e as f64 / v as f64,
@@ -350,18 +356,18 @@ fn partition_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cli
     let threads = parse_threads(&flags)?;
     let machines: usize = flags.get_or("machines", 4usize)?;
     if machines == 0 || machines > 64 {
-        return Err(CliError("--machines must be in 1..=64".into()));
+        return Err(CliError::Usage("--machines must be in 1..=64".into()));
     }
     let weights = match flags.get_f64_list("weights")? {
         Some(w) => {
             if w.len() != machines {
-                return Err(CliError(format!(
+                return Err(CliError::Usage(format!(
                     "--weights has {} entries but --machines is {machines}",
                     w.len()
                 )));
             }
             if let Some(bad) = w.iter().find(|x| !(x.is_finite() && **x > 0.0)) {
-                return Err(CliError(format!(
+                return Err(CliError::Usage(format!(
                     "--weights entries must be positive and finite, got {bad}"
                 )));
             }
@@ -372,7 +378,7 @@ fn partition_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cli
             let min = w.iter().copied().fold(f64::INFINITY, f64::min);
             let max = w.iter().copied().fold(0.0, f64::max);
             if min / max < 128.0 * f64::MIN_POSITIVE {
-                return Err(CliError(format!(
+                return Err(CliError::Usage(format!(
                     "--weights range {min:e}..={max:e} is too wide: the smallest \
                      normalized share would underflow"
                 )));
@@ -385,13 +391,12 @@ fn partition_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cli
         Some(name) => vec![parse_partitioner(name)?],
         None => PartitionerKind::ALL.to_vec(),
     };
-    let write_err = |e: std::io::Error| CliError(format!("cannot write output: {e}"));
     writeln!(
         out,
         "{:10} {:>8} {:>10} {:>12} {:>13}",
         "algorithm", "rf", "mirrors", "max_nl", "balance_err"
     )
-    .map_err(write_err)?;
+    .map_err(output_failed)?;
     for kind in kinds {
         let a = kind.build().partition(&*source, &weights, threads, &OFF);
         let m = PartitionMetrics::compute(&a, &weights, threads);
@@ -404,7 +409,7 @@ fn partition_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), Cli
             m.max_normalized_load,
             m.weighted_balance_error
         )
-        .map_err(write_err)?;
+        .map_err(output_failed)?;
     }
     Ok(())
 }
@@ -506,14 +511,14 @@ fn simulate_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliE
     let engine = hetgraph_engine::SimEngine::new(&cluster).with_telemetry(&telemetry);
     let rebalance = flags.get("rebalance").filter(|&r| r != "off");
     if compact && rebalance.is_some() {
-        return Err(CliError(
+        return Err(CliError::Usage(
             "--compact does not support --rebalance (the compressed structure \
              is immutable once built)"
                 .into(),
         ));
     }
     if !compact && Path::new(input).is_dir() {
-        return Err(CliError(
+        return Err(CliError::Usage(
             "shard-directory input requires --compact (the plain path \
              materializes the whole graph)"
                 .into(),
@@ -536,7 +541,7 @@ fn simulate_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliE
             &assignment,
             || source.edges(),
         )
-        .map_err(|e| CliError(format!("cannot build compact graph: {e}")))?;
+        .map_err(|e| CliError::Failed(format!("cannot build compact graph: {e}")))?;
         drop(source);
         hetgraph_engine::RunTarget::Compact(&compact_dist)
     } else {
@@ -549,7 +554,7 @@ fn simulate_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliE
             None => hetgraph_engine::RunTarget::Plain(&plain_dist),
             Some("greedy") => hetgraph_engine::RunTarget::rebalanced(&mut plain_dist, &mut greedy),
             Some(other) => {
-                return Err(CliError(format!(
+                return Err(CliError::Usage(format!(
                     "unknown rebalance policy {other:?}; expected greedy or off"
                 )))
             }
@@ -581,10 +586,9 @@ fn simulate_to(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliE
         migrations.unwrap_or_default(),
         report.compute_imbalance()
     )
-    .map_err(|e| CliError(format!("cannot write output: {e}")))?;
-    write_trace_out(&flags, &telemetry)?;
-    write_metrics_out(&flags, &telemetry)?;
-    Ok(())
+    .map_err(output_failed)?;
+    write_trace_out(&flags, &telemetry, out)?;
+    write_metrics_out(&flags, &telemetry, out)
 }
 
 /// One handle for `--trace-out` / `--metrics-out`: its event log is on
@@ -598,9 +602,13 @@ fn telemetry_for(flags: &Flags) -> Telemetry {
 }
 
 /// Honor `--trace-out FILE`: drain the event log and write JSON-lines
-/// (`.jsonl`) or Chrome trace_event JSON (anything else). No-op when the
-/// flag is absent.
-fn write_trace_out(flags: &Flags, telemetry: &Telemetry) -> Result<(), CliError> {
+/// (`.jsonl`) or Chrome trace_event JSON (anything else), then say so on
+/// `out`. No-op when the flag is absent.
+fn write_trace_out(
+    flags: &Flags,
+    telemetry: &Telemetry,
+    out: &mut dyn std::io::Write,
+) -> Result<(), CliError> {
     let Some(path) = flags.get("trace-out") else {
         return Ok(());
     };
@@ -610,18 +618,24 @@ fn write_trace_out(flags: &Flags, telemetry: &Telemetry) -> Result<(), CliError>
     } else {
         hetgraph_core::obs::chrome_trace_sim(&events)
     };
-    std::fs::write(path, &text).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-    println!(
+    std::fs::write(path, &text)
+        .map_err(|e| CliError::Failed(format!("cannot write {path}: {e}")))?;
+    writeln!(
+        out,
         "trace: {} events recorded, wrote {path} (open in chrome://tracing or ui.perfetto.dev)",
         events.len()
-    );
-    Ok(())
+    )
+    .map_err(output_failed)
 }
 
 /// Honor `--metrics-out FILE`: snapshot the metrics (sim-domain only
-/// unless the name has `.full.`) as Prometheus text (`.prom`) or JSON.
-/// No-op when the flag is absent.
-fn write_metrics_out(flags: &Flags, telemetry: &Telemetry) -> Result<(), CliError> {
+/// unless the name has `.full.`) as Prometheus text (`.prom`) or JSON,
+/// then say so on `out`. No-op when the flag is absent.
+fn write_metrics_out(
+    flags: &Flags,
+    telemetry: &Telemetry,
+    out: &mut dyn std::io::Write,
+) -> Result<(), CliError> {
     let Some(path) = flags.get("metrics-out") else {
         return Ok(());
     };
@@ -635,14 +649,16 @@ fn write_metrics_out(flags: &Flags, telemetry: &Telemetry) -> Result<(), CliErro
     } else {
         snapshot.to_json()
     };
-    std::fs::write(path, &text).map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
-    println!(
+    std::fs::write(path, &text)
+        .map_err(|e| CliError::Failed(format!("cannot write {path}: {e}")))?;
+    writeln!(
+        out,
         "metrics: {} counters, {} gauges, {} histograms, wrote {path}",
         snapshot.counters.len(),
         snapshot.gauges.len(),
         snapshot.histograms.len()
-    );
-    Ok(())
+    )
+    .map_err(output_failed)
 }
 
 /// `hetgraph report` — offline straggler-attribution report over an
@@ -659,16 +675,16 @@ pub fn report(args: &[String]) -> Result<(), CliError> {
     let trace_path = flags.require("trace")?;
     let top: usize = flags.get_or("top", 5usize)?;
     let text = std::fs::read_to_string(trace_path)
-        .map_err(|e| CliError(format!("cannot read {trace_path}: {e}")))?;
+        .map_err(|e| CliError::Failed(format!("cannot read {trace_path}: {e}")))?;
     let analysis = hetgraph_engine::TraceAnalysis::from_jsonl(&text)
-        .map_err(|e| CliError(format!("cannot analyze {trace_path}: {e}")))?;
+        .map_err(|e| CliError::Failed(format!("cannot analyze {trace_path}: {e}")))?;
     let snapshot = match flags.get("metrics") {
         Some(path) => {
             let body = std::fs::read_to_string(path)
-                .map_err(|e| CliError(format!("cannot read {path}: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("cannot read {path}: {e}")))?;
             Some(
                 hetgraph_core::metrics::MetricsSnapshot::from_json(&body)
-                    .map_err(|e| CliError(format!("cannot parse {path}: {e}")))?,
+                    .map_err(|e| CliError::Failed(format!("cannot parse {path}: {e}")))?,
             )
         }
         None => None,
@@ -706,7 +722,7 @@ pub fn submit(args: &[String]) -> Result<(), CliError> {
     }
     if policy == Policy::CcrGuided && framework.pool().ccr(app.name()).is_none() {
         let profiled: Vec<&str> = framework.pool().iter().map(|set| set.app()).collect();
-        return Err(CliError(format!(
+        return Err(CliError::Usage(format!(
             "--app {} has no profiled CCR (deploy profiles: {}); use --policy default or prior",
             app.name(),
             profiled.join(", ")
@@ -766,7 +782,9 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
     let requests: usize = flags.get_or("requests", 2000usize)?;
     let tenants: usize = flags.get_or("tenants", 2usize)?;
     if requests == 0 || tenants == 0 {
-        return Err(CliError("--requests and --tenants must be positive".into()));
+        return Err(CliError::Usage(
+            "--requests and --tenants must be positive".into(),
+        ));
     }
     let seed: u64 = flags.get_or("seed", 42u64)?;
     let tenant_weights: Vec<u32> = match flags.get("weights") {
@@ -774,16 +792,17 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         Some(list) => {
             let parsed: Result<Vec<u32>, _> =
                 list.split(',').map(|w| w.trim().parse::<u32>()).collect();
-            let parsed = parsed
-                .map_err(|e| CliError(format!("--weights must be a comma list of u32: {e}")))?;
+            let parsed = parsed.map_err(|e| {
+                CliError::Usage(format!("--weights must be a comma list of u32: {e}"))
+            })?;
             if parsed.len() != tenants {
-                return Err(CliError(format!(
+                return Err(CliError::Usage(format!(
                     "--weights has {} entries for {tenants} tenants",
                     parsed.len()
                 )));
             }
             if parsed.contains(&0) {
-                return Err(CliError("--weights entries must be positive".into()));
+                return Err(CliError::Usage("--weights entries must be positive".into()));
             }
             parsed
         }
@@ -795,7 +814,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         None => {
             let n: u32 = flags.get_or("vertices", 10_000u32)?;
             if n == 0 {
-                return Err(CliError("--vertices must be positive".into()));
+                return Err(CliError::Usage("--vertices must be positive".into()));
             }
             PowerLawConfig::new(n, 2.1).generate(seed)
         }
@@ -811,7 +830,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         .build()
         .partition(&graph, &weights, threads, &telemetry);
     let dist = hetgraph_engine::DistributedGraph::new(&graph, &assignment, threads)
-        .map_err(|e| CliError(format!("cannot build distributed graph: {e}")))?;
+        .map_err(|e| CliError::Failed(format!("cannot build distributed graph: {e}")))?;
 
     let mut load = hetgraph_serve::LoadGenConfig::standard(
         seed,
@@ -830,12 +849,12 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         threads,
     };
     if cfg.batch_window_s < 0.0 || cfg.queue_budget == 0 {
-        return Err(CliError(
+        return Err(CliError::Usage(
             "--batch-window must be >= 0; --queue-budget must be positive".into(),
         ));
     }
     if !(1..=hetgraph_serve::MAX_LANES).contains(&cfg.max_batch) {
-        return Err(CliError(format!(
+        return Err(CliError::Usage(format!(
             "--max-batch must be in 1..={} (the widest lane block)",
             hetgraph_serve::MAX_LANES
         )));
@@ -872,9 +891,8 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         "batch composition digest: {:016x}",
         report.composition_digest
     );
-    write_trace_out(&flags, &telemetry)?;
-    write_metrics_out(&flags, &telemetry)?;
-    Ok(())
+    write_trace_out(&flags, &telemetry, &mut std::io::stdout())?;
+    write_metrics_out(&flags, &telemetry, &mut std::io::stdout())
 }
 
 #[cfg(test)]
@@ -1006,7 +1024,7 @@ mod tests {
             "1,2",
         ]))
         .unwrap_err();
-        assert!(err.0.contains("entries"));
+        assert!(err.message().contains("entries"));
         // Non-positive and non-finite weights are errors, not panics.
         for bad in ["1,-1", "nan,1", "0,1", "inf,1"] {
             let err = partition(&argv(&[
@@ -1018,7 +1036,7 @@ mod tests {
                 bad,
             ]))
             .unwrap_err();
-            assert!(err.0.contains("--weights"), "{bad}: {err:?}");
+            assert!(err.message().contains("--weights"), "{bad}: {err:?}");
         }
     }
 
@@ -1064,7 +1082,7 @@ mod tests {
             ]))
             .unwrap_err();
             assert!(
-                err.0.contains("--weights range") && err.0.contains("too wide"),
+                err.message().contains("--weights range") && err.message().contains("too wide"),
                 "{err:?}"
             );
         }
@@ -1164,8 +1182,8 @@ mod tests {
         ]))
         .unwrap();
         let run_at = |threads: &str| {
-            let trace = tmp(&format!("rebalance_trace_{threads}.json"));
-            let metrics = tmp(&format!("rebalance_metrics_{threads}.json"));
+            // One pair of paths for every thread count: stdout names them.
+            let (trace, metrics) = (tmp("rebalance_trace.json"), tmp("rebalance_metrics.json"));
             let mut stdout = Vec::new();
             simulate_to(
                 &argv(&[
@@ -1203,6 +1221,16 @@ mod tests {
             stdout.contains("rebalance: greedy, 1 batch(es), 7746 edge(s) migrated, 0.001198s"),
             "{stdout}"
         );
+        // The trace and metrics lines reach the writer `simulate_to` is
+        // given, after the summary.
+        let trace_line = format!(
+            "\ntrace: 137 events recorded, wrote {} (open in",
+            tmp("rebalance_trace.json")
+        );
+        assert!(stdout.contains(&trace_line), "{stdout}");
+        let metrics_line = format!("histograms, wrote {}\n", tmp("rebalance_metrics.json"));
+        assert!(stdout.contains("\nmetrics: "), "{stdout}");
+        assert!(stdout.ends_with(&metrics_line), "{stdout}");
         assert!(trace.contains("{\"name\":\"migration\",\"cat\":\"rebalance\""));
         assert_pinned("simulate_rebalance_trace.json", trace);
         assert_pinned("simulate_rebalance_metrics.json", metrics);
@@ -1375,7 +1403,7 @@ mod tests {
         ]))
         .unwrap();
         let err = report(&argv(&["--trace", &chrome])).unwrap_err();
-        assert!(err.0.contains("cannot analyze"), "{err:?}");
+        assert!(err.message().contains("cannot analyze"), "{err:?}");
     }
 
     #[test]
@@ -1470,7 +1498,7 @@ mod tests {
         };
         let err = run("ccr").unwrap_err();
         assert!(
-            err.0.contains("pagerank_f32") && err.0.contains("kcore"),
+            err.message().contains("pagerank_f32") && err.message().contains("kcore"),
             "{err:?}"
         );
         run("default").unwrap();
@@ -1532,9 +1560,11 @@ mod tests {
                 std::fs::read_to_string(metrics).unwrap(),
             )
         };
+        // One metrics path for both inputs: stdout names it.
+        let metrics = tmp("shards_metrics.json");
         for kind in PartitionerKind::ALL {
-            let from_file = run(&file, kind, &tmp("shards_file_metrics.json"));
-            let from_shards = run(&dir, kind, &tmp("shards_dir_metrics.json"));
+            let from_file = run(&file, kind, &metrics);
+            let from_shards = run(&dir, kind, &metrics);
             assert!(from_file.0.contains("per-machine busy"), "{kind}");
             assert!(
                 from_file
@@ -1560,10 +1590,10 @@ mod tests {
             &tmp("ba_shards"),
         ]))
         .unwrap_err();
-        assert!(err.0.contains("cannot stream"), "{err:?}");
+        assert!(err.message().contains("cannot stream"), "{err:?}");
         // A sink is required.
         let err = generate(&argv(&["--family", "powerlaw", "--vertices", "10"])).unwrap_err();
-        assert!(err.0.contains("--out"), "{err:?}");
+        assert!(err.message().contains("--out"), "{err:?}");
         // Shard input without --compact.
         let dir = tmp("err_shards");
         std::fs::remove_dir_all(&dir).ok();
@@ -1579,7 +1609,7 @@ mod tests {
         ]))
         .unwrap();
         let err = simulate(&argv(&["--input", &dir, "--policy", "default"])).unwrap_err();
-        assert!(err.0.contains("--compact"), "{err:?}");
+        assert!(err.message().contains("--compact"), "{err:?}");
         // Hybrid reads the shards into memory and runs like the rest.
         simulate(&argv(&[
             "--input",
@@ -1604,16 +1634,19 @@ mod tests {
             "greedy",
         ]))
         .unwrap_err();
-        assert!(err.0.contains("rebalance"), "{err:?}");
+        assert!(err.message().contains("rebalance"), "{err:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn helpful_errors() {
-        assert!(parse_cluster("nope").unwrap_err().0.contains("case1"));
+        assert!(parse_cluster("nope")
+            .unwrap_err()
+            .message()
+            .contains("case1"));
         let err = parse_app("nope").unwrap_err();
         assert!(
-            err.0.contains("pagerank") && err.0.contains("kcore"),
+            err.message().contains("pagerank") && err.message().contains("kcore"),
             "{err:?}"
         );
         assert!(parse_apps("").is_err());
@@ -1626,7 +1659,10 @@ mod tests {
             .all(|a| a.name() != "pagerank_f32"));
         assert_eq!(parse_app("pagerank_f32").unwrap().name(), "pagerank_f32");
         assert_eq!(parse_apps("sssp,sssp").unwrap().len(), 1);
-        assert!(parse_partitioner("nope").unwrap_err().0.contains("hybrid"));
+        assert!(parse_partitioner("nope")
+            .unwrap_err()
+            .message()
+            .contains("hybrid"));
         let err = simulate(&argv(&[
             "--input",
             "/definitely/missing",
@@ -1634,13 +1670,13 @@ mod tests {
             "nope",
         ]))
         .unwrap_err();
-        assert!(err.0.contains("unknown policy"), "{err:?}");
+        assert!(err.message().contains("unknown policy"), "{err:?}");
         // `--scale 0` is an error, not a silent scale of 1.
         let err = simulate(&argv(&["--input", "/definitely/missing", "--scale", "0"])).unwrap_err();
-        assert!(err.0.contains("--scale"), "{err:?}");
+        assert!(err.message().contains("--scale"), "{err:?}");
         assert!(load_graph("/definitely/missing")
             .unwrap_err()
-            .0
+            .message()
             .contains("cannot load"));
     }
 
@@ -1667,7 +1703,7 @@ mod tests {
     #[test]
     fn serve_rejects_bad_flags() {
         let err = serve(&argv(&["--requests", "0"])).unwrap_err();
-        assert!(err.0.contains("--requests"), "{err:?}");
+        assert!(err.message().contains("--requests"), "{err:?}");
         let err = serve(&argv(&[
             "--requests",
             "10",
@@ -1679,7 +1715,7 @@ mod tests {
             "100",
         ]))
         .unwrap_err();
-        assert!(err.0.contains("entries"), "{err:?}");
+        assert!(err.message().contains("entries"), "{err:?}");
         let err = serve(&argv(&[
             "--requests",
             "10",
@@ -1689,7 +1725,7 @@ mod tests {
             "100",
         ]))
         .unwrap_err();
-        assert!(err.0.contains("--weights"), "{err:?}");
+        assert!(err.message().contains("--weights"), "{err:?}");
         let err = serve(&argv(&[
             "--requests",
             "10",
@@ -1699,7 +1735,7 @@ mod tests {
             "0",
         ]))
         .unwrap_err();
-        assert!(err.0.contains("--max-batch"), "{err:?}");
+        assert!(err.message().contains("--max-batch"), "{err:?}");
         // One past the widest lane block.
         let err = serve(&argv(&[
             "--requests",
@@ -1710,7 +1746,10 @@ mod tests {
             "65",
         ]))
         .unwrap_err();
-        assert!(err.0.contains("--max-batch must be in 1..=64"), "{err:?}");
+        assert!(
+            err.message().contains("--max-batch must be in 1..=64"),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1779,8 +1818,8 @@ mod tests {
         bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let err = simulate(&argv(&["--input", &path, "--policy", "default"])).unwrap_err();
-        assert!(err.0.contains("cannot load"), "{err:?}");
-        assert!(err.0.contains("truncated at edge 0"), "{err:?}");
+        assert!(err.message().contains("cannot load"), "{err:?}");
+        assert!(err.message().contains("truncated at edge 0"), "{err:?}");
     }
 
     #[test]
@@ -1788,7 +1827,10 @@ mod tests {
         let trace = tmp("deep_trace.jsonl");
         std::fs::write(&trace, "[".repeat(1_000_000)).unwrap();
         let err = report(&argv(&["--trace", &trace])).unwrap_err();
-        assert!(err.0.contains("cannot analyze"), "{err:?}");
-        assert!(err.0.contains("recursion limit exceeded"), "{err:?}");
+        assert!(err.message().contains("cannot analyze"), "{err:?}");
+        assert!(
+            err.message().contains("recursion limit exceeded"),
+            "{err:?}"
+        );
     }
 }

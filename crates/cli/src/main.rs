@@ -76,9 +76,13 @@ commands:
              CCR-pick, partition, execute)
              --input FILE [--cluster C] [--app A] [--algorithm P]
              [--policy default|prior|ccr] [--scale N] [--threads N]
+             profiling runs at HETGRAPH_THREADS or on every core;
+             --threads sets the job's budget
 
 apps: pagerank, coloring, connected_components, triangle_count, sssp, kcore
 --threads defaults to HETGRAPH_THREADS or every available core.
+exit codes: 0 success, 1 the run failed, 2 usage error (unknown command
+or flag, missing or unparsable value).
 ";
 
 fn main() {
@@ -102,12 +106,12 @@ fn main() {
             print!("{USAGE}");
             return;
         }
-        other => Err(args::CliError(format!(
+        other => Err(args::CliError::Usage(format!(
             "unknown command {other:?}\n\n{USAGE}"
         ))),
     };
     if let Err(e) = result {
         eprintln!("error: {e}");
-        std::process::exit(1);
+        std::process::exit(e.exit_code());
     }
 }

@@ -1,4 +1,7 @@
-//! Exit codes of the `hetgraph` binary on rejected input.
+//! Exit codes of the `hetgraph` binary on rejected input: 2 for a usage
+//! error (an unknown command or flag, a missing or unparsable value, no
+//! command at all), as the `exp_*` binaries do, and 1 for a run that
+//! failed.
 
 use std::process::Command;
 
@@ -10,7 +13,7 @@ fn hetgraph(args: &[&str]) -> std::process::Output {
 }
 
 /// A weight ratio past the f64 range would normalize the small weight to
-/// zero; `partition` reports it as a usage error (exit 1, like every
+/// zero; `partition` reports it as a usage error (exit 2, like every
 /// other rejected flag), not as a panic in Oblivious (exit 101).
 #[test]
 fn extreme_weight_ratio_is_an_error_not_a_panic() {
@@ -39,10 +42,33 @@ fn extreme_weight_ratio_is_an_error_not_a_panic() {
         "--weights",
         "1e308,1e-320",
     ]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("error: --weights range 1e-320..=1e308 is too wide"),
         "{stderr}"
     );
+}
+
+/// Each kind of usage error exits 2 with a message; a command that parses
+/// but cannot read its input exits 1.
+#[test]
+fn usage_errors_exit_2_and_run_failures_exit_1() {
+    let usage: [&[&str]; 6] = [
+        &[],
+        &["bogus"],
+        &["stats", "--bogus", "1"],
+        &["stats", "--input"],
+        &["alpha", "--vertices", "ten", "--edges", "30"],
+        &["simulate", "--input", "g.hgb", "--cluster", "case9"],
+    ];
+    for args in usage {
+        let out = hetgraph(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(!out.stderr.is_empty(), "{args:?}");
+    }
+    let out = hetgraph(&["stats", "--input", "/definitely/missing.hgb"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: cannot load"), "{stderr}");
 }

@@ -117,9 +117,11 @@ pub fn scheduled_with<S, T: Send>(
 /// (falling back to 1 where the runtime cannot report it).
 ///
 /// Callers: the CLI and the experiment harness, where `--threads` is
-/// absent, and the R-MAT generator, which takes no thread argument and
-/// fans its attempt chunks out over this many workers (its edge stream
-/// is the same at any count).
+/// absent; the R-MAT generator, which takes no thread argument and fans
+/// its attempt chunks out over this many workers (its edge stream is the
+/// same at any count); and `Framework::deploy`, which profiles at this
+/// budget and keeps it as the default for later jobs (the CCR pool is the
+/// same at any count).
 ///
 /// # Panics
 /// Panics if `HETGRAPH_THREADS` is set but is not a positive integer —

@@ -69,18 +69,24 @@ impl CcrMaintainer {
         stats::mean(&errs)
     }
 
-    /// Re-profile `cluster` and update `pool` in place if drift warrants.
+    /// Re-profile `cluster` over `threads` host threads and update `pool`
+    /// in place if drift warrants. The fresh profile, and so the outcome,
+    /// is the same at any thread count.
     ///
     /// Applications present in the pool but not in `apps` are left
     /// untouched; new applications are always added.
+    ///
+    /// # Panics
+    /// Panics if `threads == 0`.
     pub fn maintain(
         &self,
         pool: &mut CcrPool,
         cluster: &Cluster,
         proxies: &ProxySet,
         apps: &[AnyApp],
+        threads: usize,
     ) -> RefreshOutcome {
-        let fresh = CcrPool::profile(cluster, proxies, apps, 1, &OFF);
+        let fresh = CcrPool::profile(cluster, proxies, apps, threads, &OFF);
         let mut drift = Vec::new();
         let mut must_refresh = false;
         for set in fresh.iter() {
@@ -125,7 +131,7 @@ mod tests {
         let mut pool = CcrPool::profile(&cluster, &proxies, &standard_apps(), 1, &OFF);
         let before = pool.clone();
         let outcome =
-            CcrMaintainer::default().maintain(&mut pool, &cluster, &proxies, &standard_apps());
+            CcrMaintainer::default().maintain(&mut pool, &cluster, &proxies, &standard_apps(), 2);
         assert!(!outcome.refreshed, "identical re-profile must not refresh");
         assert_eq!(pool, before);
         for (_, d) in &outcome.drift {
@@ -145,6 +151,7 @@ mod tests {
             &Cluster::case3(),
             &proxies,
             &standard_apps(),
+            1,
         );
         assert!(outcome.refreshed, "hardware swap must refresh the pool");
         let new_spread = pool.ccr("pagerank").unwrap().spread();
@@ -162,6 +169,7 @@ mod tests {
             &cluster,
             &proxies,
             &[AnyApp::pagerank(), AnyApp::coloring()],
+            3,
         );
         assert!(outcome.refreshed);
         assert!(pool.ccr("coloring").is_some());
@@ -177,8 +185,13 @@ mod tests {
             catalog::xeon_l(),
             catalog::xeon_l(),
         ]);
-        let outcome =
-            CcrMaintainer::default().maintain(&mut pool, &three, &proxies, &[AnyApp::pagerank()]);
+        let outcome = CcrMaintainer::default().maintain(
+            &mut pool,
+            &three,
+            &proxies,
+            &[AnyApp::pagerank()],
+            1,
+        );
         assert!(outcome.refreshed);
         assert_eq!(pool.ccr("pagerank").unwrap().len(), 3);
     }

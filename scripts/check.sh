@@ -57,6 +57,11 @@ step cargo test -q --workspace
 # through the chunk sequence, so the generator's tests cross chunk
 # boundaries through the public `generate` path.
 step env HETGRAPH_THREADS=3 cargo test -q -p hetgraph-gen
+# Framework::deploy profiles its 18 (app, proxy) cells at
+# default_host_threads(); an odd worker count splits them unevenly, and
+# the framework tests check the pool against the serial profile.
+step env HETGRAPH_THREADS=3 cargo test -q -p hetgraph --lib framework
+step env HETGRAPH_THREADS=3 cargo test -q -p hetgraph-profile
 # The benchmark is a workspace of its own (see BENCHMARK.json): its tests
 # run all five workloads at smoke size with every output check on, so an
 # API drift against benchmark/src/layers.rs or a broken output fails here

@@ -16,10 +16,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hetgraph_apps::PageRank;
-use hetgraph_cluster::Cluster;
+use hetgraph_apps::{Coloring, PageRank};
+use hetgraph_cluster::{AppProfile, Cluster};
 use hetgraph_core::obs::OFF;
-use hetgraph_engine::{CompactDistGraph, DistributedGraph, GasProgram, RunTarget, SimEngine};
+use hetgraph_core::{GraphMeta, VertexId};
+use hetgraph_engine::{
+    ActiveInit, CompactDistGraph, Direction, DistributedGraph, GasProgram, RunTarget, SimEngine,
+};
 use hetgraph_gen::PowerLawConfig;
 use hetgraph_partition::{MachineWeights, Partitioner, RandomHash};
 use hetgraph_serve::PprLanes;
@@ -51,6 +54,91 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `P` under a superstep budget of `.1`: every other method delegates.
+struct Capped<P>(P, usize);
+
+impl<P: GasProgram> GasProgram for Capped<P> {
+    type VertexData = P::VertexData;
+    type Accum = P::Accum;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn profile(&self) -> AppProfile {
+        self.0.profile()
+    }
+
+    fn init(&self, graph: &GraphMeta<'_>, v: VertexId) -> P::VertexData {
+        self.0.init(graph, v)
+    }
+
+    fn gather_direction(&self) -> Direction {
+        self.0.gather_direction()
+    }
+
+    fn gather(
+        &self,
+        graph: &GraphMeta<'_>,
+        data: &[P::VertexData],
+        v: VertexId,
+        u: VertexId,
+    ) -> (Option<P::Accum>, f64) {
+        self.0.gather(graph, data, v, u)
+    }
+
+    fn gather_by_source(&self) -> bool {
+        self.0.gather_by_source()
+    }
+
+    fn source_gather(
+        &self,
+        graph: &GraphMeta<'_>,
+        data: &[P::VertexData],
+        u: VertexId,
+    ) -> P::Accum {
+        self.0.source_gather(graph, data, u)
+    }
+
+    fn sum(&self, a: P::Accum, b: P::Accum) -> P::Accum {
+        self.0.sum(a, b)
+    }
+
+    fn apply(
+        &self,
+        graph: &GraphMeta<'_>,
+        v: VertexId,
+        old: &P::VertexData,
+        acc: Option<P::Accum>,
+        superstep: usize,
+    ) -> (P::VertexData, bool) {
+        self.0.apply(graph, v, old, acc, superstep)
+    }
+
+    fn scatter_direction(&self) -> Direction {
+        self.0.scatter_direction()
+    }
+
+    fn scatter_activates(
+        &self,
+        graph: &GraphMeta<'_>,
+        data: &[P::VertexData],
+        v: VertexId,
+        u: VertexId,
+        v_changed: bool,
+    ) -> bool {
+        self.0.scatter_activates(graph, data, v, u, v_changed)
+    }
+
+    fn initial_active(&self, graph: &GraphMeta<'_>) -> ActiveInit {
+        self.0.initial_active(graph)
+    }
+
+    fn max_supersteps(&self) -> usize {
+        self.1
+    }
+}
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -115,6 +203,14 @@ fn kernel_allocation_gates() {
     // scratch buffer that reaches the maximum degree in superstep 1.
     let extra = extra_allocations_of_ten_supersteps(3_000, 1, true, PageRank::new);
     assert_eq!(extra, 0, "steady-state compact supersteps allocated");
+
+    // Coloring gathers into a mask of the low colors and spills only
+    // colors >= 64 to the heap; a gathered `Vec` per edge made 187,655
+    // allocations in the extra supersteps on this graph.
+    let extra = extra_allocations_of_ten_supersteps(3_000, 1, false, |steps| {
+        Capped(Coloring::new(), steps)
+    });
+    assert_eq!(extra, 0, "steady-state Coloring supersteps allocated");
 
     // 40k vertices = ~40 gather chunks + ~40 scatter chunks per superstep.
     // Without pooling, each chunk would cost several Vec allocations every
