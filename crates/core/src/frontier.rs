@@ -43,12 +43,15 @@ pub struct FrontierSet {
 }
 
 impl FrontierSet {
-    /// An empty frontier over the domain `0..capacity`.
+    /// An empty frontier over the domain `0..capacity`. Both buffers are
+    /// sized for a full set up front, so inserting never allocates — not
+    /// even on the first dense step after a run of sparse ones.
     pub fn new(capacity: usize) -> Self {
+        let words = capacity.div_ceil(64);
         FrontierSet {
-            words: vec![0u64; capacity.div_ceil(64)],
+            words: vec![0u64; words],
             capacity,
-            dirty: Vec::new(),
+            dirty: Vec::with_capacity(words),
             cleared_words: 0,
         }
     }

@@ -27,7 +27,7 @@
 
 use crate::distributed::ROW_COUNTS_MAX_MACHINES;
 use crate::error::EngineError;
-use hetgraph_core::compact::{meta_pair, CompactCsr, CompactCsrBuilder};
+use hetgraph_core::compact::{meta_pair, CompactCsr, CompactCsrBuilder, CompactNeighbors};
 use hetgraph_core::{Edge, GraphMeta, MachineId, VertexId};
 use hetgraph_partition::PartitionAssignment;
 
@@ -163,8 +163,7 @@ impl CompactDistGraph {
         scratch: &'s mut Vec<VertexId>,
     ) -> (&'s [VertexId], &'s [u16]) {
         self.out.decode_row_into(v, scratch);
-        let (lo, hi) = self.out.edge_range(v);
-        (&scratch[..], &self.out_slot_machine[lo..hi])
+        (&scratch[..], self.out_lanes(v))
     }
 
     /// In-adjacency of `v` (see [`out_adj_into`](Self::out_adj_into)).
@@ -175,8 +174,35 @@ impl CompactDistGraph {
         scratch: &'s mut Vec<VertexId>,
     ) -> (&'s [VertexId], &'s [u16]) {
         self.inn.decode_row_into(v, scratch);
+        (&scratch[..], self.in_lanes(v))
+    }
+
+    /// Machine lane of `v`'s out-row, without decoding its targets.
+    #[inline]
+    pub(crate) fn out_lanes(&self, v: VertexId) -> &[u16] {
+        let (lo, hi) = self.out.edge_range(v);
+        &self.out_slot_machine[lo..hi]
+    }
+
+    /// Machine lane of `v`'s in-row, without decoding its targets.
+    #[inline]
+    pub(crate) fn in_lanes(&self, v: VertexId) -> &[u16] {
         let (lo, hi) = self.inn.edge_range(v);
-        (&scratch[..], &self.in_slot_machine[lo..hi])
+        &self.in_slot_machine[lo..hi]
+    }
+
+    /// A decoding cursor over `v`'s sorted out-neighbors, for row tests
+    /// that stop at the first hit.
+    #[inline]
+    pub(crate) fn out_neighbors(&self, v: VertexId) -> CompactNeighbors<'_> {
+        self.out.neighbors(v)
+    }
+
+    /// A decoding cursor over `v`'s sorted in-neighbors (see
+    /// [`out_neighbors`](Self::out_neighbors)).
+    #[inline]
+    pub(crate) fn in_neighbors(&self, v: VertexId) -> CompactNeighbors<'_> {
+        self.inn.neighbors(v)
     }
 
     /// Per-vertex per-machine slot counts for the (out, in) directions,

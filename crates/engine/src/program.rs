@@ -35,7 +35,10 @@ pub enum ActiveInit {
 ///
 /// All methods must be pure functions of their arguments (no interior
 /// state), which makes execution deterministic and lets the engine
-/// re-order work freely within a superstep. `Sync` is a supertrait
+/// re-order work freely within a superstep. A vertex is active in the
+/// next superstep exactly when it is a
+/// [`scatter_direction`](Self::scatter_direction) neighbor of a vertex
+/// whose apply reported a change. `Sync` is a supertrait
 /// because the one superstep kernel shares the program across its worker
 /// threads (the serial path is the same kernel at one thread).
 pub trait GasProgram: Sync {
@@ -128,20 +131,12 @@ pub trait GasProgram: Sync {
     ) -> (Self::VertexData, bool);
 
     /// Which neighbors the scatter phase visits (for changed vertices).
+    /// Every neighbor it visits is active in the next superstep:
+    /// activation is purely structural, decided by the graph and the
+    /// changed set alone, never by vertex data. That is what lets the
+    /// kernel pull a dense step's next frontier (test each vertex for a
+    /// changed neighbor) instead of pushing it, with the same result.
     fn scatter_direction(&self) -> Direction;
-
-    /// Whether scatter along `v → u` activates `u` for the next superstep.
-    /// Default: activate exactly when `v` changed (message-passing style).
-    fn scatter_activates(
-        &self,
-        _graph: &GraphMeta<'_>,
-        _data: &[Self::VertexData],
-        _v: VertexId,
-        _u: VertexId,
-        v_changed: bool,
-    ) -> bool {
-        v_changed
-    }
 
     /// Initial active set.
     fn initial_active(&self, _graph: &GraphMeta<'_>) -> ActiveInit {

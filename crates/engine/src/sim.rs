@@ -11,10 +11,10 @@
 //! Each superstep phase has **one scan body**, and two drivers call it:
 //! `gather_vertex` (the one gather fold, table replay or per-edge, over
 //! any direction) under `gather_chunk` and the serial driver's in-place
-//! table loop `gather_apply_in_place`, and `scatter` (the one scatter
-//! scan, generic over its activation sink). The serial driver walks
-//! chunks in order on the calling thread; the pooled driver fans them
-//! out through [`scheduled`]. Cost
+//! table loop `gather_apply_in_place`, `scatter` (the one push scan,
+//! generic over its activation sink), and `pull_range` (the one pull
+//! scan). The serial driver walks chunks in order on the calling thread;
+//! the pooled driver fans them out through [`scheduled`]. Cost
 //! accounting — per-machine busy time, [`NetworkModel`] barrier and
 //! migration time, energy, and [`crate::report::StepRecord`] tracing —
 //! lives in exactly one place, the crate-private pricing accumulator
@@ -37,10 +37,18 @@
 //! **The hot path is engineered for raw throughput** (see DESIGN.md §3b,
 //! "kernel fast path"):
 //!
-//! - the active set lives in a [`FrontierSet`] — activations insert into
-//!   a bitmap with dirty-word tracking, and the next step's sorted
-//!   frontier is extracted sparsely or densely by occupancy, clearing
-//!   only the words that were actually touched (no per-step O(n) clear);
+//! - the next frontier is pushed or pulled by the density of the changed
+//!   set. Activation is purely structural (every scatter-direction
+//!   neighbor of a changed vertex), so both build the same list. **Push**
+//!   (sparse steps): scatter inserts into a [`FrontierSet`] — a bitmap
+//!   with dirty-word tracking whose sorted frontier is extracted sparsely
+//!   or densely by occupancy, clearing only the words that were actually
+//!   touched. **Pull** (once the changed set's scatter edges reach ¾ of
+//!   the graph's): mark the changed set in a bitmap and test each
+//!   vertex's reverse-direction row for a marked neighbor, stopping at
+//!   the first hit, over fixed vertex ranges that concatenate into the
+//!   sorted frontier — no activation list, no serial drain, no
+//!   extraction;
 //! - the CSR gather and scatter scans run over raw adjacency slices
 //!   ([`DistributedGraph::out_adj`]/[`in_adj`](DistributedGraph::in_adj))
 //!   as tight zip loops — measured faster here than manual unrolling or
@@ -100,8 +108,20 @@ const CHUNK: usize = 1_024;
 /// Minimum frontier density (as a fraction `n / SOURCE_TABLE_DIVISOR`) at
 /// which a source-only gather switches to the per-source contribution
 /// table. Below it, filling all `n` entries costs more than the per-edge
-/// recomputation it saves.
+/// recomputation it saves. A changed set below the same density never
+/// pulls the next frontier (see `pull_pays`).
 const SOURCE_TABLE_DIVISOR: usize = 8;
+
+/// The share of the graph's scatter-direction edges, as `(numerator,
+/// denominator)`, that the changed set's rows must reach for the next
+/// frontier to be pulled instead of pushed (see `pull_pays`). Dense
+/// PageRank and CC steps sit at 0.88–1.0, SSSP and k-core below 0.5.
+const PULL_EDGE_SHARE: (usize, usize) = (3, 4);
+
+/// Vertices per range of the pull scan. Fixed (never derived from the
+/// thread count), like [`CHUNK`]; the ranges concatenate in order, so the
+/// pulled frontier is the same list at any thread budget.
+const PULL_RANGE: usize = 4_096;
 
 /// The execution engine: runs a [`GasProgram`] over a partitioned graph on
 /// a simulated heterogeneous cluster.
@@ -239,6 +259,45 @@ impl<'v> StepView<'v> {
         }
     }
 
+    /// Machine lane of `v`'s out-row, without its targets (the compact
+    /// view does not decode the row).
+    #[inline]
+    fn out_lanes(self, v: VertexId) -> &'v [u16] {
+        match self {
+            StepView::Plain(d) => d.out_adj(v).1,
+            StepView::Compact(c) => c.out_lanes(v),
+        }
+    }
+
+    /// Machine lane of `v`'s in-row (see [`out_lanes`](Self::out_lanes)).
+    #[inline]
+    fn in_lanes(self, v: VertexId) -> &'v [u16] {
+        match self {
+            StepView::Plain(d) => d.in_adj(v).1,
+            StepView::Compact(c) => c.in_lanes(v),
+        }
+    }
+
+    /// Early-exit row test: does `v`'s out-row hold a neighbor `hit`
+    /// accepts? Reads targets only and stops at the first hit; the
+    /// compact view decodes the row only up to it.
+    #[inline]
+    fn any_out(self, v: VertexId, mut hit: impl FnMut(VertexId) -> bool) -> bool {
+        match self {
+            StepView::Plain(d) => d.graph().out_csr().neighbors(v).iter().any(|&u| hit(u)),
+            StepView::Compact(c) => c.out_neighbors(v).any(hit),
+        }
+    }
+
+    /// Early-exit test of `v`'s in-row (see [`any_out`](Self::any_out)).
+    #[inline]
+    fn any_in(self, v: VertexId, mut hit: impl FnMut(VertexId) -> bool) -> bool {
+        match self {
+            StepView::Plain(d) => d.graph().in_csr().neighbors(v).iter().any(|&u| hit(u)),
+            StepView::Compact(c) => c.in_neighbors(v).any(hit),
+        }
+    }
+
     fn machine_counts(self) -> Option<(&'v [u32], &'v [u32])> {
         match self {
             StepView::Plain(d) => d.machine_counts(),
@@ -325,10 +384,12 @@ impl<D> GatherChunk<D> {
     }
 }
 
-/// Per-chunk result of the scatter phase, held like [`GatherChunk`].
-/// Scatter edge work is always one unit per edge, so the tally is a bare
-/// `u64` lane; `activations` stays empty on the serial driver, which
-/// inserts straight into the frontier.
+/// Per-chunk result of the scatter phase, held like [`GatherChunk`]: a
+/// chunk of changed vertices on a push step, a vertex range on a pull
+/// step. Scatter edge work is always one unit per edge, so the tally is a
+/// bare `u64` lane. `activations` holds a push chunk's activations or a
+/// pull range's next-frontier vertices; the serial driver leaves it empty
+/// and writes straight into the frontier set or list.
 struct ScatterChunk {
     edge_count: Vec<u64>,
     activations: Vec<VertexId>,
@@ -351,6 +412,141 @@ impl ScatterChunk {
             w.edge_units += *c as f64;
             *c = 0;
         }
+    }
+}
+
+/// The scatter phase across a run's supersteps: it charges each changed
+/// vertex's scatter rows and builds the next frontier by one of two rules
+/// (see the module docs), which build the same list and the same tallies.
+/// Every buffer is sized per run, so neither rule allocates at steady
+/// state on the serial driver, and switching rules mid-run allocates
+/// nothing either.
+struct NextFrontier {
+    /// Push: the activation set, drained by each push step's extraction.
+    set: FrontierSet,
+    /// Pull: the changed set as a bitmap, cleared after each pull step.
+    marks: Vec<u64>,
+    /// The serial driver's one chunk for the whole run.
+    serial: ScatterChunk,
+    /// The pooled driver's chunks.
+    pool: Pool<ScatterChunk>,
+    n: usize,
+    p: usize,
+    host_threads: usize,
+}
+
+impl NextFrontier {
+    fn new(n: usize, p: usize, host_threads: usize) -> Self {
+        NextFrontier {
+            set: FrontierSet::new(n),
+            marks: vec![0u64; n.div_ceil(64)],
+            serial: ScatterChunk::new(p),
+            pool: Pool::new(),
+            n,
+            p,
+            host_threads,
+        }
+    }
+
+    /// Push: scatter the changed vertices' rows — in order on one
+    /// thread, in [`CHUNK`]s through [`scheduled`] on more — into the
+    /// frontier set, then extract it into `frontier`. The extraction
+    /// picks sparse or dense by occupancy and zeroes only the bitmap
+    /// words scatter touched.
+    // Out of line, like the scans (DESIGN §3b).
+    #[inline(never)]
+    fn push(
+        &mut self,
+        frontier: &mut Vec<u32>,
+        step_work: &mut [WorkCounts],
+        changed: &[u32],
+        view: StepView<'_>,
+        dir: Direction,
+    ) {
+        debug_assert!(self.set.is_empty(), "frontier drained last step");
+        let counts = view.machine_counts();
+        if self.host_threads == 1 {
+            // Activations go straight into the frontier bitmap — no
+            // staging list (insert order cannot affect a set). Scatter
+            // tallies are integer-valued, so folding them once per scan
+            // (instead of once per chunk) yields the identical exact
+            // `f64` sums.
+            let (c, set) = (&mut self.serial, &mut self.set);
+            let (tally, adj) = (&mut c.edge_count, &mut c.adj_scratch);
+            scatter(tally, adj, changed, view, dir, counts, |u| set.insert(u));
+            c.fold_tallies(step_work);
+        } else {
+            let (p, pool) = (self.p, &self.pool);
+            let scattered = scheduled(changed.len().div_ceil(CHUNK), self.host_threads, |idx| {
+                let lo = idx * CHUNK;
+                let hi = (lo + CHUNK).min(changed.len());
+                let mut out = pool.take(|| ScatterChunk::new(p));
+                let sink = |u| out.activations.push(u);
+                let (tally, adj) = (&mut out.edge_count, &mut out.adj_scratch);
+                scatter(tally, adj, &changed[lo..hi], view, dir, counts, sink);
+                out
+            });
+            for mut c in scattered {
+                c.fold_tallies(step_work);
+                for u in c.activations.drain(..) {
+                    self.set.insert(u);
+                }
+                pool.put(c);
+            }
+        }
+        self.set.extract_into(frontier);
+    }
+
+    /// Pull: mark `changed`, run [`pull_range`] over the fixed
+    /// [`PULL_RANGE`] vertex ranges — in order on one thread, through
+    /// [`scheduled`] on more — and clear the marks. The ranges
+    /// concatenate in order, so `frontier` comes out sorted and
+    /// deduplicated with no set, no activation list and no drain.
+    #[inline(never)]
+    fn pull(
+        &mut self,
+        frontier: &mut Vec<u32>,
+        step_work: &mut [WorkCounts],
+        changed: &[u32],
+        view: StepView<'_>,
+        dir: Direction,
+    ) {
+        // One store per word: `changed` ascends, so its vertices arrive
+        // in runs that share a word (any order still marks correctly).
+        let (mut word, mut bits) = (0, 0u64);
+        for &v in changed {
+            if v as usize >> 6 != word {
+                self.marks[word] |= bits;
+                (word, bits) = (v as usize >> 6, 0);
+            }
+            bits |= 1 << (v & 63);
+        }
+        self.marks[word] |= bits;
+        let (n, marks, counts) = (self.n, &self.marks[..], view.machine_counts());
+        let n_ranges = n.div_ceil(PULL_RANGE);
+        frontier.clear();
+        if self.host_threads == 1 {
+            let tally = &mut self.serial.edge_count;
+            for idx in 0..n_ranges {
+                pull_range(tally, frontier, idx, n, marks, view, dir, counts);
+            }
+            self.serial.fold_tallies(step_work);
+        } else {
+            let (p, pool) = (self.p, &self.pool);
+            let pulled = scheduled(n_ranges, self.host_threads, |idx| {
+                let mut out = pool.take(|| ScatterChunk::new(p));
+                let (tally, next) = (&mut out.edge_count, &mut out.activations);
+                pull_range(tally, next, idx, n, marks, view, dir, counts);
+                out
+            });
+            for mut c in pulled {
+                c.fold_tallies(step_work);
+                frontier.extend_from_slice(&c.activations);
+                c.activations.clear();
+                pool.put(c);
+            }
+        }
+        self.marks.fill(0);
     }
 }
 
@@ -427,7 +623,7 @@ impl<'a> SimEngine<'a> {
         program: &P,
         host_threads: usize,
     ) -> SimOutcome<P::VertexData> {
-        self.kernel(target.into(), program, host_threads, None)
+        self.kernel(target.into(), program, host_threads, None, None)
     }
 
     /// [`SimEngine::run`] that also records each superstep's work as a
@@ -458,7 +654,7 @@ impl<'a> SimEngine<'a> {
         self.check_machines(target.num_machines())?;
         let shape = GraphShape::of_meta(&target.meta());
         let mut steps = Vec::new();
-        let outcome = self.kernel(target, program, host_threads, Some(&mut steps));
+        let outcome = self.kernel(target, program, host_threads, Some(&mut steps), None);
         let trace = WorkTrace {
             app: outcome.report.app.clone(),
             profile: program.profile(),
@@ -543,12 +739,15 @@ impl<'a> SimEngine<'a> {
     /// a guard test asserts the loop exists exactly once in this crate).
     /// With `record` given, each superstep's work is pushed to it after
     /// pricing; `run` passes `None`, which costs one branch per superstep.
+    /// `force_pull` overrides the density rule that picks how the next
+    /// frontier is built (tests only; `None` everywhere else).
     fn kernel<P: GasProgram>(
         &self,
         mut target: RunTarget<'_, '_>,
         program: &P,
         host_threads: usize,
         mut record: Option<&mut Vec<StepWork>>,
+        force_pull: Option<bool>,
     ) -> SimOutcome<P::VertexData> {
         assert!(host_threads > 0, "need at least one host thread");
         let meta = target.meta();
@@ -565,9 +764,10 @@ impl<'a> SimEngine<'a> {
         let machines = self.cluster.machines();
 
         let mut data: Vec<P::VertexData> = (0..n as u32).map(|v| program.init(&meta, v)).collect();
-        // The frontier lives as a sorted, deduplicated `Vec<u32>`; scatter
-        // collects next-step activations in a `FrontierSet` whose hybrid
-        // extraction rebuilds this list between supersteps.
+        // The frontier lives as a sorted, deduplicated `Vec<u32>`. A push
+        // step's scatter collects next-step activations in a `FrontierSet`
+        // whose hybrid extraction rebuilds this list; a pull step writes
+        // it directly.
         let mut frontier: Vec<u32> = match program.initial_active(&meta) {
             ActiveInit::All => (0..n as u32).collect(),
             ActiveInit::Seeds(mut seeds) => {
@@ -584,18 +784,16 @@ impl<'a> SimEngine<'a> {
 
         // Buffers reused across supersteps (see module docs).
         let mut changed: Vec<u32> = Vec::new();
-        let mut next_frontier = FrontierSet::new(n);
+        let mut next = NextFrontier::new(n, p, host_threads);
         let mut step_work = vec![WorkCounts::zero(); p];
         let mut sync_counts = vec![0u64; p];
         let gather_pool: Pool<GatherChunk<P::VertexData>> = Pool::new();
-        let scatter_pool: Pool<ScatterChunk> = Pool::new();
-        // The serial driver's persistent chunks: its gather chunk stages
-        // the whole frontier's applies (committed only after the full
-        // scan — the Jacobi barrier). Allocated once; steady-state
-        // supersteps reuse the grown capacity, decode scratch included.
+        // The serial driver's persistent gather chunk stages the whole
+        // frontier's applies (committed only after the full scan — the
+        // Jacobi barrier). Allocated once; steady-state supersteps reuse
+        // the grown capacity, decode scratch included.
         let serial = host_threads == 1;
         let mut serial_gather: GatherChunk<P::VertexData> = GatherChunk::new(p);
-        let mut serial_scatter = ScatterChunk::new(p);
         // Source-contribution table for programs whose gather depends only
         // on the gathered vertex (see `GasProgram::gather_by_source`):
         // evaluated once per source per superstep on dense frontiers,
@@ -631,13 +829,8 @@ impl<'a> SimEngine<'a> {
 
             // Shared borrow of the (possibly migrated) view for this
             // superstep's scans. Re-taken every iteration because the
-            // rebalance hook at the bottom may mutate the view; the
-            // machine-count tables are cached, so `machine_counts` is a
-            // lookup after the first step. `None` on clusters too large
-            // for the tables; the scans then fall back to the per-edge
-            // machine lane.
+            // rebalance hook at the bottom may mutate the view.
             let view = target.step_view();
-            let counts = view.machine_counts();
 
             // --- Gather + Apply (reads previous-step data), fanned out ---
             let wall_gather_t0 = if tracing { telemetry.now_us() } else { 0.0 };
@@ -735,57 +928,19 @@ impl<'a> SimEngine<'a> {
                 ));
             }
 
-            // --- Scatter (sees post-apply data), fanned out over changed ---
+            // --- Scatter (sees post-apply data) and the next frontier ---
+            // Pushed on sparse steps, pulled on dense ones (module docs).
             let wall_scatter_t0 = if tracing { telemetry.now_us() } else { 0.0 };
-            debug_assert!(next_frontier.is_empty(), "frontier drained last step");
-            if program.scatter_direction() != Direction::None && !changed.is_empty() {
-                if serial {
-                    // Activations go straight into the frontier bitmap —
-                    // no staging list (insert order cannot affect a set).
-                    // Scatter tallies are integer-valued, so folding them
-                    // once per scan (instead of once per chunk) yields the
-                    // identical exact `f64` sums.
-                    let c = &mut serial_scatter;
-                    scatter(
-                        &mut c.edge_count,
-                        &mut c.adj_scratch,
-                        &changed,
-                        &meta,
-                        view,
-                        program,
-                        &data,
-                        counts,
-                        |u| next_frontier.insert(u),
-                    );
-                    c.fold_tallies(&mut step_work);
-                } else {
-                    let scattered: Vec<ScatterChunk> =
-                        scheduled(changed.len().div_ceil(CHUNK), host_threads, |idx| {
-                            let lo = idx * CHUNK;
-                            let hi = (lo + CHUNK).min(changed.len());
-                            let mut out = scatter_pool.take(|| ScatterChunk::new(p));
-                            scatter(
-                                &mut out.edge_count,
-                                &mut out.adj_scratch,
-                                &changed[lo..hi],
-                                &meta,
-                                view,
-                                program,
-                                &data,
-                                counts,
-                                |u| out.activations.push(u),
-                            );
-                            out
-                        });
-                    for mut c in scattered {
-                        c.fold_tallies(&mut step_work);
-                        for u in c.activations.drain(..) {
-                            next_frontier.insert(u);
-                        }
-                        scatter_pool.put(c);
-                    }
-                }
-            }
+            let dir = program.scatter_direction();
+            let scatters = dir != Direction::None && !changed.is_empty();
+            let pull = scatters && force_pull.unwrap_or_else(|| pull_pays(&meta, &changed, dir));
+            let rule = if pull {
+                NextFrontier::pull
+            } else {
+                NextFrontier::push
+            };
+            let changed = if scatters { &changed[..] } else { &[] };
+            rule(&mut next, &mut frontier, &mut step_work, changed, view, dir);
             if tracing {
                 let t = telemetry.now_us();
                 telemetry.record(TraceEvent::wall_span(
@@ -807,10 +962,6 @@ impl<'a> SimEngine<'a> {
                     sync_counts: sync_counts.clone(),
                 });
             }
-            // Hybrid extraction: rebuilds the sorted frontier and zeroes
-            // only the bitmap words scatter actually touched.
-            next_frontier.extract_into(&mut frontier);
-
             // --- Rebalance hook: between supersteps, serial section ---
             // The policy sees only simulated quantities, so its plans —
             // and the rebalanced report — are thread-count invariant. No
@@ -846,12 +997,17 @@ impl<'a> SimEngine<'a> {
     }
 }
 
-/// Charge one unit of scatter edge work per adjacency slot to its owning
+/// Charge one unit of scatter edge work per slot of a row to its owning
 /// machine: `p` adds from the precomputed row counts when the tables
-/// exist, else one machine-lane load and add per edge. The tallies are
-/// integers either way, so the sums are identical.
+/// exist, else one load and add per slot of the machine lane, which is
+/// fetched only then. The tallies are integers either way, so the sums
+/// are identical.
 #[inline(always)]
-fn charge_unit_row_u64(edge_count: &mut [u64], machines: &[u16], row_counts: Option<&[u32]>) {
+fn charge_row<'l>(
+    edge_count: &mut [u64],
+    row_counts: Option<&[u32]>,
+    machines: impl FnOnce() -> &'l [u16],
+) {
     match row_counts {
         Some(rc) => {
             for (w, &c) in edge_count.iter_mut().zip(rc) {
@@ -859,7 +1015,7 @@ fn charge_unit_row_u64(edge_count: &mut [u64], machines: &[u16], row_counts: Opt
             }
         }
         None => {
-            for &m in machines {
+            for &m in machines() {
                 edge_count[m as usize] += 1;
             }
         }
@@ -1056,46 +1212,123 @@ fn fold_row<P: GasProgram>(
     }
 }
 
-/// Scatter over `vertices` — **the one scatter scan body**: one edge unit
-/// per adjacency slot on its owning machine, and every activated neighbor
-/// handed to `activate`. The serial driver's sink inserts into the next
-/// frontier; the pooled driver's appends to its chunk's activation list.
-#[allow(clippy::too_many_arguments)]
+/// Charge one unit of scatter edge work per slot of `v`'s
+/// scatter-direction rows to the slot's machine. Reads only the row-count
+/// tables (`counts`: cached per view, so a lookup after the first step;
+/// `None` on clusters too large for them) or else the machine lanes,
+/// never the targets, so both frontier rules charge identical tallies.
+#[inline(always)]
+fn charge_scatter_rows(
+    edge_count: &mut [u64],
+    view: StepView<'_>,
+    v: VertexId,
+    dir: Direction,
+    counts: Option<(&[u32], &[u32])>,
+) {
+    let p = edge_count.len();
+    if matches!(dir, Direction::In | Direction::Both) {
+        let row_counts = count_row(counts.map(|c| c.1), v, p);
+        charge_row(edge_count, row_counts, || view.in_lanes(v));
+    }
+    if matches!(dir, Direction::Out | Direction::Both) {
+        let row_counts = count_row(counts.map(|c| c.0), v, p);
+        charge_row(edge_count, row_counts, || view.out_lanes(v));
+    }
+}
+
+/// Push scatter over `vertices` — **the one scatter scan body**: charge
+/// each vertex's scatter rows and hand every scatter neighbor to
+/// `activate`. The serial driver's sink inserts into the next frontier;
+/// the pooled driver's appends to its chunk's activation list.
 // Out of line on purpose: inlined into the kernel's body, the serial
 // driver's scans measured 10–35 % slower (DESIGN §3b).
 #[inline(never)]
-fn scatter<P: GasProgram>(
+fn scatter(
     edge_count: &mut [u64],
     adj: &mut Vec<VertexId>,
     vertices: &[u32],
-    meta: &GraphMeta<'_>,
     view: StepView<'_>,
-    program: &P,
-    data: &[P::VertexData],
+    dir: Direction,
     counts: Option<(&[u32], &[u32])>,
     mut activate: impl FnMut(VertexId),
 ) {
-    let dir = program.scatter_direction();
-    let p = edge_count.len();
-    let (out_counts, in_counts) = (counts.map(|c| c.0), counts.map(|c| c.1));
     for &v in vertices {
+        charge_scatter_rows(edge_count, view, v, dir, counts);
         if matches!(dir, Direction::In | Direction::Both) {
-            let (t, m) = view.in_adj(v, adj);
-            charge_unit_row_u64(edge_count, m, count_row(in_counts, v, p));
-            for &u in t {
-                if program.scatter_activates(meta, data, v, u, true) {
-                    activate(u);
-                }
-            }
+            view.in_adj(v, adj).0.iter().for_each(|&u| activate(u));
         }
         if matches!(dir, Direction::Out | Direction::Both) {
-            let (t, m) = view.out_adj(v, adj);
-            charge_unit_row_u64(edge_count, m, count_row(out_counts, v, p));
-            for &u in t {
-                if program.scatter_activates(meta, data, v, u, true) {
-                    activate(u);
-                }
-            }
+            view.out_adj(v, adj).0.iter().for_each(|&u| activate(u));
+        }
+    }
+}
+
+/// Whether the next frontier is cheaper pulled than pushed: the changed
+/// set's scatter-direction rows hold at least [`PULL_EDGE_SHARE`] of the
+/// graph's scatter-direction edges (the sum stops once it gets there).
+/// Sets below `n / SOURCE_TABLE_DIVISOR` vertices push without taking
+/// the sum: a pull scans all `n` vertices, such sets reach ¾ of the
+/// edges only under extreme hub skew, and on sparse steps the sum's
+/// scattered degree reads cost more than the rule saves (5 ms per SSSP
+/// run on a 1M-vertex graph). Both rules build the same frontier, so
+/// this is purely a speed heuristic, like [`SOURCE_TABLE_DIVISOR`].
+fn pull_pays(meta: &GraphMeta<'_>, changed: &[u32], dir: Direction) -> bool {
+    let inn = matches!(dir, Direction::In | Direction::Both);
+    let out = matches!(dir, Direction::Out | Direction::Both);
+    let total = meta.num_edges() * (inn as usize + out as usize);
+    let sparse = changed.len() < meta.num_vertices() as usize / SOURCE_TABLE_DIVISOR;
+    if total == 0 || sparse {
+        return false;
+    }
+    let (num, den) = PULL_EDGE_SHARE;
+    let need = (num * total).div_ceil(den);
+    let mut reach = 0;
+    for chunk in changed.chunks(CHUNK) {
+        if inn {
+            reach += chunk.iter().map(|&v| meta.in_degree(v)).sum::<usize>();
+        }
+        if out {
+            reach += chunk.iter().map(|&v| meta.out_degree(v)).sum::<usize>();
+        }
+        if reach >= need {
+            return true;
+        }
+    }
+    false
+}
+
+/// Pull range `idx` of the next step — **the one pull scan body**. For
+/// each vertex `u` of the range, in ascending order: if `u` is marked
+/// (changed this step), charge its scatter rows exactly as push would;
+/// and if a neighbor along the reverse scatter direction is marked,
+/// append `u` to `next` — exactly the vertices push would activate.
+/// Out-scatter along `v → u` reaches `u` through `u`'s in-row,
+/// in-scatter along `u → v` through its out-row, and `Both` tests
+/// either; each row test stops at the first hit.
+#[allow(clippy::too_many_arguments)]
+// Out of line like the other scans (DESIGN §3b).
+#[inline(never)]
+fn pull_range(
+    edge_count: &mut [u64],
+    next: &mut Vec<u32>,
+    idx: usize,
+    n: usize,
+    marks: &[u64],
+    view: StepView<'_>,
+    dir: Direction,
+    counts: Option<(&[u32], &[u32])>,
+) {
+    let marked = |u: VertexId| marks[u as usize >> 6] >> (u & 63) & 1 != 0;
+    let via_in = matches!(dir, Direction::Out | Direction::Both);
+    let via_out = matches!(dir, Direction::In | Direction::Both);
+    let lo = idx * PULL_RANGE;
+    let hi = (lo + PULL_RANGE).min(n);
+    for u in lo as u32..hi as u32 {
+        if marked(u) {
+            charge_scatter_rows(edge_count, view, u, dir, counts);
+        }
+        if (via_in && view.any_in(u, marked)) || (via_out && view.any_out(u, marked)) {
+            next.push(u);
         }
     }
 }
@@ -1106,12 +1339,17 @@ mod tests {
     use crate::rebalance::MigrationEvent;
     use hetgraph_cluster::{MachineSpec, MIGRATION_BYTES_PER_EDGE};
     use hetgraph_core::obs::Telemetry;
+    use hetgraph_core::rng::Xoshiro256;
     use hetgraph_core::{Edge, EdgeList, Graph};
     use hetgraph_partition::{MachineWeights, PartitionAssignment, Partitioner, RandomHash};
+    use proptest::prelude::*;
 
     /// Minimal label-propagation program: every vertex takes the minimum
-    /// label among itself and its in+out neighbors (connected components).
-    struct MinLabel;
+    /// label among itself and its in+out neighbors, and scatters along the
+    /// given direction ([`MIN_LABEL`]'s `Both` is connected components).
+    struct MinLabel(Direction);
+
+    const MIN_LABEL: MinLabel = MinLabel(Direction::Both);
 
     fn test_profile() -> AppProfile {
         AppProfile {
@@ -1168,7 +1406,7 @@ mod tests {
             (candidate, candidate < *old)
         }
         fn scatter_direction(&self) -> Direction {
-            Direction::Both
+            self.0
         }
     }
 
@@ -1207,7 +1445,7 @@ mod tests {
         threads: usize,
     ) -> SimOutcome<u32> {
         let dist = DistributedGraph::new(g, a, threads).expect("assignment must cover the graph");
-        engine.run(&dist, &MinLabel, threads)
+        engine.run(&dist, &MIN_LABEL, threads)
     }
 
     #[test]
@@ -1269,9 +1507,9 @@ mod tests {
             })
             .unwrap();
             let engine = SimEngine::new(&cluster);
-            let plain = engine.run(&dist, &MinLabel, 1);
+            let plain = engine.run(&dist, &MIN_LABEL, 1);
             for threads in [1, 2, 4] {
-                let c = engine.run(&compact, &MinLabel, threads);
+                let c = engine.run(&compact, &MIN_LABEL, threads);
                 assert_eq!(c.data, plain.data, "data at {threads} threads");
                 assert_eq!(c.report, plain.report, "report at {threads} threads");
             }
@@ -1293,7 +1531,7 @@ mod tests {
         .unwrap();
         let engine = SimEngine::new(&cluster);
         let plain = run_min_label(&engine, &g, &a, 1);
-        let c = engine.run(&compact, &MinLabel, 1);
+        let c = engine.run(&compact, &MIN_LABEL, 1);
         assert_eq!(c.data, plain.data);
         assert_eq!(c.report, plain.report);
     }
@@ -1517,11 +1755,11 @@ mod tests {
         let engine = SimEngine::new(&cluster);
         let dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let direct = run_min_label(&engine, &g, &a, 2);
-        let shared = engine.run(&dist, &MinLabel, 2);
+        let shared = engine.run(&dist, &MIN_LABEL, 2);
         assert_eq!(direct.data, shared.data);
         assert_eq!(direct.report, shared.report);
         // A second, serial run over the same shared view agrees too.
-        let serial = engine.run(&dist, &MinLabel, 1);
+        let serial = engine.run(&dist, &MIN_LABEL, 1);
         assert_eq!(serial.data, shared.data);
     }
 
@@ -1574,6 +1812,26 @@ mod tests {
         );
     }
 
+    /// The byte span of the first block whose header contains `marker`,
+    /// by brace matching from the header.
+    fn block_span(text: &str, marker: &str) -> Option<std::ops::Range<usize>> {
+        let start = text.find(marker)?;
+        let mut depth = 0usize;
+        for (i, c) in text[start..].char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return Some(start..start + i);
+                    }
+                }
+                _ => {}
+            }
+        }
+        Some(start..text.len())
+    }
+
     /// The pricing-drift hazard must not return either: every call into
     /// the performance model or the network barrier model in this crate
     /// sits inside `PriceAcc`'s impl, the one pricing body both
@@ -1593,27 +1851,6 @@ mod tests {
         ];
         let price_acc = concat!("impl<'e> PriceAcc", "<'e> {");
         let greedy = concat!("impl RebalancePolicy for ", "GreedyRebalance {");
-        // A block's byte span, by brace matching from its header.
-        let span_of = |text: &str, marker: &str| {
-            text.find(marker).map(|start| {
-                let mut depth = 0usize;
-                let mut end = text.len();
-                for (i, c) in text[start..].char_indices() {
-                    match c {
-                        '{' => depth += 1,
-                        '}' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                end = start + i;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                start..end
-            })
-        };
         let mut hits = Vec::new();
         for entry in std::fs::read_dir(&src).expect("read engine src/") {
             let path = entry.expect("dir entry").path();
@@ -1623,8 +1860,8 @@ mod tests {
             let text = std::fs::read_to_string(&path).expect("read source file");
             let file = path.file_name().unwrap().to_string_lossy().into_owned();
             let blocks = [
-                ("PriceAcc", span_of(&text, price_acc)),
-                ("GreedyRebalance", span_of(&text, greedy)),
+                ("PriceAcc", block_span(&text, price_acc)),
+                ("GreedyRebalance", block_span(&text, greedy)),
             ];
             for call in calls {
                 for (at, _) in text.match_indices(call) {
@@ -1668,27 +1905,27 @@ mod tests {
                 .expect("assignment must cover the graph");
         for threads in [1usize, 2] {
             let (out, trace) = SimEngine::new(&case2)
-                .trace(&dist, &MinLabel, threads)
+                .trace(&dist, &MIN_LABEL, threads)
                 .expect("plain trace");
-            let run = SimEngine::new(&case2).run(&dist, &MinLabel, threads);
+            let run = SimEngine::new(&case2).run(&dist, &MIN_LABEL, threads);
             assert_eq!(out.data, run.data);
             assert_eq!(out.report, run.report);
             assert_eq!(SimEngine::new(&case2).price(&trace).unwrap(), run.report);
             let (_, compact_trace) = SimEngine::new(&case2)
-                .trace(&compact, &MinLabel, threads)
+                .trace(&compact, &MIN_LABEL, threads)
                 .expect("compact trace");
             assert_eq!(compact_trace, trace, "representation-independent work");
             // Same P, other specs: pricing equals running there.
             assert_eq!(
                 SimEngine::new(&swapped).price(&trace).unwrap(),
                 SimEngine::new(&swapped)
-                    .run(&dist, &MinLabel, threads)
+                    .run(&dist, &MIN_LABEL, threads)
                     .report
             );
             // A perturbation schedule is the pricing engine's, per step.
             let schedule = PerturbationSchedule::new().slowdown(1, 1, Some(3), 0.25);
             let perturbed = SimEngine::new(&swapped).with_perturbations(&schedule);
-            let slowed = perturbed.run(&dist, &MinLabel, threads).report;
+            let slowed = perturbed.run(&dist, &MIN_LABEL, threads).report;
             assert_eq!(perturbed.price(&trace).unwrap(), slowed);
             assert_ne!(slowed, SimEngine::new(&swapped).price(&trace).unwrap());
         }
@@ -1702,21 +1939,21 @@ mod tests {
         let engine = SimEngine::new(&cluster);
         let mut dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let mut policy = NeverRebalance;
-        let rebalanced = engine.trace(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 1);
+        let rebalanced = engine.trace(RunTarget::rebalanced(&mut dist, &mut policy), &MIN_LABEL, 1);
         assert!(matches!(rebalanced, Err(EngineError::RebalancedTrace)));
         assert!(matches!(
-            engine.trace(&dist, &MinLabel, 0),
+            engine.trace(&dist, &MIN_LABEL, 0),
             Err(EngineError::ZeroThreads)
         ));
         let one = Cluster::new(vec![cluster.machines()[0].clone()]);
         assert!(matches!(
-            SimEngine::new(&one).trace(&dist, &MinLabel, 1),
+            SimEngine::new(&one).trace(&dist, &MIN_LABEL, 1),
             Err(EngineError::MachineCountMismatch {
                 cluster: 1,
                 work: 2
             })
         ));
-        let (_, trace) = engine.trace(&dist, &MinLabel, 1).expect("plain trace");
+        let (_, trace) = engine.trace(&dist, &MIN_LABEL, 1).expect("plain trace");
         assert_eq!(trace.num_machines, 2);
         assert!(matches!(
             SimEngine::new(&one).price(&trace),
@@ -1725,6 +1962,31 @@ mod tests {
                 work: 2
             })
         ));
+    }
+
+    impl SimEngine<'_> {
+        /// [`SimEngine::run`] with the next-frontier rule forced — every
+        /// superstep pulls (`Some(true)`) or pushes (`Some(false)`) whatever
+        /// the density; `None` keeps the density rule — plus each superstep's
+        /// recorded work, so tests can pin both rules to identical outcomes
+        /// over any target.
+        fn run_forced<'k, 'g: 'k, P: GasProgram>(
+            &self,
+            target: impl Into<RunTarget<'k, 'g>>,
+            program: &P,
+            host_threads: usize,
+            force_pull: Option<bool>,
+        ) -> (SimOutcome<P::VertexData>, Vec<StepWork>) {
+            let mut steps = Vec::new();
+            let outcome = self.kernel(
+                target.into(),
+                program,
+                host_threads,
+                Some(&mut steps),
+                force_pull,
+            );
+            (outcome, steps)
+        }
     }
 
     /// Policy that never plans anything — the rebalanced kernel must be
@@ -1796,7 +2058,7 @@ mod tests {
         let static_out = run_min_label(&engine, &g, &a, 2);
         let mut dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let mut policy = NeverRebalance;
-        let rebal = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 2);
+        let rebal = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MIN_LABEL, 2);
         assert_eq!(static_out.data, rebal.data);
         assert_eq!(static_out.report, rebal.report);
         // No plan means no copy-on-write: the caller's assignment is shared.
@@ -1813,7 +2075,7 @@ mod tests {
         let static_out = run_min_label(&engine, &g, &a, 2);
         let mut dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let mut policy = MoveSome::new(1_000);
-        let rebal = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 2);
+        let rebal = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MIN_LABEL, 2);
         // Placement never changes answers, only time.
         assert_eq!(static_out.data, rebal.data);
         assert_eq!(static_out.report.supersteps, rebal.report.supersteps);
@@ -1853,7 +2115,7 @@ mod tests {
             let mut policy = MoveSome::new(2_500);
             let out = engine.run(
                 RunTarget::rebalanced(&mut dist, &mut policy),
-                &MinLabel,
+                &MIN_LABEL,
                 threads,
             );
             reports.push((out.data, out.report));
@@ -1871,7 +2133,7 @@ mod tests {
         let engine = SimEngine::new(&cluster).with_telemetry(&rec);
         let mut dist = DistributedGraph::new(&g, &a, 1).expect("assignment must cover the graph");
         let mut policy = MoveSome::new(1_000);
-        let out = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MinLabel, 2);
+        let out = engine.run(RunTarget::rebalanced(&mut dist, &mut policy), &MIN_LABEL, 2);
         // The per-step records absorb the migration surcharge, so the
         // trace still tallies with the aggregate report.
         let wall: f64 = out.report.steps.iter().map(|s| s.wall_s).sum();
@@ -1919,5 +2181,252 @@ mod tests {
             2,
         );
         assert_eq!(base.report, noop.report);
+    }
+
+    /// A random multigraph for the frontier-rule properties: up to 40,
+    /// up to 600, or 4 097–8 896 vertices (crossing `PULL_RANGE`
+    /// boundaries and ending on a partial range), with hubs, self loops,
+    /// parallel edges, and a tail of isolated vertices.
+    fn random_multigraph(rng: &mut Xoshiro256) -> Graph {
+        let n = match rng.next_bounded(4) {
+            0 => 1 + rng.next_bounded(40),
+            1 | 2 => 41 + rng.next_bounded(560),
+            _ => PULL_RANGE as u64 + 1 + rng.next_bounded(4_800),
+        };
+        let live = n - rng.next_bounded(n / 4 + 1).min(n - 1);
+        let hubs = [0; 3].map(|_| rng.next_bounded(live) as u32);
+        let mut edges: Vec<Edge> = Vec::new();
+        for _ in 0..rng.next_bounded(2 * live + 1) {
+            let mut pick = || rng.next_bounded(live) as u32;
+            let (a, b, hub) = (pick(), pick(), hubs[pick() as usize % 3]);
+            edges.push(match rng.next_bounded(8) {
+                0 | 1 => Edge::new(hub, a),
+                2 => Edge::new(a, hub),
+                3 => Edge::new(a, a),
+                4 if !edges.is_empty() => edges[a as usize % edges.len()],
+                _ => Edge::new(a, b),
+            });
+        }
+        Graph::from_edge_list(EdgeList::from_edges(n as u32, edges))
+    }
+
+    /// Two machines (row-count tables) or ten (the per-edge lane path).
+    fn random_cluster(rng: &mut Xoshiro256) -> Cluster {
+        let p = [2, 10][rng.next_bounded(2) as usize];
+        Cluster::new(
+            Cluster::case3()
+                .machines()
+                .iter()
+                .cycle()
+                .take(p)
+                .cloned()
+                .collect(),
+        )
+    }
+
+    /// The next frontier and the per-machine scatter tally by definition:
+    /// every scatter-direction neighbor of a changed vertex, sorted and
+    /// deduplicated, and one unit per scatter-direction edge of a changed
+    /// vertex on the edge's machine.
+    fn scatter_spec(
+        g: &Graph,
+        a: &PartitionAssignment,
+        changed: &[u32],
+        dir: Direction,
+    ) -> (Vec<u32>, Vec<f64>) {
+        let mut is_changed = vec![false; g.num_vertices() as usize];
+        for &v in changed {
+            is_changed[v as usize] = true;
+        }
+        let (mut next, mut tally) = (Vec::new(), vec![0.0; a.num_machines()]);
+        for (e, &m) in g.edges().iter().zip(a.edge_machines()) {
+            let m = m as usize;
+            if matches!(dir, Direction::Out | Direction::Both) && is_changed[e.src as usize] {
+                next.push(e.dst);
+                tally[m] += 1.0;
+            }
+            if matches!(dir, Direction::In | Direction::Both) && is_changed[e.dst as usize] {
+                next.push(e.src);
+                tally[m] += 1.0;
+            }
+        }
+        next.sort_unstable();
+        next.dedup();
+        (next, tally)
+    }
+
+    const DIRECTIONS: [Direction; 3] = [Direction::In, Direction::Out, Direction::Both];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Push and pull build the frontier and the scatter tallies the
+        /// definition gives, over both views, every scatter direction,
+        /// sparse and dense changed sets, and 1, 2 and 4 threads. Each
+        /// `NextFrontier` serves several steps under both rules in a
+        /// random order, as a run's supersteps do.
+        #[test]
+        fn push_and_pull_build_the_same_frontier(seed in any::<u64>()) {
+            let mut rng = Xoshiro256::new(seed);
+            let g = random_multigraph(&mut rng);
+            let cluster = random_cluster(&mut rng);
+            let a = partitioned(&g, &cluster);
+            let (n, p) = (g.num_vertices() as usize, cluster.len());
+            let dist = DistributedGraph::new(&g, &a, 1).unwrap();
+            let compact =
+                CompactDistGraph::from_edge_stream(n as u32, &a, || g.edges().iter().copied()).unwrap();
+            for view in [StepView::Plain(&dist), StepView::Compact(&compact)] {
+                for dir in DIRECTIONS {
+                    let threads = [1, 2, 4][rng.next_bounded(3) as usize];
+                    let mut next = NextFrontier::new(n, p, threads);
+                    for _ in 0..3 {
+                        // About 1/64 of the vertices, half, or all.
+                        let keep = [1, 32, 64][rng.next_bounded(3) as usize];
+                        let changed: Vec<u32> =
+                            (0..n as u32).filter(|_| rng.next_bounded(64) < keep).collect();
+                        let (want, want_tally) = scatter_spec(&g, &a, &changed, dir);
+                        let case = format!(
+                            "seed {seed}, {n} vertices, {p} machines, {dir:?}, {} changed, {threads} threads",
+                            changed.len()
+                        );
+                        let pull_first = rng.next_bounded(2) == 0;
+                        for pull in [pull_first, !pull_first] {
+                            let (mut frontier, mut work) = (vec![7], vec![WorkCounts::zero(); p]);
+                            let rule = if pull { NextFrontier::pull } else { NextFrontier::push };
+                            rule(&mut next, &mut frontier, &mut work, &changed, view, dir);
+                            let tally: Vec<f64> = work.iter().map(|w| w.edge_units).collect();
+                            prop_assert!(frontier == want, "frontier, pull {pull}: {case}");
+                            prop_assert!(tally == want_tally, "tallies, pull {pull}: {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Forcing either rule on every superstep, or leaving the choice
+        /// to the density rule, changes no outcome and no step's recorded
+        /// work (active count included), over the plain, compact and
+        /// rebalanced targets at 1, 2 and 4 threads.
+        #[test]
+        fn forced_push_and_pull_runs_match(seed in any::<u64>()) {
+            let mut rng = Xoshiro256::new(seed);
+            let g = random_multigraph(&mut rng);
+            let cluster = random_cluster(&mut rng);
+            let a = partitioned(&g, &cluster);
+            let program = MinLabel(DIRECTIONS[rng.next_bounded(3) as usize]);
+            let engine = SimEngine::new(&cluster);
+            let dist = DistributedGraph::new(&g, &a, 1).unwrap();
+            let compact = CompactDistGraph::from_edge_stream(g.num_vertices(), &a, || {
+                g.edges().iter().copied()
+            })
+            .unwrap();
+            let rebalanced = |threads, rule| {
+                let (mut moved, mut policy) = (dist.clone(), MoveSome::new(g.num_edges() / 3));
+                let target = RunTarget::rebalanced(&mut moved, &mut policy);
+                engine.run_forced(target, &program, threads, rule)
+            };
+            let want = engine.run_forced(&dist, &program, 1, Some(false));
+            let want_moved = rebalanced(1, Some(false));
+            for threads in [1, 2, 4] {
+                for rule in [Some(false), Some(true), None] {
+                    let runs = [
+                        ("plain", engine.run_forced(&dist, &program, threads, rule), &want),
+                        ("compact", engine.run_forced(&compact, &program, threads, rule), &want),
+                        ("rebalanced", rebalanced(threads, rule), &want_moved),
+                    ];
+                    for (target, (out, steps), (want, want_steps)) in &runs {
+                        prop_assert!(
+                            out.data == want.data && out.report == want.report && steps == want_steps,
+                            "{target} run, rule {rule:?}: seed {seed}, {} vertices, {} machines, \
+                             {:?}, {threads} threads",
+                            g.num_vertices(),
+                            cluster.len(),
+                            program.0
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pull_fires_from_three_quarters_of_the_scatter_edges() {
+        // Every vertex of `big_graph` has two out- and two in-edges, so
+        // the first k vertices reach k/5000 of the edges either way.
+        let g = big_graph();
+        let meta = g.meta();
+        let all: Vec<u32> = (0..g.num_vertices()).collect();
+        for dir in DIRECTIONS {
+            assert!(pull_pays(&meta, &all, dir), "{dir:?}: all changed");
+            assert!(pull_pays(&meta, &all[..3_750], dir), "{dir:?}: exactly 3/4");
+            assert!(!pull_pays(&meta, &all[..3_749], dir), "{dir:?}: below 3/4");
+        }
+        assert!(!pull_pays(&meta, &all, Direction::None));
+        let empty = Graph::from_edge_list(EdgeList::new(3));
+        assert!(!pull_pays(&empty.meta(), &[0, 1, 2], Direction::Both));
+    }
+
+    /// The frontier rules keep their seams: the per-edge activation hook
+    /// is gone from the workspace, the pull scan exists once and runs only
+    /// under the pull rule, and the push set is filled only under the
+    /// push rule.
+    #[test]
+    fn frontier_rules_keep_their_seams() {
+        // Split so this test's own source doesn't count as a hit.
+        let hook = concat!("scatter_", "activates");
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut stack = vec![root.join("crates"), root.join("tests")];
+        let mut hook_hits = Vec::new();
+        while let Some(dir) = stack.pop() {
+            for entry in std::fs::read_dir(&dir).expect("read source dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    if path.file_name().is_some_and(|f| f != "target") {
+                        stack.push(path);
+                    }
+                } else if path.extension().is_some_and(|e| e == "rs")
+                    && std::fs::read_to_string(&path)
+                        .expect("read source file")
+                        .contains(hook)
+                {
+                    hook_hits.push(path);
+                }
+            }
+        }
+        assert!(hook_hits.is_empty(), "{hook} is back: {hook_hits:?}");
+
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut scans = 0;
+        for entry in std::fs::read_dir(&src).expect("read engine src/") {
+            let text = std::fs::read_to_string(entry.expect("dir entry").path()).unwrap();
+            scans += text.matches(concat!("fn pull", "_range(")).count();
+        }
+        assert_eq!(scans, 1, "the pull scan must exist exactly once");
+
+        let text = std::fs::read_to_string(src.join("sim.rs")).expect("read sim.rs");
+        let text = &text[..text.find(concat!("#[cfg(test)]\nmod ", "tests")).unwrap()];
+        // Every call of `needle` (its definition aside) sits in the block
+        // whose header is `header`.
+        let within = |needle: &str, header: &str| {
+            let span = block_span(text, header).expect("block exists");
+            let calls: Vec<usize> = text
+                .match_indices(needle)
+                .map(|(at, _)| at)
+                .filter(|&at| !text[..at].ends_with("fn "))
+                .collect();
+            !calls.is_empty() && calls.iter().all(|at| span.contains(at))
+        };
+        assert!(
+            within(concat!("pull_range", "("), concat!("fn pull", "(")),
+            "the pull scan runs only in NextFrontier::pull"
+        );
+        assert!(
+            within(concat!(".insert", "("), concat!("fn push", "(")),
+            "the frontier set is filled only in NextFrontier::push"
+        );
     }
 }

@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hetgraph_apps::{Coloring, PageRank};
+use hetgraph_apps::{Coloring, ConnectedComponents, PageRank};
 use hetgraph_cluster::{AppProfile, Cluster};
 use hetgraph_core::obs::OFF;
 use hetgraph_core::{GraphMeta, VertexId};
@@ -120,17 +120,6 @@ impl<P: GasProgram> GasProgram for Capped<P> {
         self.0.scatter_direction()
     }
 
-    fn scatter_activates(
-        &self,
-        graph: &GraphMeta<'_>,
-        data: &[P::VertexData],
-        v: VertexId,
-        u: VertexId,
-        v_changed: bool,
-    ) -> bool {
-        self.0.scatter_activates(graph, data, v, u, v_changed)
-    }
-
     fn initial_active(&self, graph: &GraphMeta<'_>) -> ActiveInit {
         self.0.initial_active(graph)
     }
@@ -211,6 +200,18 @@ fn kernel_allocation_gates() {
         Capped(Coloring::new(), steps)
     });
     assert_eq!(extra, 0, "steady-state Coloring supersteps allocated");
+
+    // Connected components scatters both ways: its dense early steps pull
+    // the next frontier and its sparse tail pushes it, so the switch
+    // happens inside the measured supersteps. Both rules' buffers are
+    // sized per run, never per step.
+    let extra = extra_allocations_of_ten_supersteps(3_000, 1, false, |steps| {
+        Capped(ConnectedComponents::new(), steps)
+    });
+    assert_eq!(
+        extra, 0,
+        "steady-state ConnectedComponents supersteps allocated"
+    );
 
     // 40k vertices = ~40 gather chunks + ~40 scatter chunks per superstep.
     // Without pooling, each chunk would cost several Vec allocations every
